@@ -25,11 +25,11 @@ from .errors import InvalidAlphaError, InvalidDimensionError, InvalidRangeError
 from .geometry import (
     ModelManifold,
     RadialGrid,
+    _weight_from_flux,
     comparison_report,
     ric_infinity_components,
     unit_sphere_area,
     warping_slope_energy,
-    weight_from_warping,
     weighted_volume,
 )
 from .lane_emden import (
@@ -38,13 +38,13 @@ from .lane_emden import (
     pohozaev_slope_factor,
     solve_radial,
 )
-from .radial_core import (
-    finite_difference,
-    indefinite_gauss,
-    make_grid,
-    pole_refined_partition,
-    sample,
-)
+from .radial_core import finite_difference, make_grid, sample
+
+# Unused here since build_example assembles its weight from a closed-form
+# flux, but kept bound on this module: perfbench/tracing.py instruments
+# ``bel.construction.weight_from_warping`` and ``.indefinite_gauss``.
+from .geometry import weight_from_warping  # noqa: E402,F401
+from .radial_core import indefinite_gauss  # noqa: E402,F401
 
 __all__ = [
     "DEFAULT_ALPHA",
@@ -56,6 +56,12 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA = 0.5
+
+#: Below this radius build_example's flux uses the series of its bracket.
+_FLUX_SERIES_RADIUS = 0.1
+#: (-1)^k C(k+2, 2) / (2k+3), k = 0..11: the bracket's series in r^2 over 8 r^3;
+#: at r = 0.1 the first omitted term is below 1e-19 of the sum.
+_FLUX_SERIES = np.array([(-1) ** k * (k + 2) * (k + 1) / (2.0 * (2 * k + 3)) for k in range(12)])
 
 
 def critical_exponent(d: int) -> float:
@@ -85,6 +91,21 @@ def build_example(
         psi''' = -3 (1-alpha) (1 - 4 r^2) (r^2+1)^{-7/2}
 
     so psi'''(0) = -3(1-alpha) < 0 and alpha r < psi < r for r > 0.
+
+    The weight is the one :func:`bel.geometry.weight_from_warping` defines,
+    but its flux is elementary too (a = alpha, b = 1 - alpha):
+
+        F(r) = int_0^r psi'' psi
+             = -a b r^3 / (r^2+1)^{3/2} - (3 b^2/8) [arctan r + r (r^2-1)/(r^2+1)^2]
+
+    so ``f' = (d-1) F/psi^2`` and ``f''`` cost no quadrature, and ``f`` is a
+    single quadrature level over ``f'``.  The bracket is ``O(r^3)`` while its
+    two terms are ``O(r)``, so below ``r = 0.1`` it is replaced by its series
+
+        8 sum_k (-1)^k C(k+2, 2) r^{2k+3} / (2k+3)
+
+    (in Horner form, truncated where the terms drop below double precision),
+    which keeps ``f'`` at full relative accuracy up to the pole.
     """
     if int(d) != d or d < 3:
         raise InvalidDimensionError(f"need an integer dimension d >= 3, got {d}")
@@ -110,8 +131,19 @@ def build_example(
         rr = np.asarray(r, dtype=float)
         return -3.0 * b * (1.0 - 4.0 * rr**2) * (rr**2 + 1.0) ** (-3.5)
 
+    def flux(r):
+        rr = np.atleast_1d(np.asarray(r, dtype=float))
+        q = rr**2 + 1.0
+        bracket = np.arctan(rr) + rr * (rr**2 - 1.0) / q**2
+        small = rr < _FLUX_SERIES_RADIUS
+        if np.any(small):
+            s = rr[small]
+            bracket[small] = 8.0 * s**3 * np.polynomial.polynomial.polyval(s**2, _FLUX_SERIES)
+        out = -a * b * rr**3 / q**1.5 - 0.375 * b**2 * bracket
+        return out if np.ndim(r) else float(out[0])
+
     warping = sample(psi, grid, derivs=(dpsi, ddpsi, dddpsi))
-    weight = weight_from_warping(warping, int(d), f0)
+    weight = _weight_from_flux(warping, int(d), f0, flux, (psi, dpsi, ddpsi))
     return ModelManifold(
         d=int(d), psi=warping, f=weight, f0=f0, alpha=a, weight_from_psi=True
     )
@@ -253,14 +285,10 @@ def _flux_tail_exponent(M: ModelManifold) -> float:
     sit near zero -- comfortably below the o(r^{1/2}) requirement that keeps
     f bounded.
     """
-    if "warping_flux" not in M._cache:
-        pts = pole_refined_partition(M.grid.nodes)
-        M._cache["warping_flux"] = indefinite_gauss(
-            lambda s: M.psi_at(s, 2) * M.psi_at(s), pts
-        )
     nodes = M.grid.nodes
     tail = nodes[nodes >= M.grid.r_max / 10.0]
-    flux = np.abs(np.asarray(M._cache["warping_flux"](tail)))
+    # the recipe weight is f' = (d-1) F / psi^2, so F is read back from f'
+    flux = np.abs(np.asarray(M.f_at(tail, 1)) * M.psi_at(tail) ** 2 / (M.d - 1))
     return float(np.polyfit(np.log(tail), np.log(flux), 1)[0])
 
 

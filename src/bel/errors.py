@@ -81,6 +81,14 @@ class MonotonicityError(BelError):
     code = "monotonicity-violated"
 
 
+class CrossCheckError(BelError, ArithmeticError):
+    """Two independent evaluations of one quantity disagree beyond their
+    stated tolerance (an internal consistency check failed).  Also an
+    ``ArithmeticError``, which these checks raised before they had a code."""
+
+    code = "cross-check-mismatch"
+
+
 class InvalidAlphaError(BelError):
     """alpha must lie strictly between 0 and 1."""
 

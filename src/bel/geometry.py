@@ -25,6 +25,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import (
+    CrossCheckError,
     InvalidDimensionError,
     InvalidRangeError,
     InvalidVirtualDimensionError,
@@ -235,7 +236,7 @@ def laplacian_of_distance(M: ModelManifold, r, check_closed_form: Optional[bool]
         closed = (M.d - 1) * warping_slope_energy(M)(rr) / M.psi_at(rr) ** 2
         err = np.max(np.abs(closed - np.asarray(generic)) / (1.0 + np.abs(generic)))
         if err > 1e-8:
-            raise ArithmeticError(
+            raise CrossCheckError(
                 f"closed-form distance Laplacian disagrees with generic value ({err:.2e})"
             )
     return generic
@@ -337,11 +338,18 @@ def weight_from_warping(psi: RadialFunction, d: int, f0: float = 0.0) -> RadialF
     Solves ``f'' + 2 (psi'/psi) f' = (d-1) psi''/psi`` with ``f(0) = f0`` and
     ``f'(0) = 0`` through its first-order reduction
 
-        f'(r) = (d-1) * [ int_0^r psi'' psi ds ] / psi(r)^2 ,
+        f'(r) = (d-1) * F(r) / psi(r)^2 ,      F(r) = int_0^r psi'' psi ds .
 
-    evaluated by composite Gauss-Legendre quadrature on a refinement of the
-    grid.  Concavity (``psi'' < 0`` for r > 0) is required; it forces
-    ``f' < 0`` for all r > 0.
+    This is the generic path, for any warping: the flux ``F`` is an
+    antiderivative by composite Gauss-Legendre quadrature on a pole-refined
+    partition of the grid (over the analytic callbacks of ``psi`` when psi,
+    psi' and psi'' all have one, else over a cubic spline through its
+    values), and ``f`` is a second quadrature, of ``f'``, on that partition.
+    Every evaluation of ``f`` therefore nests one quadrature inside another;
+    warpings whose flux is known in closed form
+    (:func:`bel.construction.build_example`) skip the inner level.
+    Concavity (``psi'' < 0`` for r > 0) is required; it forces ``f' < 0``
+    for all r > 0.
 
     Raises
     ------
@@ -365,17 +373,36 @@ def weight_from_warping(psi: RadialFunction, d: int, f0: float = 0.0) -> RadialF
         spl = CubicSpline(grid.nodes, psi.values)
         psi0, psi1, psi2 = spl, spl.derivative(1), spl.derivative(2)
 
-    nodes = grid.nodes
     # The slope divides the accumulated integral by psi^2 ~ r^2, so F needs
     # quadrature-level accuracy between nodes (a fitted spline is not enough)
     # and a partition graded into the pole.
-    pts = pole_refined_partition(nodes)
-    F = indefinite_gauss(lambda s: psi2(s) * psi0(s), pts)
+    pts = pole_refined_partition(grid.nodes)
+    flux = indefinite_gauss(lambda s: psi2(s) * psi0(s), pts)
+    return _weight_from_flux(psi, d, f0, flux, (psi0, psi1, psi2))
+
+
+def _weight_from_flux(
+    psi: RadialFunction,
+    d: int,
+    f0: float,
+    flux: Callable[[np.ndarray], np.ndarray],
+    warping: tuple,
+) -> RadialFunction:
+    """Assemble ``f``, ``f'`` and ``f''`` from the flux ``F = int_0^r psi'' psi``.
+
+    ``warping`` holds callables for psi, psi', psi''.  ``f' = (d-1) F/psi^2``
+    with ``f'(0) = 0``; ``f''`` follows from the weight ODE, with the pole
+    limit ``(d-1) psi'''(0) / 3``; ``f - f0`` is one Gauss-Legendre
+    antiderivative of ``f'`` on the pole-refined partition.
+    """
+    psi0, psi1, psi2 = warping
+    grid = psi.grid
+    pts = pole_refined_partition(grid.nodes)
 
     def f_prime(r):
         rr = np.asarray(r, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = (d - 1) * np.atleast_1d(F(rr)) / np.atleast_1d(psi0(rr)) ** 2
+            out = (d - 1) * np.atleast_1d(flux(rr)) / np.atleast_1d(psi0(rr)) ** 2
         out = np.where(np.atleast_1d(rr) == 0.0, 0.0, out)
         return out if rr.ndim else float(out[0])
 
@@ -394,7 +421,7 @@ def weight_from_warping(psi: RadialFunction, d: int, f0: float = 0.0) -> RadialF
             out = np.where(rr == 0.0, (d - 1) * float(p3) / 3.0, out)
         return out
 
-    values = f_accumulated.nodal_values[np.searchsorted(pts, nodes)] + f0
+    values = f_accumulated.nodal_values[np.searchsorted(pts, grid.nodes)] + f0
     return RadialFunction(grid, values, value_fn=f_value, derivs=(f_prime, f_second, None))
 
 

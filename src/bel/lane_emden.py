@@ -13,6 +13,13 @@ E = u'^2/2 + U(u), the Pohozaev-style function
 
 and its slope factor K with P' = K u'^2, together with a curvature-flavoured
 decomposition of K used as an internal cross-check.
+
+A shot's profile between the series region and ``r_end`` is the solver's
+DOP853 dense output (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6).  It is
+evaluated by one vectorised pass over the stacked segment coefficients, with
+the per-point arithmetic of scipy's ``Dop853DenseOutput``, so values are
+bit-identical to ``OdeSolution`` without its per-segment Python loop; ``u``,
+``u'`` and the crossing bisection all go through that one path.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import (
     BlowupError,
+    CrossCheckError,
     InvalidRangeError,
     MonotonicityError,
     NonpositiveCenterValueError,
@@ -172,9 +180,10 @@ def _shoot(
             f"overflow guard {OVERFLOW_GUARD:g} tripped at r = {sol.t_events[0][0]:.6g}"
         )
 
+    dense = _dense_output(sol)
     r_star: Optional[float] = None
     if p is not None and len(sol.t_events[1]):
-        r_star = _refine_crossing(sol, float(sol.t_events[1][0]), tol)
+        r_star = _refine_crossing(dense, sol.t, float(sol.t_events[1][0]), tol)
         status = f"crossed-zero-at({r_star:.12g})"
         r_end = r_star
     elif sol.status == 0:
@@ -184,7 +193,9 @@ def _shoot(
         r_end = float(sol.t[-1])
         status = f"truncated-at({r_end:.12g})"
 
-    u_fn, up_fn, upp_fn = _profile_callbacks(sol, ell, c2, r0, r_end, drift, nonlin)
+    u_fn, up_fn, upp_fn = _profile_callbacks(
+        dense, float(sol.t[-1]), ell, c2, r0, r_end, drift, nonlin
+    )
 
     nodes = grid.nodes
     in_range = nodes <= r_end * (1 + 1e-12)
@@ -208,15 +219,15 @@ def _shoot(
     )
 
 
-def _refine_crossing(sol, r_event: float, tol: float) -> float:
+def _refine_crossing(dense, t, r_event: float, tol: float) -> float:
     """Bisect the dense output around the located event until |u| <= tol."""
-    lo = sol.t[-2] if sol.t.size > 1 else sol.t[0]
+    lo = t[-2] if t.size > 1 else t[0]
     hi = r_event
-    if sol.sol(hi)[0] > 0.0:  # event landed a hair early; nudge the bracket
-        hi = min(r_event * (1 + 1e-9), sol.t[-1])
+    if dense(hi)[0] > 0.0:  # event landed a hair early; nudge the bracket
+        hi = min(r_event * (1 + 1e-9), t[-1])
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        val = sol.sol(mid)[0]
+        val = dense(mid)[0]
         if abs(val) <= tol or (hi - lo) <= 1e-15 * max(1.0, hi):
             return mid
         if val > 0.0:
@@ -226,32 +237,64 @@ def _refine_crossing(sol, r_event: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _profile_callbacks(sol, ell, c2, r0, r_end, drift, nonlin):
-    def check_range(rr):
-        if np.any((rr < 0.0) | (rr > r_end * (1 + 1e-12))):
-            raise OutOfRangeError(f"profile is defined on [0, {r_end:.6g}]")
+def _dense_output(sol) -> Callable:
+    """Vectorised evaluation of the shot's DOP853 dense output.
 
-    def u_fn(r):
-        rr = np.asarray(r, dtype=float)
-        check_range(rr)
-        flat = np.atleast_1d(rr).astype(float)
-        out = np.empty_like(flat)
-        low = flat < r0
-        out[low] = ell - c2 * flat[low] ** 2
-        if np.any(~low):
-            out[~low] = sol.sol(np.minimum(flat[~low], sol.t[-1]))[0]
-        return out if rr.ndim else float(out[0])
+    Evaluates like ``sol.sol`` and gives bit-identical results, without its
+    per-segment Python loop: the segments' ``t_old``, ``h``, ``y_old`` and
+    interpolation coefficients ``F`` are stacked once, every radius finds its
+    segment through one ``searchsorted`` (``side="left"``, clamped to the
+    first and last segment, as ``OdeSolution`` does), and all radii go
+    through the loop of ``Dop853DenseOutput._call_impl`` together.  Returns
+    ``y`` of shape ``(2,)`` for a scalar radius, ``(2, n)`` for n radii.
+    """
+    segments = sol.sol.interpolants
+    ts = sol.sol.ts
+    t_old = np.array([s.t_old for s in segments])
+    h = np.array([s.h for s in segments])
+    y_old = np.array([s.y_old for s in segments])
+    F = np.array([s.F for s in segments])  # (segments, order, 2)
+    last = len(segments) - 1
 
-    def up_fn(r):
+    def evaluate(r):
         rr = np.asarray(r, dtype=float)
-        check_range(rr)
-        flat = np.atleast_1d(rr).astype(float)
-        out = np.empty_like(flat)
-        low = flat < r0
-        out[low] = -2.0 * c2 * flat[low]
-        if np.any(~low):
-            out[~low] = sol.sol(np.minimum(flat[~low], sol.t[-1]))[1]
-        return out if rr.ndim else float(out[0])
+        flat = np.atleast_1d(rr)
+        seg = np.clip(np.searchsorted(ts, flat, side="left") - 1, 0, last)
+        x = ((flat - t_old[seg]) / h[seg])[:, None]
+        coeffs = F[seg]
+        y = np.zeros((flat.size, y_old.shape[1]))
+        for i in range(F.shape[1]):
+            y += coeffs[:, -1 - i]
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += y_old[seg]
+        return y.T if rr.ndim else y[0]
+
+    return evaluate
+
+
+def _profile_callbacks(dense, t_last, ell, c2, r0, r_end, drift, nonlin):
+    def component(k, series):
+        """u (k = 0) or u' (k = 1): the pole series below r0, else the shot."""
+
+        def fn(r):
+            rr = np.asarray(r, dtype=float)
+            if np.any((rr < 0.0) | (rr > r_end * (1 + 1e-12))):
+                raise OutOfRangeError(f"profile is defined on [0, {r_end:.6g}]")
+            flat = np.atleast_1d(rr).astype(float)
+            out = np.empty_like(flat)
+            low = flat < r0
+            out[low] = series(flat[low])
+            if np.any(~low):
+                out[~low] = dense(np.minimum(flat[~low], t_last))[k]
+            return out if rr.ndim else float(out[0])
+
+        return fn
+
+    u_fn = component(0, lambda s: ell - c2 * s**2)
+    up_fn = component(1, lambda s: -2.0 * c2 * s)
 
     def upp_fn(r):
         rr = np.asarray(r, dtype=float)
@@ -411,7 +454,7 @@ def pohozaev_slope_factor(
         scale = 1.0 + np.abs(S) + np.abs(Lr * V)
         worst = np.max(np.abs(K - K_alt) / scale)
         if worst > 1e-7:
-            raise ArithmeticError(
+            raise CrossCheckError(
                 f"slope-factor decomposition mismatch: relative gap {worst:.3e}"
             )
     return K if np.ndim(r) else float(K[0])

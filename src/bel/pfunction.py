@@ -24,6 +24,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import (
+    CrossCheckError,
     InvalidBranchError,
     InvalidDimensionError,
     InvalidRangeError,
@@ -326,7 +327,7 @@ def k_functional(data: PFunctionData, r, check_decomposition: Optional[bool] = N
         scale = 1.0 + np.abs(hess_sq) + P**2 / m
         worst = float(np.max(np.abs(k - k_alt) / scale))
         if worst > 1e-8:
-            raise ArithmeticError(
+            raise CrossCheckError(
                 f"Hessian-split decomposition mismatch: relative gap {worst:.3e}"
             )
     return k if np.ndim(r) else float(k[0])

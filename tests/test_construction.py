@@ -11,8 +11,8 @@ from bel.construction import (
     verify_theorem,
 )
 from bel.errors import InvalidAlphaError, InvalidDimensionError, InvalidRangeError
-from bel.geometry import euclidean
-from bel.radial_core import make_grid
+from bel.geometry import euclidean, weight_from_warping
+from bel.radial_core import make_grid, pole_refined_partition
 
 
 def small_grid():
@@ -152,3 +152,34 @@ def test_subcritical_exponent_reports_without_raising(example3):
     rep = verify_theorem(example3, 4.0, 1.0, tol=1e-9)
     assert isinstance(rep.all_ok, bool)
     assert not rep.slope_factor_nonpositive
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_closed_form_weight_matches_quadrature_path(d, alpha):
+    """build_example's closed-form flux against weight_from_warping's quadrature.
+
+    Radii: the pole-refined partition of the default grid and points just
+    either side of the r = 0.1 switch to the series branch.  f' is compared
+    relative to itself; f'' changes sign near r = 0.8, so it is compared
+    relative to the size of the two terms it is the sum of.
+    """
+    M = build_example(d, alpha)
+    generic = weight_from_warping(M.psi, d)
+    switch = 0.1
+    r = np.concatenate([
+        pole_refined_partition(M.grid.nodes)[1:],
+        switch * (1.0 + np.array([-1e-3, -1e-9, -1e-15, 0.0, 1e-15, 1e-9, 1e-3])),
+        np.nextafter(switch, [0.0, 1.0]),
+    ])
+    df, df_ref = M.f.derivs[0](r), generic.derivs[0](r)
+    assert np.max(np.abs(df - df_ref) / np.abs(df_ref)) <= 1e-12
+    ddf, ddf_ref = M.f.derivs[1](r), generic.derivs[1](r)
+    terms = (d - 1) * np.abs(M.psi_at(r, 2) / M.psi_at(r)) + 2.0 * np.abs(
+        M.psi_at(r, 1) / M.psi_at(r) * df_ref
+    )
+    assert np.max(np.abs(ddf - ddf_ref) / terms) <= 1e-12
+    assert np.max(np.abs(M.f.values - generic.values)) <= 1e-12
+    # the pole limit f''(0) = (d-1) psi'''(0)/3 = -(d-1)(1-alpha)
+    assert float(M.f_at(0.0, 2)) == pytest.approx(-(d - 1) * (1.0 - alpha), rel=1e-14)
+    assert float(M.f_at(1e-9, 2)) == pytest.approx(-(d - 1) * (1.0 - alpha), rel=1e-12)

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bel import lane_emden
+from bel.construction import build_example
 from bel.errors import (
+    BelError,
     BlowupError,
+    CrossCheckError,
     InvalidRangeError,
     MonotonicityError,
     NonpositiveCenterValueError,
@@ -14,7 +18,13 @@ from bel.errors import (
     SingularRadiusError,
     WrongDimensionError,
 )
-from bel.geometry import ModelManifold, euclidean, power_weight, weight_from_warping
+from bel.geometry import (
+    ModelManifold,
+    euclidean,
+    laplacian_of_distance,
+    power_weight,
+    weight_from_warping,
+)
 from bel.lane_emden import (
     asymptotic_bound_check,
     energy,
@@ -115,6 +125,73 @@ def test_gaussian_weight_crossing_for_several_center_values(ell):
     M = power_weight(3, make_grid(0.0, 8.0, 201, "uniform"), coeff=1.0, power=2.0)
     shot = solve_radial(M, p=3.0, ell=ell, tol=1e-9)
     assert shot.crossed
+
+
+def _captured_shot(monkeypatch, M, p, ell):
+    """Shoot and return (profile, the raw solve_ivp result)."""
+    captured = []
+    solve_ivp = lane_emden.solve_ivp
+
+    def capture(*args, **kwargs):
+        captured.append(solve_ivp(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(lane_emden, "solve_ivp", capture)
+    profile = solve_radial(M, p=p, ell=ell, tol=1e-10)
+    monkeypatch.undo()
+    return profile, captured[0]
+
+
+@pytest.mark.parametrize("case", ["theorem", "soliton"])
+def test_vectorised_dense_output_is_bit_identical(monkeypatch, case):
+    """The stacked-segment evaluation reads scipy-private DOP853 attributes
+    (t_old, h, y_old, F); this is the guard that fails if they change."""
+    if case == "theorem":
+        M, p = build_example(3, 0.5, grid=make_grid(1e-3, 100.0, 1025, "geometric")), 5.0
+    else:
+        M, p = power_weight(3, make_grid(0.0, 6.0, 301, "uniform"), coeff=1.0, power=2.0), 3.0
+    profile, sol = _captured_shot(monkeypatch, M, p, 1.0)
+    assert profile.global_positive == (case == "theorem")
+    assert profile.crossed == (case == "soliton")
+    dense = lane_emden._dense_output(sol)
+    t0, t1 = sol.t[0], sol.t[-1]
+    nodes = M.grid.nodes
+    rng = np.random.default_rng(7)
+    for r in (
+        nodes[(nodes >= t0) & (nodes <= t1)],
+        sol.t,
+        rng.uniform(t0, t1, 500),
+    ):
+        assert np.array_equal(dense(r), sol.sol(r))
+    for r in (float(t0), 0.5 * (t0 + t1), float(sol.t[len(sol.t) // 2]), float(t1)):
+        got = dense(r)
+        assert got.shape == (2,)
+        assert np.array_equal(got, sol.sol(r))
+
+
+def test_decomposition_mismatch_raises_coded_error(monkeypatch):
+    """Both closed-form cross-checks on recipe manifolds fail with one code:
+    the slope-factor split when its curvature defect is perturbed, and the
+    distance Laplacian when a manifold claims a warping-derived weight but
+    carries f = 0."""
+    grid = make_grid(1e-3, 20.0, 257, "geometric")
+    r = grid.nodes[10:-10]
+    pohozaev_slope_factor(build_example(3, 0.5, grid=grid), 5.0, r)  # consistent
+    defect = lane_emden._curvature_defect
+    monkeypatch.setattr(lane_emden, "_curvature_defect", lambda M, s: defect(M, s) - 1.0)
+    with pytest.raises(CrossCheckError) as slope:
+        pohozaev_slope_factor(build_example(3, 0.5, grid=grid), 5.0, r)
+    monkeypatch.undo()
+
+    real = build_example(3, 0.5, grid=grid)
+    fake = ModelManifold(d=3, psi=real.psi, f=euclidean(3, grid).f, alpha=0.5,
+                         weight_from_psi=True)
+    laplacian_of_distance(real, r)  # consistent
+    with pytest.raises(CrossCheckError) as laplacian:
+        laplacian_of_distance(fake, r)
+    for info in (slope, laplacian):
+        assert isinstance(info.value, BelError)
+        assert info.value.code == "cross-check-mismatch"
 
 
 # ------------------------------------------------------------- error paths

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bel import pfunction
 from bel.construction import build_example
 from bel.errors import (
+    BelError,
+    CrossCheckError,
     InvalidBranchError,
     InvalidDimensionError,
     InvalidRangeError,
@@ -214,6 +217,17 @@ def test_k_decomposition_agrees_on_weighted_data(theorem_profile):
     checked = np.asarray(k_functional(data, r))  # auto-check raises on mismatch
     plain = np.asarray(k_functional(data, r, check_decomposition=False))
     assert np.array_equal(checked, plain)
+
+
+def test_k_decomposition_mismatch_raises_coded_error(monkeypatch, theorem_profile):
+    data = v_transform(theorem_profile, n=5.0)
+    r = data.manifold.grid.nodes[5:-5]
+    ric_n = pfunction.ric_n_radial
+    monkeypatch.setattr(pfunction, "ric_n_radial", lambda M, n, s: ric_n(M, n, s) + 1.0)
+    with pytest.raises(CrossCheckError) as info:
+        k_functional(data, r)
+    assert isinstance(info.value, BelError)
+    assert info.value.code == "cross-check-mismatch"
 
 
 def test_k_functional_guards(data4, data4inf):
