@@ -8,9 +8,11 @@ Tolerances here are contractual — do not loosen them to make a failing
 change pass.
 """
 
+import hashlib
 import json
 import math
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,9 +284,18 @@ def test_acceptance_superharmonic_floor(d):
 # ------------------------------------------------- 9. determinism
 
 
+GOLDENS = Path(__file__).with_name("goldens.json")
+
+
 def test_acceptance_full_suite_deterministic(tmp_path):
     """Two consecutive runs of every bundled config agree byte for byte
-    (modulo the timings block of each report)."""
+    (modulo the timings block of each report), and the first run matches
+    the SHA-256 digests recorded in ``goldens.json``.
+
+    A digest changes only when an artifact does; after an intended output
+    change, re-record each digest as ``hashlib.sha256`` of the payload value
+    built here (the report text or the CSV bytes).
+    """
     configs = sorted(
         (p for p in (files("bel") / "configs").iterdir() if p.name.endswith(".cfg")),
         key=lambda p: p.name,
@@ -300,10 +311,16 @@ def test_acceptance_full_suite_deterministic(tmp_path):
         for report_file in sorted(root.rglob("report.json")):
             data = json.loads(report_file.read_text())
             data.pop("timings")
-            payload[str(report_file.relative_to(root))] = json.dumps(data, indent=2)
+            payload[report_file.relative_to(root).as_posix()] = json.dumps(data, indent=2).encode()
         for csv_file in sorted(root.rglob("profiles.csv")):
-            payload[str(csv_file.relative_to(root))] = csv_file.read_bytes()
+            payload[csv_file.relative_to(root).as_posix()] = csv_file.read_bytes()
         outputs[attempt] = payload
     assert outputs["first"].keys() == outputs["second"].keys()
     for key in outputs["first"]:
         assert outputs["first"][key] == outputs["second"][key], key
+    goldens = json.loads(GOLDENS.read_text())
+    digests = {key: hashlib.sha256(blob).hexdigest() for key, blob in outputs["first"].items()}
+    assert digests == goldens["digests"], (
+        f"artifacts differ from the goldens recorded with numpy {goldens['numpy']}, "
+        f"scipy {goldens['scipy']}"
+    )
