@@ -7,7 +7,7 @@ from pathlib import Path
 
 import click
 
-from .errors import ArtifactIOError, ConfigParseError
+from .errors import BelError, ConfigParseError
 from .scenarios import SCENARIOS, execute_run, expand_runs, load_config
 
 
@@ -42,8 +42,8 @@ def run(config_file, out_dir, tol, jobs):
                 reports = list(pool.map(_pool_worker, [(s, out_root) for s in specs]))
         else:
             reports = [execute_run(spec, out_root) for spec in specs]
-    except ArtifactIOError as exc:
-        click.echo(f"io error: {exc}", err=True)
+    except BelError as exc:
+        click.echo(f"error [{exc.code}]: {exc}", err=True)
         sys.exit(2)
     failed = 0
     for spec, report in zip(specs, reports):

@@ -17,7 +17,7 @@ Euclidean-type volume bound, and the explicit asymptotic upper bound on u.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -48,10 +48,10 @@ from .radial_core import indefinite_gauss  # noqa: E402,F401
 
 __all__ = [
     "DEFAULT_ALPHA",
+    "Check",
     "TheoremReport",
     "build_example",
     "verify_theorem",
-    "condition_checks",
     "critical_exponent",
 ]
 
@@ -153,13 +153,30 @@ def build_example(
 
 
 @dataclass(frozen=True)
-class TheoremReport:
-    """All property flags for one (d, alpha, p, ell) instance.
+class Check:
+    """One named verdict, with the fields (in order) of a report.json check."""
 
-    Every flag is oriented so that True means 'verified as claimed'; in
-    particular ``sharp_comparison_fails`` is True when the sharp
-    distance-Laplacian comparison is violated at every positive node, which
-    is the advertised behaviour.
+    name: str
+    reference: str
+    verdict: bool
+    measured: Optional[float] = None
+    tolerance: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "verdict", bool(self.verdict))
+        for key in ("measured", "tolerance"):
+            value = getattr(self, key)
+            if value is not None:
+                object.__setattr__(self, key, float(value))
+
+
+@dataclass(frozen=True)
+class TheoremReport:
+    """The theorem checks for one (d, alpha, p, ell) instance.
+
+    Every verdict is oriented so that True means 'verified as claimed'; in
+    particular ``chi-positive`` holds only when the sharp distance-Laplacian
+    comparison is also violated, which is the advertised behaviour.
     """
 
     manifold: ModelManifold
@@ -167,61 +184,17 @@ class TheoremReport:
     ell: float
     profile: Optional[SolutionProfile]
     solver_error: Optional[str]
-    diffeo_ok: bool
-    ric_r_positive: bool
-    ric_theta_positive: bool
-    slope_factor_max: float
-    slope_factor_nonpositive: bool
-    global_positive: bool
-    u_center_ok: bool
-    u_decreasing: bool
-    gradient_product_positive: bool
-    chi_min: float
-    chi_positive: bool
-    psi_cap_min: float
-    psi_cap_positive: bool
-    sharp_comparison_fails: bool
-    rough_observed: float
-    rough_bound: float
-    rough_comparison_holds: bool
-    volume_comparison: bool
-    C1: float
-    C2: float
-    asymptotic_C: float
-    asymptotic_bound_holds: bool
-    condition_i: bool
-    condition_ii: bool
-    condition_iii: bool
-    condition_iii_residual: float
-    f_sup: float
-    f_bounded: bool
-    flux_tail_exponent: float
+    checks: Tuple[Check, ...]
 
     @property
     def all_ok(self) -> bool:
-        return all(
-            getattr(self, name)
-            for name in (
-                "diffeo_ok",
-                "ric_r_positive",
-                "ric_theta_positive",
-                "slope_factor_nonpositive",
-                "global_positive",
-                "u_center_ok",
-                "u_decreasing",
-                "gradient_product_positive",
-                "chi_positive",
-                "psi_cap_positive",
-                "sharp_comparison_fails",
-                "rough_comparison_holds",
-                "volume_comparison",
-                "asymptotic_bound_holds",
-                "condition_i",
-                "condition_ii",
-                "condition_iii",
-                "f_bounded",
-            )
-        )
+        return all(c.verdict for c in self.checks)
+
+    def check(self, name: str) -> Check:
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
 
 
 def _require_recipe_manifold(M: ModelManifold) -> None:
@@ -229,53 +202,6 @@ def _require_recipe_manifold(M: ModelManifold) -> None:
         raise InvalidRangeError(
             "expected a manifold assembled by build_example (warping-derived weight)"
         )
-
-
-def _condition_data(M: ModelManifold) -> dict:
-    """Grid data for the three pointwise curvature conditions."""
-    r = M.grid.nodes[M.grid.nodes > 0.0]
-    ric_r, ric_th = ric_infinity_components(M, r)
-    psi = M.psi_at(r)
-    dpsi = M.psi_at(r, 1)
-    ddpsi = M.psi_at(r, 2)
-    df = M.f_at(r, 1)
-
-    # residual of the weight ODE f'' + 2 psi'/psi f' = (d-1) psi''/psi,
-    # measured by finite-differencing the f' samples (not the f'' callback,
-    # which satisfies the relation by construction)
-    df_nodes = np.asarray(M.f_at(M.grid.nodes, 1), dtype=float)
-    fd_ddf = finite_difference(df_nodes, M.grid, order=1)[M.grid.nodes > 0.0]
-    rhs = (M.d - 1) * ddpsi / psi - 2.0 * dpsi * df / psi
-    scale = 1.0 + np.abs(rhs)
-    residual = np.abs(fd_ddf - rhs) / scale
-    h_local = M.grid.local_steps[M.grid.nodes > 0.0]
-    interior = slice(2, -2)  # finite-difference edge stencils excluded
-
-    defect = np.asarray(ric_r) + 2.0 * dpsi * df / psi - df**2 / (M.d - 1)
-    return {
-        "r": r,
-        "ric_r": np.asarray(ric_r),
-        "ric_theta": np.asarray(ric_th),
-        "defect": defect,
-        "residual": residual,
-        "residual_tol": 100.0 * h_local**2,
-        "interior": interior,
-    }
-
-
-def condition_checks(M: ModelManifold):
-    """(i, ii, iii): positive radial and angular curvature, and the defect
-    inequality Ric_r <= -2 psi' f'/psi + (f')^2/(d-1) up to grid tolerance."""
-    _require_recipe_manifold(M)
-    data = _condition_data(M)
-    i = bool(np.all(data["ric_r"] > 0.0))
-    ii = bool(np.all(data["ric_theta"] > 0.0))
-    inner = data["interior"]
-    iii = bool(
-        np.all(data["defect"] <= data["residual_tol"])
-        and np.all(data["residual"][inner] <= data["residual_tol"][inner])
-    )
-    return i, ii, iii
 
 
 def _flux_tail_exponent(M: ModelManifold) -> float:
@@ -298,7 +224,7 @@ def verify_theorem(
     ell: float,
     tol: float = 1e-10,
 ) -> TheoremReport:
-    """Run the full verification pipeline and collect every flag.
+    """Run the full verification pipeline and collect every check.
 
     Solver failures are recorded in the report (``solver_error``) rather than
     raised, so a report is always produced.
@@ -306,38 +232,42 @@ def verify_theorem(
     _require_recipe_manifold(M)
     d, alpha = M.d, float(M.alpha)
     grid = M.grid
-    nodes = grid.nodes
-    pos = nodes > 0.0
-    r = nodes[pos]
+    pos = grid.nodes > 0.0
+    r = grid.nodes[pos]
 
     # -- warping invariants (the diffeomorphism-to-R^d side) ---------------
-    psi0 = float(M.psi_at(0.0))
-    dpsi0 = float(M.psi_at(0.0, 1))
-    ddpsi0 = float(M.psi_at(0.0, 2))
     psi_r = M.psi_at(r)
+    dpsi_r = M.psi_at(r, 1)
     diffeo_ok = (
-        abs(psi0) <= 1e-14
-        and abs(dpsi0 - 1.0) <= 1e-12
-        and abs(ddpsi0) <= 1e-12
-        and bool(np.all(M.psi_at(r, 1) > 0.0))
+        abs(float(M.psi_at(0.0))) <= 1e-14
+        and abs(float(M.psi_at(0.0, 1)) - 1.0) <= 1e-12
+        and abs(float(M.psi_at(0.0, 2))) <= 1e-12
+        and bool(np.all(dpsi_r > 0.0))
         and bool(np.all((alpha * r < psi_r) & (psi_r < r)))
     )
 
     # -- curvature and the three pointwise conditions ----------------------
-    cond = _condition_data(M)
-    condition_i = bool(np.all(cond["ric_r"] > 0.0))
-    condition_ii = bool(np.all(cond["ric_theta"] > 0.0))
-    inner = cond["interior"]
-    iii_residual = float(np.max(cond["residual"][inner]))
-    condition_iii = bool(
-        np.all(cond["defect"] <= cond["residual_tol"])
-        and np.all(cond["residual"][inner] <= cond["residual_tol"][inner])
+    # (i) Ric^r > 0, (ii) Ric^theta > 0, (iii) the defect inequality
+    # Ric^r <= -2 psi' f'/psi + (f')^2/(d-1) up to grid tolerance, together
+    # with the residual of the weight ODE f'' + 2 psi'/psi f' = (d-1) psi''/psi
+    # measured by finite-differencing the f' samples (not the f'' callback,
+    # which satisfies the relation by construction)
+    ric_r, ric_th = (np.asarray(c) for c in ric_infinity_components(M, r))
+    shown = r >= M.report_start_radius  # M.report_nodes(): the measured minima
+    ddpsi_r = M.psi_at(r, 2)
+    df_r = np.asarray(M.f_at(r, 1))
+    fd_ddf = finite_difference(np.asarray(M.f_at(grid.nodes, 1), dtype=float), grid, order=1)[pos]
+    rhs = (d - 1) * ddpsi_r / psi_r - 2.0 * dpsi_r * df_r / psi_r
+    residual = np.abs(fd_ddf - rhs) / (1.0 + np.abs(rhs))
+    residual_tol = 100.0 * grid.local_steps[pos] ** 2
+    inner = slice(2, -2)  # finite-difference edge stencils excluded
+    defect = ric_r + 2.0 * dpsi_r * df_r / psi_r - df_r**2 / (d - 1)
+    weight_ode = bool(
+        np.all(defect <= residual_tol) and np.all(residual[inner] <= residual_tol[inner])
     )
 
     # -- Pohozaev slope factor --------------------------------------------
-    K = np.asarray(pohozaev_slope_factor(M, p, r))
-    slope_factor_max = float(K.max())
-    slope_factor_nonpositive = slope_factor_max <= 1e-8
+    slope_factor_max = float(np.max(pohozaev_slope_factor(M, p, r)))
 
     # -- the shot and its pointwise properties -----------------------------
     profile: Optional[SolutionProfile] = None
@@ -351,79 +281,60 @@ def verify_theorem(
     C2 = float(np.exp(-np.min(M.f.values)))
     asymptotic_C = ((p - 1.0) / (2.0 * d)) * (C1 / C2) * alpha ** (d - 1)
 
+    solved = u_decreasing = gradient_product_positive = asymptotic_bound_holds = False
     if profile is not None and profile.global_positive:
-        global_positive = True
-        u_center_ok = abs(float(profile.u(0.0)) - ell) <= 1e-10 * max(1.0, ell)
+        solved = abs(float(profile.u(0.0)) - ell) <= 1e-10 * max(1.0, ell)
         du = np.asarray(profile.u_prime(r))
         u_decreasing = bool(np.all(du < 0.0))
-        df = np.asarray(M.f_at(r, 1))
-        gradient_product_positive = bool(np.all(df * du > 0.0))
+        gradient_product_positive = bool(np.all(df_r * du > 0.0))
         asymptotic_bound_holds = asymptotic_bound_check(profile, asymptotic_C).all_hold
-    else:
-        global_positive = False
-        u_center_ok = u_decreasing = gradient_product_positive = False
-        asymptotic_bound_holds = False
 
     # -- comparison geometry ----------------------------------------------
     chi = np.asarray(warping_slope_energy(M)(r)) - psi_r**2 / r
-    chi_min = float(chi.min())
-    chi_positive = chi_min > 0.0
-
-    dpsi_r = M.psi_at(r, 1)
-    df_r = np.asarray(M.f_at(r, 1))
     psi_cap = (d - 2.0) * (1.0 - dpsi_r**2) + psi_r * dpsi_r * df_r
-    psi_cap_min = float(psi_cap.min())
-    psi_cap_positive = psi_cap_min > 0.0
-
     comparison = comparison_report(M, grid.r_max)
-    sharp_comparison_fails = chi_positive and not comparison.sharp_laplacian_holds
-    rough_observed = comparison.rough_constant
     rough_bound = (d - 1.0) / alpha**2
-    rough_comparison_holds = rough_observed <= rough_bound + 1e-8
 
     r_ball = r[r >= grid.r_min]
     vols = np.asarray(weighted_volume(M, r_ball))
     euclid_cap = (C2 / d) * unit_sphere_area(d) * r_ball**d
-    volume_comparison = bool(np.all(vols <= euclid_cap * (1 + 1e-9)))
 
     f_sup = float(np.max(np.abs(M.f.values - M.f0)))
-    f_bounded = bool(np.isfinite(f_sup))
-    flux_tail_exponent = _flux_tail_exponent(M)
-    f_bounded = f_bounded and flux_tail_exponent < 0.5
+    f_bounded = bool(np.isfinite(f_sup)) and _flux_tail_exponent(M) < 0.5
 
+    checks = (
+        Check("solve", "-u'' - L r u' = u^p, u(0) = ell",
+              solved, None if profile is None else profile.r_end),
+        Check("diffeomorphism", "psi(0)=0, psi'(0)=1, psi''(0)=0, alpha r < psi < r",
+              diffeo_ok),
+        Check("ricci-radial-positive", "Ric^r = -(d-1) psi''/psi + f'' > 0",
+              np.all(ric_r > 0.0), np.min(ric_r[shown]), 0.0),
+        Check("ricci-tangential-positive", "Ric^theta > 0",
+              np.all(ric_th > 0.0), np.min(ric_th[shown]), 0.0),
+        Check("slope-factor-nonpositive", "P' = K u'^2 with K = (1/2 + 1/(p+1)) S - (S'/S) V",
+              slope_factor_max <= 1e-8, slope_factor_max, 1e-8),
+        Check("u-decreasing", "u' < 0 for r > 0", u_decreasing),
+        Check("gradient-product-positive", "f' u' > 0 for r > 0", gradient_product_positive),
+        Check("chi-positive", "chi = int_0^r psi'^2 - psi^2/r > 0 (sharp comparison fails)",
+              chi.min() > 0.0 and not comparison.sharp_laplacian_holds, chi.min(), 0.0),
+        Check("psi-cap-positive", "(d-2)(1 - psi'^2) + psi psi' f' > 0",
+              psi_cap.min() > 0.0, psi_cap.min(), 0.0),
+        Check("rough-comparison", "L r <= (d-1)/(alpha^2 r)",
+              comparison.rough_constant <= rough_bound + 1e-8,
+              comparison.rough_constant, rough_bound),
+        Check("volume-comparison", "mu(B_R) <= (C_2/d) |S^{d-1}| R^d",
+              np.all(vols <= euclid_cap * (1 + 1e-9))),
+        Check("asymptotic-bound", "u <= (C r^2 + ell^{1-p})^{-1/(p-1)}",
+              asymptotic_bound_holds, asymptotic_C),
+        Check("weight-ode", "f'' + 2 (psi'/psi) f' = (d-1) psi''/psi",
+              weight_ode, np.max(residual[inner]), 1.0),
+        Check("weight-bounded", "sup |f| < inf (flux integral converges)", f_bounded, f_sup),
+    )
     return TheoremReport(
         manifold=M,
         p=float(p),
         ell=float(ell),
         profile=profile,
         solver_error=solver_error,
-        diffeo_ok=diffeo_ok,
-        ric_r_positive=condition_i,
-        ric_theta_positive=condition_ii,
-        slope_factor_max=slope_factor_max,
-        slope_factor_nonpositive=slope_factor_nonpositive,
-        global_positive=global_positive,
-        u_center_ok=u_center_ok,
-        u_decreasing=u_decreasing,
-        gradient_product_positive=gradient_product_positive,
-        chi_min=chi_min,
-        chi_positive=chi_positive,
-        psi_cap_min=psi_cap_min,
-        psi_cap_positive=psi_cap_positive,
-        sharp_comparison_fails=sharp_comparison_fails,
-        rough_observed=rough_observed,
-        rough_bound=rough_bound,
-        rough_comparison_holds=rough_comparison_holds,
-        volume_comparison=volume_comparison,
-        C1=C1,
-        C2=C2,
-        asymptotic_C=asymptotic_C,
-        asymptotic_bound_holds=asymptotic_bound_holds,
-        condition_i=condition_i,
-        condition_ii=condition_ii,
-        condition_iii=condition_iii,
-        condition_iii_residual=iii_residual,
-        f_sup=f_sup,
-        f_bounded=f_bounded,
-        flux_tail_exponent=flux_tail_exponent,
+        checks=checks,
     )

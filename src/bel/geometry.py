@@ -114,9 +114,7 @@ class ModelManifold:
 
     def _profile_at(self, rf: RadialFunction, order: int, r):
         if order == 0:
-            if rf.value_fn is not None:
-                return rf.value_fn(np.asarray(r, dtype=float))
-            return np.interp(r, self.grid.nodes, rf.values)
+            return rf(r)
         if rf.has_analytic(order):
             return rf.derivs[order - 1](np.asarray(r, dtype=float))
         key = (id(rf), order)

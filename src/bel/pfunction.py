@@ -38,6 +38,9 @@ from .errors import (
 )
 from .geometry import (
     ModelManifold,
+    _smoothstep,
+    _smoothstep_d1,
+    _smoothstep_d2,
     euclidean,
     ric_infinity_components,
     ric_n_radial,
@@ -603,18 +606,6 @@ def superharmonic_floor_check(
 # ------------------------------------------------------------------ cutoffs
 
 
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    return 6.0 * t**5 - 15.0 * t**4 + 10.0 * t**3
-
-
-def _smoothstep_d1(t: np.ndarray) -> np.ndarray:
-    return 30.0 * t**2 * (1.0 - t) ** 2
-
-
-def _smoothstep_d2(t: np.ndarray) -> np.ndarray:
-    return 60.0 * t * (1.0 - t) * (1.0 - 2.0 * t)
-
-
 def radial_cutoff(R: float, M: ModelManifold) -> RadialFunction:
     """C^2 bump: 1 on [0, R], 0 beyond 2R, quintic ramp in between.
 
@@ -628,22 +619,15 @@ def radial_cutoff(R: float, M: ModelManifold) -> RadialFunction:
         raise OutOfGridError("cutoff support [0, 2R] must fit inside the grid")
 
     def t_of(r):
-        rr = np.asarray(r, dtype=float)
-        return np.clip((rr - R) / R, 0.0, 1.0)
+        return (np.asarray(r, dtype=float) - R) / R
 
     def phi(r):
         return 1.0 - _smoothstep(t_of(r))
 
     def dphi(r):
-        rr = np.asarray(r, dtype=float)
-        t = t_of(rr)
-        ramp = (rr > R) & (rr < 2.0 * R)
-        return np.where(ramp, -_smoothstep_d1(t) / R, 0.0)
+        return -_smoothstep_d1(t_of(r)) / R
 
     def ddphi(r):
-        rr = np.asarray(r, dtype=float)
-        t = t_of(rr)
-        ramp = (rr > R) & (rr < 2.0 * R)
-        return np.where(ramp, -_smoothstep_d2(t) / R**2, 0.0)
+        return -_smoothstep_d2(t_of(r)) / R**2
 
     return sample(phi, M.grid, derivs=(dphi, ddphi, None))

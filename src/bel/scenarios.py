@@ -14,13 +14,13 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .construction import build_example, default_grid, verify_theorem
+from .construction import Check, build_example, default_grid, verify_theorem
 from .errors import ArtifactIOError, BelError, ConfigParseError
 from .geometry import (
     ModelManifold,
@@ -139,7 +139,7 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     """Parse the flat key=value format, rejecting unknown keys with a line."""
     entries: Dict[str, object] = {}
     sweeps: List[str] = []
-    order: List[str] = []
+    line_of: Dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -158,7 +158,7 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
             sweeps.append(key)
         else:
             entries[key] = _parse_scalar(value)
-        order.append(key)
+        line_of[key] = lineno
 
     scenario = entries.pop("scenario", None)
     if scenario is None:
@@ -171,9 +171,8 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     allowed = required | optional | _COMMON_KEYS
     for key in entries:
         if key not in allowed:
-            lineno = order.index(key) + 1
             raise ConfigParseError(
-                f"{source}: unknown key {key!r} for scenario {scenario} (line {lineno})"
+                f"{source}: unknown key {key!r} for scenario {scenario} (line {line_of[key]})"
             )
     missing = required - set(entries)
     if missing:
@@ -214,7 +213,10 @@ def expand_runs(config: ScenarioConfig, tol: Optional[float] = None) -> List[Run
             params[key] = value
         slug = config.scenario
         if swept:
-            slug += "-" + "-".join(f"{k}{v:g}" for k, v in zip(swept, combo))
+            slug += "-" + "-".join(
+                f"{k}{v:g}" if isinstance(v, (int, float)) else f"{k}{v}"
+                for k, v in zip(swept, combo)
+            )
         runs.append(RunSpec(scenario=config.scenario, params=params, slug=slug, tol=run_tol))
     return runs
 
@@ -222,14 +224,13 @@ def expand_runs(config: ScenarioConfig, tol: Optional[float] = None) -> List[Run
 # ------------------------------------------------------------------ checks
 
 
-def _check(name: str, reference: str, verdict, measured=None, tolerance=None) -> dict:
-    return {
-        "name": name,
-        "reference": reference,
-        "verdict": bool(verdict),
-        "measured": None if measured is None else float(measured),
-        "tolerance": None if tolerance is None else float(tolerance),
-    }
+def _cheng_yau_check(prof, n: float, radii) -> Check:
+    """Cheng-Yau gradient ratio over ``radii``, bounded by ten times its first
+    value (floored at 1e-3)."""
+    sweep = [cheng_yau_ratio(prof, n, R) for R in radii]
+    bound = 10.0 * max(sweep[0], 1e-3)
+    return Check("cheng-yau-bounded", "sup |u'/u|^2 <= C (1/R^2 + sup u^{4/(n-2)})",
+                 max(sweep) <= bound, max(sweep), bound)
 
 
 def _grid_from(params: dict, kind: str, r_min: float, r_max: float, nodes: int) -> RadialGrid:
@@ -250,15 +251,15 @@ def _scenario_euclidean(spec: RunSpec):
     r = curv.r
     lr_defect = np.max(np.abs(np.asarray(laplacian_of_distance(M, r)) * r - (d - 1)))
     checks = [
-        _check("ricci-vanishes", "Ric^r = -(d-1) psi''/psi + f''; psi = r, f = 0",
-               worst_ric <= 1e-10, worst_ric, 1e-10),
-        _check("distance-laplacian", "L r = (d-1)/r on flat space",
-               lr_defect <= 1e-12, lr_defect, 1e-12),
+        Check("ricci-vanishes", "Ric^r = -(d-1) psi''/psi + f''; psi = r, f = 0",
+              worst_ric <= 1e-10, worst_ric, 1e-10),
+        Check("distance-laplacian", "L r = (d-1)/r on flat space",
+              lr_defect <= 1e-12, lr_defect, 1e-12),
     ]
     if d == 3:
         vol = float(weighted_volume(M, 1.0))
         err = abs(vol - 4.0 * math.pi / 3.0)
-        checks.append(_check("unit-ball-volume", "mu(B_1) = 4 pi / 3", err <= 1e-6, err, 1e-6))
+        checks.append(Check("unit-ball-volume", "mu(B_1) = 4 pi / 3", err <= 1e-6, err, 1e-6))
     columns = {"r": r, "ric_r": curv.ric_r, "ric_theta": curv.ric_theta}
     return checks, columns
 
@@ -277,12 +278,12 @@ def _bubble_common_checks(prof, data, target_P: float, label: str):
     p_dev = float(np.max(np.abs(np.asarray(data.P(window)) - target_P)))
     k_sup = float(np.max(np.abs(np.asarray(k_functional(data, window, check_decomposition=False)))))
     return [
-        _check(f"{label}-pde-residual", "-u'' - L r u' = nonlinearity(u)",
-               residual <= 1e-8, residual, 1e-8),
-        _check(f"{label}-p-constant", "P = ((m/2) v'^2 + c_m) / v is constant",
-               p_dev <= 1e-8, p_dev, 1e-8),
-        _check(f"{label}-k-vanishes", "k = |Hess v|^2 - P^2/m + Ric(v',v') = 0",
-               k_sup <= 1e-8, k_sup, 1e-8),
+        Check(f"{label}-pde-residual", "-u'' - L r u' = nonlinearity(u)",
+              residual <= 1e-8, residual, 1e-8),
+        Check(f"{label}-p-constant", "P = ((m/2) v'^2 + c_m) / v is constant",
+              p_dev <= 1e-8, p_dev, 1e-8),
+        Check(f"{label}-k-vanishes", "k = |Hess v|^2 - P^2/m + Ric(v',v') = 0",
+              k_sup <= 1e-8, k_sup, 1e-8),
     ]
 
 
@@ -294,11 +295,11 @@ def _scenario_bubble(spec: RunSpec):
     checks = _bubble_common_checks(prof, data, 2.0 * b * d, "bubble")
     res = divergence_identity_residual(data)
     div_sup = float(np.nanmax(res.values[2:-2]))
-    checks.append(_check("divergence-identity", "m v^{1-m} k = div_f(v^{2-m} P')",
-                         div_sup <= 1e-10, div_sup, 1e-10))
+    checks.append(Check("divergence-identity", "m v^{1-m} k = div_f(v^{2-m} P')",
+                        div_sup <= 1e-10, div_sup, 1e-10))
     floor = superharmonic_floor_check(prof, float(d), 2.0)
-    checks.append(_check("superharmonic-floor", "u >= A r^{2-kappa} for r >= R, kappa = d",
-                         floor.all_hold, float(np.min(floor.values / floor.floor)), 1.0))
+    checks.append(Check("superharmonic-floor", "u >= A r^{2-kappa} for r >= R, kappa = d",
+                        floor.all_hold, float(np.min(floor.values / floor.floor)), 1.0))
     nodes = prof.manifold.grid.nodes
     keep = nodes > 0.0
     r = nodes[keep]
@@ -341,46 +342,9 @@ def _scenario_theorem(spec: RunSpec):
     grid = _grid_from(spec.params, "geometric", 1e-3, default_grid().r_max, default_grid().n)
     M = build_example(d, alpha, f0=f0, grid=grid)
     report = verify_theorem(M, p, ell, tol=spec.tol)
-    checks = [
-        _check("solve", "-u'' - L r u' = u^p, u(0) = ell",
-               report.solver_error is None and report.global_positive,
-               None if report.profile is None else report.profile.r_end),
-        _check("diffeomorphism", "psi(0)=0, psi'(0)=1, psi''(0)=0, alpha r < psi < r",
-               report.diffeo_ok),
-    ]
-    curv = curvature_report(M)
-    checks.extend([
-        _check("ricci-radial-positive", "Ric^r = -(d-1) psi''/psi + f'' > 0",
-               report.ric_r_positive, float(np.min(curv.ric_r)), 0.0),
-        _check("ricci-tangential-positive", "Ric^theta > 0",
-               report.ric_theta_positive, float(np.min(curv.ric_theta)), 0.0),
-        _check("slope-factor-nonpositive", "P' = K u'^2 with K = (1/2 + 1/(p+1)) S - (S'/S) V",
-               report.slope_factor_nonpositive, report.slope_factor_max, 1e-8),
-        _check("u-decreasing", "u' < 0 for r > 0", report.u_decreasing),
-        _check("gradient-product-positive", "f' u' > 0 for r > 0",
-               report.gradient_product_positive),
-        _check("chi-positive", "chi = int_0^r psi'^2 - psi^2/r > 0 (sharp comparison fails)",
-               report.chi_positive and report.sharp_comparison_fails, report.chi_min, 0.0),
-        _check("psi-cap-positive", "(d-2)(1 - psi'^2) + psi psi' f' > 0",
-               report.psi_cap_positive, report.psi_cap_min, 0.0),
-        _check("rough-comparison", "L r <= (d-1)/(alpha^2 r)",
-               report.rough_comparison_holds, report.rough_observed, report.rough_bound),
-        _check("volume-comparison", "mu(B_R) <= (C_2/d) |S^{d-1}| R^d",
-               report.volume_comparison),
-        _check("asymptotic-bound", "u <= (C r^2 + ell^{1-p})^{-1/(p-1)}",
-               report.asymptotic_bound_holds, report.asymptotic_C),
-        _check("weight-ode", "f'' + 2 (psi'/psi) f' = (d-1) psi''/psi",
-               report.condition_iii, report.condition_iii_residual, 1.0),
-        _check("weight-bounded", "sup |f| < inf (flux integral converges)",
-               report.f_bounded, report.f_sup),
-    ])
+    checks = list(report.checks)
     if report.profile is not None and report.profile.global_positive:
-        sweep = [cheng_yau_ratio(report.profile, float(d), R)
-                 for R in np.geomspace(1.0, 100.0, 13)]
-        bound = 10.0 * max(sweep[0], 1e-3)
-        checks.append(_check("cheng-yau-bounded",
-                             "sup |u'/u|^2 <= C (1/R^2 + sup u^{4/(n-2)})",
-                             max(sweep) <= bound, max(sweep), bound))
+        checks.append(_cheng_yau_check(report.profile, float(d), np.geomspace(1.0, 100.0, 13)))
     columns: Dict[str, np.ndarray] = {}
     if report.profile is not None:
         prof = report.profile
@@ -416,19 +380,18 @@ def _scenario_soliton(spec: RunSpec):
     try:
         prof = solve_radial(M, p=p, ell=ell, r_max=grid.r_max, tol=spec.tol)
     except BelError as exc:
-        checks.append(_check("solve", "-u'' - L r u' = u^p with f = r^2",
-                             False, None, None))
-        checks.append(_check("zero-crossing", f"solver error: {exc}", False))
+        checks.append(Check("solve", "-u'' - L r u' = u^p with f = r^2", False))
+        checks.append(Check("zero-crossing", f"solver error: {exc}", False))
         return checks, columns
     crossed = prof.crossed and prof.r_star is not None and math.isfinite(prof.r_star)
-    checks.append(_check("zero-crossing",
-                         "finite weighted volume forbids positive solutions",
-                         crossed, prof.r_star))
+    checks.append(Check("zero-crossing",
+                        "finite weighted volume forbids positive solutions",
+                        crossed, prof.r_star))
     vol_hi = float(weighted_volume(M, grid.r_max))
     vol_lo = float(weighted_volume(M, grid.r_max / 2.0))
     converged = abs(vol_hi - vol_lo) <= 1e-8 * vol_hi
-    checks.append(_check("weighted-volume-finite", "mu(M) = |S^{d-1}| int e^{-r^2} r^{d-1} < inf",
-                         converged, vol_hi - vol_lo, 1e-8 * vol_hi))
+    checks.append(Check("weighted-volume-finite", "mu(M) = |S^{d-1}| int e^{-r^2} r^{d-1} < inf",
+                        converged, vol_hi - vol_lo, 1e-8 * vol_hi))
     nodes = grid.nodes
     r = nodes[(nodes > 0.0) & (nodes <= prof.r_end)]
     columns = {
@@ -448,16 +411,16 @@ def _scenario_parabolicity(spec: RunSpec):
     M = log_tail_weight(d, grid, beta=beta)
     comp = comparison_report(M, grid.r_max)
     checks = [
-        _check("tail-integrable", "int^inf dr / (e^{-f} psi^{d-1}) < inf",
-               comp.tail_exponent < -1.0 and not comp.parabolic, comp.tail_exponent, -1.0),
+        Check("tail-integrable", "int^inf dr / (e^{-f} psi^{d-1}) < inf",
+              comp.tail_exponent < -1.0 and not comp.parabolic, comp.tail_exponent, -1.0),
     ]
     exponent = 2.0 * p / (p - 1.0)
     sweep = np.geomspace(10.0, 1e3, 25)
     ratios = np.asarray(weighted_volume(M, sweep)) / sweep**exponent
     increments = np.diff(ratios)
-    checks.append(_check("volume-ratio-decreasing",
-                         "mu(B_R) / R^{2p/(p-1)} decreasing on [10, 1000]",
-                         bool(np.all(increments <= 0.0)), float(np.max(increments)), 0.0))
+    checks.append(Check("volume-ratio-decreasing",
+                        "mu(B_R) / R^{2p/(p-1)} decreasing on [10, 1000]",
+                        bool(np.all(increments <= 0.0)), float(np.max(increments)), 0.0))
     r = M.report_nodes()
     ric_r, ric_th = ric_infinity_components(M, r)
     columns = {"r": r, "ric_r": np.asarray(ric_r), "ric_theta": np.asarray(ric_th)}
@@ -480,15 +443,11 @@ def _scenario_estimates(spec: RunSpec):
             lhs, bound = integral_estimate_ratio(data, float(q), R)
             ratios.append(lhs / bound)
         ratios = np.asarray(ratios)
-        checks.append(_check(f"integral-ratio-bounded-q{q:g}",
-                             "int_{B_R} v^{-q}(...) dmu <= C mu(B_2R) R^{-q}",
-                             bool(np.max(ratios) <= 10.0 * ratios[0]),
-                             float(np.max(ratios)), float(10.0 * ratios[0])))
-    prof = bubble(d, b)
-    cy = [cheng_yau_ratio(prof, float(d), R) for R in sweep]
-    checks.append(_check("cheng-yau-bounded",
-                         "sup |u'/u|^2 <= C (1/R^2 + sup u^{4/(n-2)})",
-                         max(cy) <= 10.0 * max(cy[0], 1e-3), max(cy), 10.0 * max(cy[0], 1e-3)))
+        checks.append(Check(f"integral-ratio-bounded-q{q:g}",
+                            "int_{B_R} v^{-q}(...) dmu <= C mu(B_2R) R^{-q}",
+                            bool(np.max(ratios) <= 10.0 * ratios[0]),
+                            float(np.max(ratios)), float(10.0 * ratios[0])))
+    checks.append(_cheng_yau_check(bubble(d, b), float(d), sweep))
     nodes = data.manifold.grid.nodes
     r = nodes[nodes > 0.0]
     columns = {"r": r, "v": np.asarray(data.v(r)), "P": np.asarray(data.P(r))}
@@ -517,16 +476,16 @@ def _scenario_custom(spec: RunSpec):
     try:
         prof = solve_radial(M, p=p, ell=ell, r_max=grid.r_max, tol=spec.tol)
     except BelError as exc:
-        checks.append(_check("solve", f"solver error: {exc}", False))
+        checks.append(Check("solve", f"solver error: {exc}", False))
         return checks, columns
-    checks.append(_check("solve", "-u'' - L r u' = u^p, u(0) = ell",
-                         not prof.status.startswith("truncated"), prof.r_end))
+    checks.append(Check("solve", "-u'' - L r u' = u^p, u(0) = ell",
+                        not prof.status.startswith("truncated"), prof.r_end))
     nodes = grid.nodes
     r = nodes[(nodes > 0.0) & (nodes <= prof.r_end)]
     E = np.asarray(energy(prof, r))
     slack = 1e-8 * (1.0 + np.abs(E[:-1]))
-    checks.append(_check("energy-decreasing", "E' = -(L r) u'^2 <= 0",
-                         bool(np.all(np.diff(E) <= slack)), float(np.max(np.diff(E)))))
+    checks.append(Check("energy-decreasing", "E' = -(L r) u'^2 <= 0",
+                        bool(np.all(np.diff(E) <= slack)), float(np.max(np.diff(E)))))
     columns = {
         "r": r,
         "u": np.asarray(prof.u(r)),
@@ -536,7 +495,7 @@ def _scenario_custom(spec: RunSpec):
     return checks, columns
 
 
-_RUNNERS: Dict[str, Callable[[RunSpec], Tuple[List[dict], Dict[str, np.ndarray]]]] = {
+_RUNNERS: Dict[str, Callable[[RunSpec], Tuple[List[Check], Dict[str, np.ndarray]]]] = {
     "euclidean-sanity": _scenario_euclidean,
     "bubble": _scenario_bubble,
     "log-bubble": _scenario_log_bubble,
@@ -596,8 +555,8 @@ def execute_run(spec: RunSpec, out_root) -> dict:
         "scenario": spec.scenario,
         "config": {k: _json_safe(v) for k, v in sorted(spec.params.items())},
         "tol": spec.tol,
-        "checks": checks,
-        "passed": all(c["verdict"] for c in checks),
+        "checks": [asdict(c) for c in checks],
+        "passed": all(c.verdict for c in checks),
         "timings": {"elapsed_s": elapsed},
     }
     run_dir = Path(out_root) / spec.slug

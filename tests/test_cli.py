@@ -71,6 +71,10 @@ def test_unknown_key_error_names_line():
     with pytest.raises(ConfigParseError) as err:
         parse_config("scenario = bubble\nd = 4\nb = 0.125\nbogus = 7\n")
     assert "line 4" in str(err.value)
+    # comments and blank lines count: the key sits on line 7
+    with pytest.raises(ConfigParseError) as err:
+        parse_config("# header\n\nscenario = bubble\n\n# radii\nd = 4\nbogus = 7\nb = 0.125\n")
+    assert "(line 7)" in str(err.value)
 
 
 def test_expand_runs_cartesian_product_and_slugs():
@@ -84,6 +88,8 @@ def test_expand_runs_cartesian_product_and_slugs():
     ]
     assert specs[0].params == {"d": 3, "b": 0.125}
     assert all(s.tol == 1e-10 for s in specs)
+    cfg = parse_config("scenario = custom\nd = 3\np = 3\nell = 1\nweight = none, power\n")
+    assert [s.slug for s in expand_runs(cfg)] == ["custom-weightnone", "custom-weightpower"]
 
 
 def test_expand_runs_tol_precedence():
@@ -199,6 +205,23 @@ def test_cli_check_failure_exit_code(tmp_path):
     result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
     assert result.exit_code == 1
     assert "energy-decreasing" in result.output
+
+
+@pytest.mark.parametrize(
+    "text,code",
+    [
+        ("scenario = theorem-2-2\nd = 3\nalpha = 1.5\np = 5\nell = 1\n", "invalid-alpha"),
+        ("scenario = custom\nd = 3\np = 3\nell = 1\nweight = bogus\n", "config-parse-error"),
+        ("scenario = soliton-liouville\nd = 3\np = 3\nell = 1\nnodes = 8\n", "invalid-range"),
+    ],
+    ids=["theorem-alpha", "custom-weight", "soliton-nodes"],
+)
+def test_cli_run_error_exit_code(tmp_path, text, code):
+    cfg = _write(tmp_path, text)
+    result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"error [{code}]:" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_cli_out_dir_env_fallback(tmp_path):

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bel.construction import (
-    build_example,
-    condition_checks,
-    critical_exponent,
-    verify_theorem,
-)
+from bel.construction import build_example, critical_exponent, verify_theorem
 from bel.errors import InvalidAlphaError, InvalidDimensionError, InvalidRangeError
 from bel.geometry import euclidean, weight_from_warping
 from bel.radial_core import make_grid, pole_refined_partition
@@ -104,13 +99,17 @@ def test_weight_stays_bounded(example3):
 
 
 def test_condition_checks_all_pass(example3):
-    assert condition_checks(example3) == (True, True, True)
+    """Conditions (i)-(iii): positive radial and angular curvature, and the
+    defect inequality with the weight ODE."""
+    rep = verify_theorem(example3, 5.0, 1.0)
+    for name in ("ricci-radial-positive", "ricci-tangential-positive", "weight-ode"):
+        assert rep.check(name).verdict, name
 
 
 def test_condition_checks_reject_foreign_manifolds():
     flat = euclidean(3, make_grid(0.0, 5.0, 65, "uniform"))
     with pytest.raises(InvalidRangeError):
-        condition_checks(flat)
+        verify_theorem(flat, 5.0, 1.0)
 
 
 def test_critical_exponent_values():
@@ -125,10 +124,12 @@ def test_full_report_critical_case(theorem_reports):
     rep = theorem_reports[(3, 0.5, 5.0, 1.0)]
     assert rep.solver_error is None
     assert rep.all_ok
-    assert rep.rough_bound == pytest.approx(8.0)
-    assert rep.rough_observed < rep.rough_bound
-    assert 0.0 < rep.asymptotic_C < (rep.p - 1.0) / (2.0 * rep.manifold.d)
-    assert rep.C1 < rep.C2
+    rough = rep.check("rough-comparison")
+    assert rough.tolerance == pytest.approx(8.0)
+    assert rough.measured < rough.tolerance
+    assert 0.0 < rep.check("asymptotic-bound").measured < (rep.p - 1.0) / (2.0 * rep.manifold.d)
+    f = rep.manifold.f.values
+    assert np.exp(-np.max(f)) < np.exp(-np.min(f))  # C1 < C2
 
 
 def test_full_report_supercritical_case(theorem_reports):
@@ -138,12 +139,10 @@ def test_full_report_supercritical_case(theorem_reports):
 
 
 def test_report_flags_are_grid_reproducible(theorem_reports):
-    """Recomputing a report on the same manifold yields identical flags."""
+    """Recomputing a report on the same manifold yields identical checks."""
     rep = theorem_reports[(4, 0.5, 3.0, 2.0)]
     again = verify_theorem(rep.manifold, rep.p, rep.ell)
-    assert again.all_ok == rep.all_ok
-    assert again.slope_factor_max == rep.slope_factor_max
-    assert again.chi_min == rep.chi_min
+    assert again.checks == rep.checks
 
 
 def test_subcritical_exponent_reports_without_raising(example3):
@@ -151,7 +150,7 @@ def test_subcritical_exponent_reports_without_raising(example3):
     # we only require an honest report, not any particular verdict
     rep = verify_theorem(example3, 4.0, 1.0, tol=1e-9)
     assert isinstance(rep.all_ok, bool)
-    assert not rep.slope_factor_nonpositive
+    assert not rep.check("slope-factor-nonpositive").verdict
 
 
 @pytest.mark.parametrize("d", [3, 5])

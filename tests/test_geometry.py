@@ -157,6 +157,20 @@ def test_volume_beyond_grid_rejected():
         weighted_volume(M, 6.0)
 
 
+def test_value_only_profiles_reject_radii_beyond_grid():
+    """Order-0 profile evaluation interpolates node values inside the grid
+    and raises out-of-grid beyond it, instead of clamping."""
+    grid = _grid()
+    M = ModelManifold(
+        d=3,
+        psi=RadialFunction(grid, grid.nodes.copy()),
+        f=RadialFunction(grid, np.zeros(grid.n)),
+    )
+    assert M.psi_at(2.5) == pytest.approx(2.5, abs=1e-14)
+    with pytest.raises(OutOfGridError):
+        M.psi_at(2.0 * grid.r_max)
+
+
 def test_sphere_areas():
     assert abs(unit_sphere_area(2) - 2 * math.pi) < 1e-14
     assert abs(unit_sphere_area(3) - 4 * math.pi) < 1e-14
