@@ -185,6 +185,9 @@ class TheoremReport:
     profile: Optional[SolutionProfile]
     solver_error: Optional[str]
     checks: Tuple[Check, ...]
+    #: the Pohozaev slope factor K at the positive grid nodes, the samples
+    #: behind ``slope-factor-nonpositive``
+    slope_factor: np.ndarray
 
     @property
     def all_ok(self) -> bool:
@@ -267,7 +270,8 @@ def verify_theorem(
     )
 
     # -- Pohozaev slope factor --------------------------------------------
-    slope_factor_max = float(np.max(pohozaev_slope_factor(M, p, r)))
+    slope_factor = np.asarray(pohozaev_slope_factor(M, p, r), dtype=float)
+    slope_factor_max = float(np.max(slope_factor))
 
     # -- the shot and its pointwise properties -----------------------------
     profile: Optional[SolutionProfile] = None
@@ -337,4 +341,5 @@ def verify_theorem(
         profile=profile,
         solver_error=solver_error,
         checks=checks,
+        slope_factor=slope_factor,
     )

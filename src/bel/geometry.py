@@ -120,8 +120,8 @@ class ModelManifold:
         key = (id(rf), order)
         table = self._cache.setdefault("deriv_samples", {})
         if key not in table:
-            table[key] = rf.derivative_values(order)
-        return np.interp(r, self.grid.nodes, table[key])
+            table[key] = RadialFunction(self.grid, rf.derivative_values(order))
+        return table[key](r)
 
     def psi_at(self, r, order: int = 0):
         return self._profile_at(self.psi, order, r)

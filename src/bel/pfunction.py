@@ -534,21 +534,20 @@ def cheng_yau_ratio(profile: SolutionProfile, n: float, R: float) -> float:
     """sup_{B_R} (u'/u)^2 divided by 1/R^2 + sup_{B_{2R}} u^{4/(n-2)}.
 
     Gradient-estimate sweeps assert this stays bounded in R.  Suprema are
-    grid maxima (radial profiles realize ball suprema on radii).
+    grid maxima (radial profiles realize ball suprema on radii), taken over
+    the node values the profile already stores.
     """
     if n <= 2.0:
         raise InvalidVirtualDimensionError(f"the exponent 4/(n-2) needs n > 2, got {n}")
-    M = profile.manifold
-    nodes = M.grid.nodes
+    nodes = profile.manifold.grid.nodes
     if 2.0 * R > profile.r_end * (1 + 1e-12):
         raise OutOfRangeError("need the profile positive on all of B_2R")
-    inner = nodes[nodes <= R]
-    outer = nodes[nodes <= 2.0 * R]
-    u_in = np.asarray(profile.u(inner), dtype=float)
-    u_out = np.asarray(profile.u(outer), dtype=float)
+    inner = nodes <= R
+    u_in = profile.u.values[inner]
+    u_out = profile.u.values[nodes <= 2.0 * R]
     if np.any(u_out <= 0.0):
         raise NonpositiveSolutionError("profile must be positive on B_2R")
-    du_in = np.asarray(profile.u_prime(inner), dtype=float)
+    du_in = profile.u_prime.values[inner]
     num = float(np.max((du_in / u_in) ** 2))
     expo = 0.0 if math.isinf(n) else 4.0 / (n - 2.0)
     den = 1.0 / R**2 + float(np.max(u_out**expo))

@@ -10,6 +10,7 @@ reports apart from the timings block.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -33,13 +34,7 @@ from .geometry import (
     ric_infinity_components,
     weighted_volume,
 )
-from .lane_emden import (
-    energy,
-    pohozaev,
-    pohozaev_slope_factor,
-    pohozaev_trace,
-    solve_radial,
-)
+from .lane_emden import energy, pohozaev, solve_radial
 from .pfunction import (
     bubble,
     cheng_yau_ratio,
@@ -50,7 +45,12 @@ from .pfunction import (
     superharmonic_floor_check,
     v_transform,
 )
-from .radial_core import RadialGrid, make_grid
+from .radial_core import make_grid
+
+# Unused here since the theorem columns reuse verify_theorem's samples, but
+# kept bound on this module: perfbench/tracing.py instruments
+# ``bel.scenarios.pohozaev_trace``.
+from .lane_emden import pohozaev_trace  # noqa: E402,F401
 
 SCHEMA_VERSION = 1
 
@@ -233,13 +233,30 @@ def _cheng_yau_check(prof, n: float, radii) -> Check:
                  max(sweep) <= bound, max(sweep), bound)
 
 
-def _grid_from(params: dict, kind: str, r_min: float, r_max: float, nodes: int) -> RadialGrid:
+def _grid_args(params: dict, kind: str, r_min: float, r_max: float, nodes: int) -> tuple:
+    """``make_grid`` arguments: the scenario's defaults, overridden by the
+    config's ``spacing``, ``r_max`` and ``nodes``."""
     spacing = params.get("spacing", kind)
-    r_top = float(params.get("r_max", r_max))
-    n = int(params.get("nodes", nodes))
     if spacing == "geometric" and r_min == 0.0:
         r_min = 1e-3
-    return make_grid(r_min, r_top, n, spacing)
+    return (r_min, float(params.get("r_max", r_max)), int(params.get("nodes", nodes)), spacing)
+
+
+def _grid_from(params: dict, kind: str, r_min: float, r_max: float, nodes: int):
+    return make_grid(*_grid_args(params, kind, r_min, r_max, nodes))
+
+
+@functools.lru_cache(maxsize=1)
+def _warped_example(d: int, alpha: float, f0: float, grid_args: tuple) -> ModelManifold:
+    """``build_example`` on ``make_grid(*grid_args)``, kept for the next run.
+
+    ``expand_runs`` makes the sweep points of one config consecutive, so one
+    slot lets every ``(p, ell)`` point share the manifold and its quadrature
+    caches.  The key holds the grid's arguments because ``RadialGrid``
+    compares by identity.  ``build_example`` is looked up as a module global
+    at each miss, so a patched name is what gets called.
+    """
+    return build_example(d, alpha, f0=f0, grid=make_grid(*grid_args))
 
 
 def _scenario_euclidean(spec: RunSpec):
@@ -339,8 +356,9 @@ def _scenario_theorem(spec: RunSpec):
     p = float(spec.params["p"])
     ell = float(spec.params["ell"])
     f0 = float(spec.params.get("f0", 0.0))
-    grid = _grid_from(spec.params, "geometric", 1e-3, default_grid().r_max, default_grid().n)
-    M = build_example(d, alpha, f0=f0, grid=grid)
+    default = default_grid()
+    grid_args = _grid_args(spec.params, "geometric", 1e-3, default.r_max, default.n)
+    M = _warped_example(d, alpha, f0, grid_args)
     report = verify_theorem(M, p, ell, tol=spec.tol)
     checks = list(report.checks)
     if report.profile is not None and report.profile.global_positive:
@@ -348,20 +366,20 @@ def _scenario_theorem(spec: RunSpec):
     columns: Dict[str, np.ndarray] = {}
     if report.profile is not None:
         prof = report.profile
-        nodes = grid.nodes
+        nodes = M.grid.nodes
         r = nodes[(nodes > 0.0) & (nodes <= prof.r_end)]
         data = v_transform(prof) if prof.global_positive else None
         ric_r, ric_th = ric_infinity_components(M, r)
-        trace = pohozaev_trace(prof, r)
         columns = {
             "r": r,
             "u": np.asarray(prof.u(r)),
             "u_prime": np.asarray(prof.u_prime(r)),
             "ric_r": np.asarray(ric_r),
             "ric_theta": np.asarray(ric_th),
-            "K": np.asarray(trace.slope_factor),
-            "pohozaev": np.asarray(trace.pohozaev),
-            "energy": np.asarray(trace.energy),
+            # verify_theorem sampled K on every positive node; r is a prefix
+            "K": report.slope_factor[: r.size],
+            "pohozaev": np.asarray(pohozaev(M, prof, r)),
+            "energy": np.asarray(energy(prof, r)),
         }
         if data is not None:
             columns["v"] = np.asarray(data.v(r))
@@ -459,7 +477,8 @@ def _scenario_custom(spec: RunSpec):
     p = float(spec.params["p"])
     ell = float(spec.params["ell"])
     weight = spec.params.get("weight", "none")
-    grid = _grid_from(spec.params, "geometric", 1e-3, 100.0, 1025)
+    grid_args = _grid_args(spec.params, "geometric", 1e-3, 100.0, 1025)
+    grid = make_grid(*grid_args)
     if weight == "none":
         M = euclidean(d, grid)
     elif weight == "power":
@@ -468,7 +487,7 @@ def _scenario_custom(spec: RunSpec):
     elif weight == "log-tail":
         M = log_tail_weight(d, grid, beta=float(spec.params.get("beta", 2.0)))
     elif weight == "warped":
-        M = build_example(d, float(spec.params.get("alpha", 0.5)), grid=grid)
+        M = _warped_example(d, float(spec.params.get("alpha", 0.5)), 0.0, grid_args)
     else:
         raise ConfigParseError(f"unknown weight {weight!r} for custom scenario")
     checks = []
@@ -519,26 +538,29 @@ def emit_profiles(columns: Dict[str, np.ndarray], path) -> None:
     length = {np.size(columns[c]) for c in ordered}
     if len(length) != 1:
         raise ArtifactIOError(f"profile columns have mismatched lengths: {sorted(length)}")
-    arrays = [np.asarray(columns[c], dtype=float) for c in ordered]
+    lists = [np.asarray(columns[c], dtype=float).tolist() for c in ordered]
+    row = ",".join(["%.17g"] * len(ordered)) + "\n"
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(ordered) + "\n")
-            for row in zip(*arrays):
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+            fh.writelines(row % values for values in zip(*lists))
     except OSError as exc:
         raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
 
 
 def write_report(report: dict, path) -> None:
+    """Write strict JSON: a non-finite float must already be a string
+    (``_json_safe``), or ``ValueError`` is raised."""
     try:
         with open(path, "w", newline="\n") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(report, fh, indent=2, allow_nan=False)
             fh.write("\n")
     except OSError as exc:
         raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
 
 
 def _json_safe(value):
+    """A non-finite float as its repr ("nan", "inf", "-inf"), else unchanged."""
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
     return value
@@ -554,8 +576,8 @@ def execute_run(spec: RunSpec, out_root) -> dict:
         "schema": SCHEMA_VERSION,
         "scenario": spec.scenario,
         "config": {k: _json_safe(v) for k, v in sorted(spec.params.items())},
-        "tol": spec.tol,
-        "checks": [asdict(c) for c in checks],
+        "tol": _json_safe(spec.tol),
+        "checks": [{k: _json_safe(v) for k, v in asdict(c).items()} for c in checks],
         "passed": all(c.verdict for c in checks),
         "timings": {"elapsed_s": elapsed},
     }

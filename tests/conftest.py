@@ -3,6 +3,7 @@ built once per session and reused by the unit and acceptance suites."""
 
 import pytest
 
+from bel import scenarios
 from bel.construction import build_example, verify_theorem
 
 # (d, alpha, p, ell) -- p is the Sobolev-critical power except the third
@@ -22,3 +23,10 @@ def theorem_reports():
         M = build_example(d, alpha)
         reports[(d, alpha, p, ell)] = verify_theorem(M, p, ell)
     return reports
+
+
+@pytest.fixture(autouse=True)
+def cold_theorem_manifold():
+    """Start every test without the manifold a previous theorem run left in
+    the scenarios memo, so that no test depends on test order."""
+    scenarios._warped_example.cache_clear()

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from bel import scenarios
 from bel.cli import main
+from bel.construction import Check
 from bel.errors import ArtifactIOError, ConfigParseError
 from bel.scenarios import (
     SCENARIOS,
@@ -116,6 +118,19 @@ def test_emit_profiles_round_trip(tmp_path):
     assert [row[1] for row in parsed] == list(u)  # 17 sig digits round-trip
 
 
+def test_emit_profiles_matches_per_cell_format(tmp_path):
+    """Rows are formatted in one pass; the bytes equal formatting every cell
+    with format(v, ".17g"), non-finite values and negative zero included."""
+    path = tmp_path / "profiles.csv"
+    r = np.array([0.0, -0.0, 5e-324, 1e300, 0.1])
+    u = np.array([math.nan, math.inf, -math.inf, -1.0 / 3.0, 2.0**53 + 1.0])
+    emit_profiles({"r": r, "u": u}, path)
+    expected = "r,u\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n" for row in zip(r, u)
+    )
+    assert path.read_bytes() == expected.encode()
+
+
 def test_emit_profiles_omits_empty_columns(tmp_path):
     path = tmp_path / "profiles.csv"
     emit_profiles({"r": np.arange(3.0), "u": np.arange(3.0), "P": np.array([])}, path)
@@ -142,6 +157,24 @@ def test_execute_run_writes_artifacts(tmp_path):
     assert (run_dir / "report.json").exists()
     header = (run_dir / "profiles.csv").read_text().splitlines()[0]
     assert header == "r,ric_r,ric_theta"
+
+
+def test_report_json_is_strict_when_a_check_measures_nan(tmp_path, monkeypatch):
+    """Non-finite check values are written as strings, so report.json parses
+    with a reader that rejects NaN and Infinity."""
+    def nan_runner(spec):
+        return [Check("nan-measured", "a check that measures NaN", False, math.nan, math.inf)], {}
+
+    monkeypatch.setitem(scenarios._RUNNERS, "bubble", nan_runner)
+    (spec,) = expand_runs(parse_config("scenario = bubble\nd = 3\nb = 0.125\n"))
+    report = execute_run(spec, tmp_path)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    saved = json.loads((tmp_path / spec.slug / "report.json").read_text(), parse_constant=reject)
+    assert saved["checks"] == report["checks"]
+    assert (saved["checks"][0]["measured"], saved["checks"][0]["tolerance"]) == ("nan", "inf")
 
 
 def test_run_scenario_expands_sweeps(tmp_path):

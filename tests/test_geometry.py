@@ -158,17 +158,20 @@ def test_volume_beyond_grid_rejected():
 
 
 def test_value_only_profiles_reject_radii_beyond_grid():
-    """Order-0 profile evaluation interpolates node values inside the grid
-    and raises out-of-grid beyond it, instead of clamping."""
+    """Profile evaluation without a callback interpolates node values (or
+    their finite differences) inside the grid and raises out-of-grid beyond
+    it, instead of clamping to the end value."""
     grid = _grid()
+    r = grid.nodes
     M = ModelManifold(
         d=3,
-        psi=RadialFunction(grid, grid.nodes.copy()),
+        psi=RadialFunction(grid, r + r**2 / 2.0),
         f=RadialFunction(grid, np.zeros(grid.n)),
     )
-    assert M.psi_at(2.5) == pytest.approx(2.5, abs=1e-14)
-    with pytest.raises(OutOfGridError):
-        M.psi_at(2.0 * grid.r_max)
+    for order, exact in enumerate((2.5 + 2.5**2 / 2.0, 1.0 + 2.5, 1.0, 0.0)):
+        assert M.psi_at(2.5, order) == pytest.approx(exact, abs=1e-14 if order == 0 else 1e-9)
+        with pytest.raises(OutOfGridError):
+            M.psi_at(2.0 * grid.r_max, order)
 
 
 def test_sphere_areas():
