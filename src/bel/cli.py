@@ -35,8 +35,8 @@ def run(config_file, out_dir, tol, jobs):
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     out_root = out_dir or config.out_dir or os.environ.get("BEL_OUT_DIR") or "bel-out"
-    specs = expand_runs(config, tol)
     try:
+        specs = expand_runs(config, tol)
         if jobs > 1 and len(specs) > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 reports = list(pool.map(_pool_worker, [(s, out_root) for s in specs]))

@@ -36,6 +36,7 @@ from .lane_emden import (
     SolutionProfile,
     asymptotic_bound_check,
     pohozaev_slope_factor,
+    positivity_criterion,
     solve_radial,
 )
 from .radial_core import finite_difference, make_grid, sample
@@ -200,13 +201,6 @@ class TheoremReport:
         raise KeyError(name)
 
 
-def _require_recipe_manifold(M: ModelManifold) -> None:
-    if not M.weight_from_psi or M.alpha is None:
-        raise InvalidRangeError(
-            "expected a manifold assembled by build_example (warping-derived weight)"
-        )
-
-
 def _flux_tail_exponent(M: ModelManifold) -> float:
     """Fitted log-log slope of |int_0^r psi'' psi| on the top decade.
 
@@ -232,7 +226,10 @@ def verify_theorem(
     Solver failures are recorded in the report (``solver_error``) rather than
     raised, so a report is always produced.
     """
-    _require_recipe_manifold(M)
+    if not M.weight_from_psi or M.alpha is None:
+        raise InvalidRangeError(
+            "expected a manifold assembled by build_example (warping-derived weight)"
+        )
     d, alpha = M.d, float(M.alpha)
     grid = M.grid
     pos = grid.nodes > 0.0
@@ -251,10 +248,11 @@ def verify_theorem(
 
     # -- curvature and the three pointwise conditions ----------------------
     # (i) Ric^r > 0, (ii) Ric^theta > 0, (iii) the defect inequality
-    # Ric^r <= -2 psi' f'/psi + (f')^2/(d-1) up to grid tolerance, together
-    # with the residual of the weight ODE f'' + 2 psi'/psi f' = (d-1) psi''/psi
-    # measured by finite-differencing the f' samples (not the f'' callback,
-    # which satisfies the relation by construction)
+    # Ric^r <= -2 psi' f'/psi + (f')^2/(d-1) up to grid tolerance
+    # (positivity_criterion), together with the residual of the weight ODE
+    # f'' + 2 psi'/psi f' = (d-1) psi''/psi measured by finite-differencing
+    # the f' samples (not the f'' callback, which satisfies the relation by
+    # construction)
     ric_r, ric_th = (np.asarray(c) for c in ric_infinity_components(M, r))
     shown = r >= M.report_start_radius  # M.report_nodes(): the measured minima
     ddpsi_r = M.psi_at(r, 2)
@@ -264,9 +262,8 @@ def verify_theorem(
     residual = np.abs(fd_ddf - rhs) / (1.0 + np.abs(rhs))
     residual_tol = 100.0 * grid.local_steps[pos] ** 2
     inner = slice(2, -2)  # finite-difference edge stencils excluded
-    defect = ric_r + 2.0 * dpsi_r * df_r / psi_r - df_r**2 / (d - 1)
-    weight_ode = bool(
-        np.all(defect <= residual_tol) and np.all(residual[inner] <= residual_tol[inner])
+    weight_ode = positivity_criterion(M, residual_tol) and bool(
+        np.all(residual[inner] <= residual_tol[inner])
     )
 
     # -- Pohozaev slope factor --------------------------------------------

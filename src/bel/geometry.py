@@ -88,7 +88,7 @@ class ModelManifold:
         psi_vals = self.psi.values
         if np.any(psi_vals[pos] <= 0):
             raise InvalidRangeError("warping must be positive for r > 0")
-        if np.any(self.psi.derivative_values(1)[pos] <= 0):
+        if np.any(self.psi(r, 1)[pos] <= 0):
             raise InvalidRangeError("warping slope must be positive for r > 0")
         object.__setattr__(self, "_cache", {})
 
@@ -112,22 +112,11 @@ class ModelManifold:
 
     # -- profile evaluation -------------------------------------------------
 
-    def _profile_at(self, rf: RadialFunction, order: int, r):
-        if order == 0:
-            return rf(r)
-        if rf.has_analytic(order):
-            return rf.derivs[order - 1](np.asarray(r, dtype=float))
-        key = (id(rf), order)
-        table = self._cache.setdefault("deriv_samples", {})
-        if key not in table:
-            table[key] = RadialFunction(self.grid, rf.derivative_values(order))
-        return table[key](r)
-
     def psi_at(self, r, order: int = 0):
-        return self._profile_at(self.psi, order, r)
+        return self.psi(r, order)
 
     def f_at(self, r, order: int = 0):
-        return self._profile_at(self.f, order, r)
+        return self.f(r, order)
 
     def drift(self, r):
         """L r = (d-1) psi'/psi - f' at r > 0 (the drift of the distance)."""
@@ -146,8 +135,7 @@ class ModelManifold:
     def _volume_spline(self) -> CubicSpline:
         if "volume" not in self._cache:
             pts = pole_refined_partition(self.grid.nodes)
-            dens = lambda s: np.exp(-self.f_at(s)) * self.psi_at(s) ** (self.d - 1)
-            acc = cumulative_gauss(dens, pts)
+            acc = cumulative_gauss(self.area_density, pts)
             self._cache["volume"] = CubicSpline(pts, acc)
         return self._cache["volume"]
 
@@ -199,9 +187,7 @@ def ric_n_radial(M: ModelManifold, n: float, r):
 def weighted_laplacian_radial(M: ModelManifold, w: RadialFunction, r):
     """Drift Laplacian of a radial function: w'' + ((d-1) psi'/psi - f') w'."""
     rr = _as_radii(r)
-    w1 = M._profile_at(w, 1, rr)
-    w2 = M._profile_at(w, 2, rr)
-    val = w2 + M.drift(rr) * w1
+    val = w(rr, 2) + M.drift(rr) * w(rr, 1)
     return _maybe_scalar(val, r)
 
 
@@ -217,19 +203,15 @@ def warping_slope_energy(M: ModelManifold):
     return M._cache["int_dpsi_sq"]
 
 
-def laplacian_of_distance(M: ModelManifold, r, check_closed_form: Optional[bool] = None):
+def laplacian_of_distance(M: ModelManifold, r):
     """L r, the drift Laplacian of the distance from the pole.
 
     For weights produced by :func:`weight_from_warping` the closed form
     ``(d-1) * int_0^r (psi')^2 / psi^2`` must agree with the generic value;
-    the agreement is verified (to 1e-8 relative) unless explicitly disabled.
+    the agreement is verified (to 1e-8 relative).
     """
     generic = M.drift(r)
-    if check_closed_form is None:
-        check_closed_form = M.weight_from_psi
-    if check_closed_form:
-        if not M.weight_from_psi:
-            raise InvalidRangeError("closed form only valid for warping-derived weights")
+    if M.weight_from_psi:
         rr = _as_radii(r)
         closed = (M.d - 1) * warping_slope_energy(M)(rr) / M.psi_at(rr) ** 2
         err = np.max(np.abs(closed - np.asarray(generic)) / (1.0 + np.abs(generic)))
@@ -256,7 +238,6 @@ class CurvatureReport:
     ric_r: np.ndarray
     ric_theta: np.ndarray
     ric_r_n: Optional[np.ndarray]
-    n: Optional[float]
 
     @property
     def min_ric_r(self) -> float:
@@ -271,19 +252,16 @@ def curvature_report(M: ModelManifold, n: Optional[float] = None) -> CurvatureRe
     r = M.report_nodes()
     ric_r, ric_th = ric_infinity_components(M, r)
     ric_n = None if n is None else np.asarray(ric_n_radial(M, n, r))
-    return CurvatureReport(r=r, ric_r=np.asarray(ric_r), ric_theta=np.asarray(ric_th), ric_r_n=ric_n, n=n)
+    return CurvatureReport(r=r, ric_r=np.asarray(ric_r), ric_theta=np.asarray(ric_th), ric_r_n=ric_n)
 
 
 @dataclasses.dataclass(frozen=True)
 class ComparisonReport:
     """Distance-Laplacian and volume comparison verdicts with fitted constants."""
 
-    r: np.ndarray
     sharp_laplacian_holds: bool
-    sharp_max_violation: float
     rough_constant: float
     volume_constant: float
-    parabolicity_integral: float
     tail_exponent: float
     parabolic: bool
 
@@ -291,10 +269,10 @@ class ComparisonReport:
 def comparison_report(M: ModelManifold, R_max: float) -> ComparisonReport:
     """Evaluate L r and volume growth on the grid up to ``R_max``.
 
-    * sharp comparison:  L r <= (d-1)/r, max violation reported;
+    * sharp comparison:  L r <= (d-1)/r;
     * rough comparison:  least C with L r <= C/r, i.e. max of r * L r;
     * volume:            least C with mu(B_R) <= C R^d over R >= 1;
-    * parabolicity:      the tail integral of 1/S; the verdict fits
+    * parabolicity:      the tail integral of 1/S converges; the verdict fits
       log(1/S) against log(r) on the top decade and calls the manifold
       non-parabolic when the fitted exponent is below -1 (integrable tail).
     """
@@ -314,14 +292,10 @@ def comparison_report(M: ModelManifold, R_max: float) -> ComparisonReport:
     tail = r[r >= R_max / 10.0]
     dens = np.asarray(M.area_density(tail)) * unit_sphere_area(M.d)
     slope = float(np.polyfit(np.log(tail), np.log(1.0 / dens), 1)[0])
-    integral = float(np.trapezoid(1.0 / dens, tail))
     return ComparisonReport(
-        r=r,
         sharp_laplacian_holds=sharp_holds,
-        sharp_max_violation=sharp_max,
         rough_constant=rough,
         volume_constant=volume_constant,
-        parabolicity_integral=integral,
         tail_exponent=slope,
         parabolic=slope >= -1.0 - 1e-9,
     )
@@ -358,9 +332,9 @@ def weight_from_warping(psi: RadialFunction, d: int, f0: float = 0.0) -> RadialF
         raise InvalidDimensionError(f"dimension must be an integer >= 2, got {d}")
     grid = psi.grid
     r_pos = grid.nodes > 0
-    if np.any(psi.derivative_values(2)[r_pos] >= 0):
+    if np.any(psi(grid.nodes, 2)[r_pos] >= 0):
         raise WarpingNotConcaveError("psi'' < 0 for r > 0 is required")
-    if np.any(psi.derivative_values(1)[r_pos] <= 0):
+    if np.any(psi(grid.nodes, 1)[r_pos] <= 0):
         raise InvalidRangeError("warping slope must stay positive")
 
     if psi.has_analytic(0) and psi.has_analytic(1) and psi.has_analytic(2):
@@ -415,7 +389,7 @@ def _weight_from_flux(
             out = (d - 1) * psi2(rr) / psi0(rr) - 2.0 * (psi1(rr) / psi0(rr)) * f_prime(rr)
         if np.any(rr == 0.0):
             # limit (d-1) psi'''(0)/3; estimate psi''' from the concavity data
-            p3 = psi.derivs[2](0.0) if psi.has_analytic(3) else psi2(1e-6) / 1e-6
+            p3 = psi(0.0, 3) if psi.has_analytic(3) else psi2(1e-6) / 1e-6
             out = np.where(rr == 0.0, (d - 1) * float(p3) / 3.0, out)
         return out
 
@@ -428,16 +402,9 @@ def _weight_from_flux(
 
 def euclidean(d: int, grid: RadialGrid) -> ModelManifold:
     """Flat R^d as a model manifold: psi = r, f = 0 (analytic callbacks)."""
-    psi = sample(
-        lambda r: np.asarray(r, dtype=float),
-        grid,
-        derivs=(
-            lambda r: np.ones_like(np.asarray(r, dtype=float)),
-            lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        ),
-    )
     zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
+    one = lambda r: np.ones_like(np.asarray(r, dtype=float))
+    psi = sample(lambda r: np.asarray(r, dtype=float), grid, derivs=(one, zero, zero))
     f = sample(zero, grid, derivs=(zero, zero, zero))
     return ModelManifold(d=d, psi=psi, f=f, f0=0.0, alpha=1.0)
 

@@ -94,10 +94,6 @@ class SolutionProfile:
     tol: float = 1e-10
 
     @property
-    def is_liouville(self) -> bool:
-        return self.p is None
-
-    @property
     def global_positive(self) -> bool:
         return self.status == "global-positive"
 
@@ -519,19 +515,11 @@ def positivity_criterion(M: ModelManifold, tol: Optional[np.ndarray] = None) -> 
 class AsymptoticBoundReport:
     """Per-node comparison of u against (C r^2 + ell^{1-p})^{-1/(p-1)}."""
 
-    r: np.ndarray
     bound: np.ndarray
-    values: np.ndarray
-    holds: np.ndarray
     all_hold: bool
 
 
-def asymptotic_bound_check(
-    profile: SolutionProfile,
-    C: float,
-    ell: Optional[float] = None,
-    p: Optional[float] = None,
-) -> AsymptoticBoundReport:
+def asymptotic_bound_check(profile: SolutionProfile, C: float) -> AsymptoticBoundReport:
     """Check u(r) <= (C r^2 + ell^{1-p})^{-1/(p-1)} at the grid nodes.
 
     Only meaningful for globally positive power-nonlinearity profiles; the
@@ -543,13 +531,8 @@ def asymptotic_bound_check(
         raise InvalidRangeError("the upper bound applies to the power nonlinearity")
     if not profile.global_positive:
         raise InvalidRangeError("the upper bound applies to globally positive profiles")
-    ell = profile.ell if ell is None else ell
-    p = profile.p if p is None else p
     nodes = profile.manifold.grid.nodes
     r = nodes[nodes <= profile.r_end * (1 + 1e-12)]
-    bound = (C * r**2 + ell ** (1.0 - p)) ** (-1.0 / (p - 1.0))
+    bound = (C * r**2 + profile.ell ** (1.0 - profile.p)) ** (-1.0 / (profile.p - 1.0))
     values = np.asarray(profile.u(r), dtype=float)
-    holds = values <= bound * (1 + 1e-12)
-    return AsymptoticBoundReport(
-        r=r, bound=bound, values=values, holds=holds, all_hold=bool(np.all(holds))
-    )
+    return AsymptoticBoundReport(bound, bool(np.all(values <= bound * (1 + 1e-12))))

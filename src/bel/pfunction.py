@@ -77,8 +77,24 @@ __all__ = [
 ]
 
 
-def _default_bubble_grid() -> RadialGrid:
-    return make_grid(0.0, 200.0, 2001, "uniform")
+def _explicit_profile(
+    d: int, grid: Optional[RadialGrid], p: Optional[float], ell: float, u, du, ddu, dddu
+) -> SolutionProfile:
+    """A closed-form entire solution on flat R^d, with callbacks for u and its
+    first three derivatives; the default grid is 2001 uniform nodes on [0, 200]."""
+    if grid is None:
+        grid = make_grid(0.0, 200.0, 2001, "uniform")
+    return SolutionProfile(
+        manifold=euclidean(d, grid),
+        p=p,
+        ell=ell,
+        u=sample(u, grid, derivs=(du, ddu, dddu)),
+        u_prime=sample(du, grid, derivs=(ddu, dddu, None)),
+        status="global-positive",
+        r_end=grid.r_max,
+        r_star=None,
+        tol=1e-14,
+    )
 
 
 def bubble(d: int, b: float, grid: Optional[RadialGrid] = None) -> SolutionProfile:
@@ -91,8 +107,6 @@ def bubble(d: int, b: float, grid: Optional[RadialGrid] = None) -> SolutionProfi
     d = int(d)
     a = 1.0 / (d * (d - 2) * b)
     k = (d - 2) / 2.0
-    if grid is None:
-        grid = _default_bubble_grid()
 
     def u(r):
         rr = np.asarray(r, dtype=float)
@@ -114,20 +128,7 @@ def bubble(d: int, b: float, grid: Optional[RadialGrid] = None) -> SolutionProfi
             k + 2
         ) * b**3 * rr**3 * w ** (-k - 3)
 
-    M = euclidean(d, grid)
-    u_fn = sample(u, grid, derivs=(du, ddu, dddu))
-    up_fn = sample(du, grid, derivs=(ddu, dddu, None))
-    return SolutionProfile(
-        manifold=M,
-        p=(d + 2.0) / (d - 2.0),
-        ell=a ** (-k),
-        u=u_fn,
-        u_prime=up_fn,
-        status="global-positive",
-        r_end=grid.r_max,
-        r_star=None,
-        tol=1e-14,
-    )
+    return _explicit_profile(d, grid, (d + 2.0) / (d - 2.0), a ** (-k), u, du, ddu, dddu)
 
 
 def log_bubble(b: float, grid: Optional[RadialGrid] = None) -> SolutionProfile:
@@ -136,8 +137,6 @@ def log_bubble(b: float, grid: Optional[RadialGrid] = None) -> SolutionProfile:
     if b <= 0.0:
         raise InvalidRangeError(f"bubble width must be positive, got b = {b}")
     a = 1.0 / (8.0 * b)
-    if grid is None:
-        grid = _default_bubble_grid()
 
     def u(r):
         rr = np.asarray(r, dtype=float)
@@ -157,20 +156,7 @@ def log_bubble(b: float, grid: Optional[RadialGrid] = None) -> SolutionProfile:
         w = a + b * rr**2
         return 24.0 * b**2 * rr / w**2 - 32.0 * b**3 * rr**3 / w**3
 
-    M = euclidean(2, grid)
-    u_fn = sample(u, grid, derivs=(du, ddu, dddu))
-    up_fn = sample(du, grid, derivs=(ddu, dddu, None))
-    return SolutionProfile(
-        manifold=M,
-        p=None,
-        ell=-2.0 * math.log(a),
-        u=u_fn,
-        u_prime=up_fn,
-        status="global-positive",
-        r_end=grid.r_max,
-        r_star=None,
-        tol=1e-14,
-    )
+    return _explicit_profile(2, grid, None, -2.0 * math.log(a), u, du, ddu, dddu)
 
 
 # ------------------------------------------------------------- v-transform
@@ -219,7 +205,7 @@ def v_transform(profile: SolutionProfile, n: float = math.inf) -> PFunctionData:
         def ddv_fn(r):
             vv = v_fn(r)
             du_r = np.asarray(du(r), dtype=float)
-            ddu_r = np.asarray(u.derivs[1](r), dtype=float)
+            ddu_r = np.asarray(u(r, 2), dtype=float)
             return vv * (0.25 * du_r**2 - 0.5 * ddu_r)
 
         v_vals = np.exp(-0.5 * u.values)
@@ -243,7 +229,7 @@ def v_transform(profile: SolutionProfile, n: float = math.inf) -> PFunctionData:
         def ddv_fn(r):
             uu = np.asarray(u(r), dtype=float)
             du_r = np.asarray(du(r), dtype=float)
-            ddu_r = np.asarray(u.derivs[1](r), dtype=float)
+            ddu_r = np.asarray(u(r, 2), dtype=float)
             return gamma * (gamma - 1.0) * uu ** (gamma - 2.0) * du_r**2 + gamma * uu ** (
                 gamma - 1.0
             ) * ddu_r
@@ -280,8 +266,8 @@ def v_transform(profile: SolutionProfile, n: float = math.inf) -> PFunctionData:
 
 def _radial_pieces(data: PFunctionData, r: np.ndarray):
     M = data.manifold
-    dv = np.asarray(data.v.derivs[0](r), dtype=float)
-    ddv = np.asarray(data.v.derivs[1](r), dtype=float)
+    dv = np.asarray(data.v(r, 1), dtype=float)
+    ddv = np.asarray(data.v(r, 2), dtype=float)
     P = np.asarray(data.P(r), dtype=float)
     tangential = (np.asarray(M.psi_at(r, 1)) / np.asarray(M.psi_at(r))) * dv
     return dv, ddv, P, tangential
@@ -372,6 +358,29 @@ def w_functional(data: PFunctionData, r):
     return w if np.ndim(r) else float(w[0])
 
 
+def _measured_div_f(M: ModelManifold, flux: np.ndarray) -> np.ndarray:
+    """div_f of a radial flux sampled at the positive nodes: the flux (zero at
+    the pole) is differentiated by finite differences, then the drift term is
+    added."""
+    grid = M.grid
+    pos = grid.nodes > 0.0
+    full = np.zeros(grid.n)
+    full[pos] = flux
+    dflux = finite_difference(full, grid, order=1)
+    return dflux[pos] + np.asarray(M.drift(grid.nodes[pos])) * flux
+
+
+def _without_edges(grid: RadialGrid, values: np.ndarray) -> RadialFunction:
+    """Values at the positive nodes as a grid function, NaN at the pole and
+    at the two nodes at each end, where the finite-difference stencils are
+    one-sided."""
+    out = np.full(grid.n, np.nan)
+    out[grid.nodes > 0.0] = values
+    out[:2] = np.nan
+    out[-2:] = np.nan
+    return RadialFunction(grid, out)
+
+
 def divergence_identity_residual(data: PFunctionData) -> RadialFunction:
     """|m v^{1-m} k[v] - div_f(v^{2-m} P')| on the grid.
 
@@ -381,25 +390,13 @@ def divergence_identity_residual(data: PFunctionData) -> RadialFunction:
     are set to NaN.
     """
     M = data.manifold
-    grid = M.grid
-    nodes = grid.nodes
-    pos = nodes > 0.0
-    r = nodes[pos]
+    r = M.grid.nodes[M.grid.nodes > 0.0]
     m = data.m
     v = np.asarray(data.v(r), dtype=float)
-    dP = np.asarray(data.P.derivs[0](r), dtype=float)
-    flux = np.zeros(grid.n)
-    flux[pos] = v ** (2.0 - m) * dP
-    # the flux vanishes at the pole (P' ~ r there)
-    dflux = finite_difference(flux, grid, order=1)
-    div = np.full(grid.n, np.nan)
-    div[pos] = dflux[pos] + np.asarray(M.drift(r)) * flux[pos]
-    lhs = np.full(grid.n, np.nan)
-    lhs[pos] = m * v ** (1.0 - m) * np.asarray(k_functional(data, r, check_decomposition=False))
-    residual = np.abs(lhs - div)
-    residual[:2] = np.nan
-    residual[-2:] = np.nan
-    return RadialFunction(grid, residual)
+    dP = np.asarray(data.P(r, 1), dtype=float)
+    div = _measured_div_f(M, v ** (2.0 - m) * dP)
+    lhs = m * v ** (1.0 - m) * np.asarray(k_functional(data, r, check_decomposition=False))
+    return _without_edges(M.grid, np.abs(lhs - div))
 
 
 def fundamental_gap(data: PFunctionData, t: float = 1.0) -> RadialFunction:
@@ -412,26 +409,16 @@ def fundamental_gap(data: PFunctionData, t: float = 1.0) -> RadialFunction:
     a finite-difference measurement; edge nodes are NaN.
     """
     M = data.manifold
-    grid = M.grid
-    nodes = grid.nodes
-    pos = nodes > 0.0
-    r = nodes[pos]
+    r = M.grid.nodes[M.grid.nodes > 0.0]
     m = data.m
     v = np.asarray(data.v(r), dtype=float)
     P = np.asarray(data.P(r), dtype=float)
-    dP = np.asarray(data.P.derivs[0](r), dtype=float)
-    flux = np.zeros(grid.n)
-    flux[pos] = P ** (t - 1.0) * v ** (2.0 - m) * dP
-    dflux = finite_difference(flux, grid, order=1)
-    div = dflux[pos] + np.asarray(M.drift(r)) * flux[pos]
+    dP = np.asarray(data.P(r, 1), dtype=float)
+    div = _measured_div_f(M, P ** (t - 1.0) * v ** (2.0 - m) * dP)
     lhs = (t - 0.5) * P ** (t - 2.0) * v ** (2.0 - m) * dP**2 + m * P ** (
         t - 1.0
     ) * v ** (1.0 - m) * np.asarray(w_functional(data, r))
-    gap = np.full(grid.n, np.nan)
-    gap[pos] = div - lhs
-    gap[:2] = np.nan
-    gap[-2:] = np.nan
-    return RadialFunction(grid, gap)
+    return _without_edges(M.grid, div - lhs)
 
 
 # ------------------------------------------------------- integral estimates
@@ -462,10 +449,10 @@ def ibp_residual(data: PFunctionData, q: float, R: float) -> Tuple[float, float]
     def common(s):
         ss = np.asarray(s, dtype=float)
         vv = np.asarray(data.v(ss), dtype=float)
-        dv = np.asarray(data.v.derivs[0](ss), dtype=float)
+        dv = np.asarray(data.v(ss, 1), dtype=float)
         S = np.asarray(M.area_density(ss), dtype=float)
         ph = np.asarray(phi(ss), dtype=float)
-        dph = np.asarray(phi.derivs[0](ss), dtype=float)
+        dph = np.asarray(phi(ss, 1), dtype=float)
         return vv, dv, S, ph, dph
 
     def lhs_integrand(s):
@@ -518,7 +505,7 @@ def integral_estimate_ratio(
         vv = np.asarray(data.v(ss), dtype=float)
         S = np.asarray(M.area_density(ss), dtype=float)
         if part == "i":
-            dv = np.asarray(data.v.derivs[0](ss), dtype=float)
+            dv = np.asarray(data.v(ss, 1), dtype=float)
             return vv ** (-q) * (dv**2 + 1.0) * S
         return vv ** (-q) * S
 
@@ -558,11 +545,9 @@ def cheng_yau_ratio(profile: SolutionProfile, n: float, R: float) -> float:
 class SuperharmonicReport:
     """Floor comparison u >= A r^{-(kappa-2)} on r >= R."""
 
-    r: np.ndarray
     floor: np.ndarray
     values: np.ndarray
     A: float
-    holds: np.ndarray
     all_hold: bool
 
 
@@ -596,9 +581,8 @@ def superharmonic_floor_check(
     tail = r_all[r_all >= R]
     values = np.asarray(profile.u(tail), dtype=float)
     floor = A * tail ** (-(kappa - 2.0))
-    holds = values >= floor * (1.0 - 1e-12)
     return SuperharmonicReport(
-        r=tail, floor=floor, values=values, A=A, holds=holds, all_hold=bool(np.all(holds))
+        floor=floor, values=values, A=A, all_hold=bool(np.all(values >= floor * (1.0 - 1e-12)))
     )
 
 

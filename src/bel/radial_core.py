@@ -81,9 +81,6 @@ class RadialGrid:
         out[1:-1] = np.maximum(h[:-1], h[1:])
         return out
 
-    def contains(self, r: float) -> bool:
-        return self.r_min <= r <= self.r_max
-
 
 def grid_tolerance(grid: RadialGrid, factor: float = 10.0) -> np.ndarray:
     """Per-node tolerance ``factor * h_local**2`` for O(h^2) quantities."""
@@ -122,7 +119,7 @@ class RadialFunction:
 
     ``derivs`` holds callables for derivative orders 1..3 (``None`` where
     unavailable).  When a callback exists it is the preferred derivative
-    source; finite differences are used otherwise.
+    source; finite differences are used otherwise (see ``__call__``).
     """
 
     grid: RadialGrid
@@ -140,39 +137,37 @@ class RadialFunction:
         object.__setattr__(self, "values", values)
         d = tuple(self.derivs) + (None,) * (3 - len(self.derivs))
         object.__setattr__(self, "derivs", d[:3])
+        # node samples of each order evaluated without a callback, order 0 first
+        object.__setattr__(self, "_samples", {0: values})
 
     # -- evaluation ---------------------------------------------------------
 
-    def __call__(self, r):
-        """Evaluate at radius ``r`` (callback if available, else interpolation)."""
-        if self.value_fn is not None:
-            out = self.value_fn(np.asarray(r, dtype=float))
+    def __call__(self, r, order: int = 0):
+        """The profile (``order`` 0) or its derivative of ``order`` 1..3 at ``r``.
+
+        This is the one evaluation path.  It calls the analytic callback when
+        there is one; otherwise it interpolates the node values, or their
+        finite-difference samples (computed once and kept on the instance),
+        and raises ``out-of-grid`` for radii off the grid.
+        """
+        if not 0 <= order <= 3:
+            raise InvalidRangeError(f"derivative order {order} not in 0..3")
+        fn = self.value_fn if order == 0 else self.derivs[order - 1]
+        if fn is not None:
+            out = fn(np.asarray(r, dtype=float))
             return float(out) if np.ndim(r) == 0 else out
         r_arr = np.asarray(r, dtype=float)
         if np.any(r_arr < self.grid.r_min) or np.any(r_arr > self.grid.r_max):
             raise OutOfGridError(f"radius outside grid [{self.grid.r_min}, {self.grid.r_max}]")
-        out = np.interp(r_arr, self.grid.nodes, self.values)
+        if order not in self._samples:
+            self._samples[order] = finite_difference(self.values, self.grid, order)
+        out = np.interp(r_arr, self.grid.nodes, self._samples[order])
         return float(out) if np.isscalar(r) else out
 
     def has_analytic(self, order: int) -> bool:
         if order == 0:
             return self.value_fn is not None
         return 1 <= order <= 3 and self.derivs[order - 1] is not None
-
-    def derivative_values(self, order: int = 1) -> np.ndarray:
-        """Derivative sampled on the grid; analytic when possible."""
-        if self.has_analytic(order):
-            return np.asarray(self.derivs[order - 1](self.grid.nodes), dtype=float)
-        return finite_difference(self.values, self.grid, order)
-
-    def derivative(self, order: int = 1) -> "RadialFunction":
-        """Derivative as a new RadialFunction (callbacks shifted down)."""
-        if not 1 <= order <= 3:
-            raise InvalidRangeError(f"derivative order {order} not in 1..3")
-        vals = self.derivative_values(order)
-        shifted = tuple(self.derivs[order:]) + (None,) * order
-        fn = self.derivs[order - 1] if self.has_analytic(order) else None
-        return RadialFunction(self.grid, vals, value_fn=fn, derivs=shifted)
 
 
 def sample(

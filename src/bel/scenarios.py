@@ -93,6 +93,9 @@ class RunSpec:
 
 
 _COMMON_KEYS = {"scenario", "out_dir", "tol", "r_max", "nodes", "spacing"}
+#: Run parameters that hold text; every other parameter must be a number.
+_TEXT_KEYS = {"spacing", "weight"}
+_INTEGER_KEYS = {"d", "nodes"}
 
 # scenario -> (required keys, optional scenario-specific keys, description)
 SCENARIOS: Dict[str, Tuple[set, set, str]] = {
@@ -183,6 +186,8 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     tol = entries.pop("tol", None)
     if isinstance(out_dir, (int, float)):
         raise ConfigParseError(f"{source}: out_dir must be a path string")
+    if tol is not None and not isinstance(tol, (int, float)):
+        raise ConfigParseError(f"{source}: tol must be a number, got {tol!r}")
     return ScenarioConfig(
         scenario=scenario,
         params=entries,
@@ -202,7 +207,12 @@ def load_config(path) -> ScenarioConfig:
 
 
 def expand_runs(config: ScenarioConfig, tol: Optional[float] = None) -> List[RunSpec]:
-    """Expand comma sweeps into the cartesian product of concrete runs."""
+    """Expand comma sweeps into the cartesian product of concrete runs.
+
+    Raises ``config-parse-error`` when a run gets text for a numeric key, a
+    NaN or infinite number (``n = inf`` excepted), or a non-integer ``d`` or
+    ``nodes``.
+    """
     swept = [k for k in config.sweep_keys]
     pools = [config.params[k] for k in swept]
     runs: List[RunSpec] = []
@@ -211,6 +221,15 @@ def expand_runs(config: ScenarioConfig, tol: Optional[float] = None) -> List[Run
         params = dict(config.params)
         for key, value in zip(swept, combo):
             params[key] = value
+        for key, value in params.items():
+            if key in _TEXT_KEYS:
+                continue
+            if not isinstance(value, (int, float)) or math.isnan(value):
+                raise ConfigParseError(f"{key} must be a number, got {value!r}")
+            if math.isinf(value) and not (key == "n" and value > 0):
+                raise ConfigParseError(f"{key} must be finite (only n may be inf), got {value!r}")
+            if key in _INTEGER_KEYS and not float(value).is_integer():
+                raise ConfigParseError(f"{key} must be an integer, got {value!r}")
         slug = config.scenario
         if swept:
             slug += "-" + "-".join(
@@ -224,10 +243,12 @@ def expand_runs(config: ScenarioConfig, tol: Optional[float] = None) -> List[Run
 # ------------------------------------------------------------------ checks
 
 
-def _cheng_yau_check(prof, n: float, radii) -> Check:
-    """Cheng-Yau gradient ratio over ``radii``, bounded by ten times its first
-    value (floored at 1e-3)."""
-    sweep = [cheng_yau_ratio(prof, n, R) for R in radii]
+def _cheng_yau_check(prof, n: float, radii: np.ndarray) -> Check:
+    """Cheng-Yau gradient ratio over the ``radii`` R with B_2R inside the shot
+    (the first radius alone if none is), bounded by ten times its first value
+    (floored at 1e-3)."""
+    fit = radii[2.0 * radii <= prof.r_end]
+    sweep = [cheng_yau_ratio(prof, n, R) for R in (fit if fit.size else radii[:1])]
     bound = 10.0 * max(sweep[0], 1e-3)
     return Check("cheng-yau-bounded", "sup |u'/u|^2 <= C (1/R^2 + sup u^{4/(n-2)})",
                  max(sweep) <= bound, max(sweep), bound)
@@ -240,10 +261,6 @@ def _grid_args(params: dict, kind: str, r_min: float, r_max: float, nodes: int) 
     if spacing == "geometric" and r_min == 0.0:
         r_min = 1e-3
     return (r_min, float(params.get("r_max", r_max)), int(params.get("nodes", nodes)), spacing)
-
-
-def _grid_from(params: dict, kind: str, r_min: float, r_max: float, nodes: int):
-    return make_grid(*_grid_args(params, kind, r_min, r_max, nodes))
 
 
 @functools.lru_cache(maxsize=1)
@@ -259,9 +276,17 @@ def _warped_example(d: int, alpha: float, f0: float, grid_args: tuple) -> ModelM
     return build_example(d, alpha, f0=f0, grid=make_grid(*grid_args))
 
 
+def _shot_columns(prof) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``r``, ``u`` and ``u'`` at the positive nodes up to ``r_end``, read from
+    the node values the profile stores."""
+    nodes = prof.manifold.grid.nodes
+    keep = (nodes > 0.0) & (nodes <= prof.r_end)
+    return nodes[keep], prof.u.values[keep], prof.u_prime.values[keep]
+
+
 def _scenario_euclidean(spec: RunSpec):
     d = int(spec.params["d"])
-    grid = _grid_from(spec.params, "uniform", 1e-3, 10.0, 1025)
+    grid = make_grid(*_grid_args(spec.params, "uniform", 1e-3, 10.0, 1025))
     M = euclidean(d, grid)
     curv = curvature_report(M)
     worst_ric = max(np.max(np.abs(curv.ric_r)), np.max(np.abs(curv.ric_theta)))
@@ -281,11 +306,12 @@ def _scenario_euclidean(spec: RunSpec):
     return checks, columns
 
 
-def _bubble_common_checks(prof, data, target_P: float, label: str):
+def _bubble_common(prof, data, target_P: float, label: str):
+    """The checks and profile columns that bubble and log-bubble share."""
     M = prof.manifold
     nodes = M.grid.nodes
     window = nodes[(nodes > 0.0) & (nodes <= 50.0)]
-    u2 = np.asarray(prof.u.derivs[1](window))
+    u2 = np.asarray(prof.u(window, 2))
     drift = np.asarray(M.drift(window))
     if prof.p is None:
         nonlin = np.exp(np.asarray(prof.u(window)))
@@ -294,7 +320,7 @@ def _bubble_common_checks(prof, data, target_P: float, label: str):
     residual = float(np.max(np.abs(u2 + drift * np.asarray(prof.u_prime(window)) + nonlin)))
     p_dev = float(np.max(np.abs(np.asarray(data.P(window)) - target_P)))
     k_sup = float(np.max(np.abs(np.asarray(k_functional(data, window, check_decomposition=False)))))
-    return [
+    checks = [
         Check(f"{label}-pde-residual", "-u'' - L r u' = nonlinearity(u)",
               residual <= 1e-8, residual, 1e-8),
         Check(f"{label}-p-constant", "P = ((m/2) v'^2 + c_m) / v is constant",
@@ -302,6 +328,10 @@ def _bubble_common_checks(prof, data, target_P: float, label: str):
         Check(f"{label}-k-vanishes", "k = |Hess v|^2 - P^2/m + Ric(v',v') = 0",
               k_sup <= 1e-8, k_sup, 1e-8),
     ]
+    r, u, u_prime = _shot_columns(prof)
+    columns = {"r": r, "u": u, "u_prime": u_prime,
+               "v": np.asarray(data.v(r)), "P": np.asarray(data.P(r))}
+    return checks, columns
 
 
 def _scenario_bubble(spec: RunSpec):
@@ -309,7 +339,7 @@ def _scenario_bubble(spec: RunSpec):
     b = float(spec.params["b"])
     prof = bubble(d, b)
     data = v_transform(prof, n=float(d))
-    checks = _bubble_common_checks(prof, data, 2.0 * b * d, "bubble")
+    checks, columns = _bubble_common(prof, data, 2.0 * b * d, "bubble")
     res = divergence_identity_residual(data)
     div_sup = float(np.nanmax(res.values[2:-2]))
     checks.append(Check("divergence-identity", "m v^{1-m} k = div_f(v^{2-m} P')",
@@ -317,18 +347,8 @@ def _scenario_bubble(spec: RunSpec):
     floor = superharmonic_floor_check(prof, float(d), 2.0)
     checks.append(Check("superharmonic-floor", "u >= A r^{2-kappa} for r >= R, kappa = d",
                         floor.all_hold, float(np.min(floor.values / floor.floor)), 1.0))
-    nodes = prof.manifold.grid.nodes
-    keep = nodes > 0.0
-    r = nodes[keep]
-    columns = {
-        "r": r,
-        "u": np.asarray(prof.u(r)),
-        "u_prime": np.asarray(prof.u_prime(r)),
-        "v": np.asarray(data.v(r)),
-        "P": np.asarray(data.P(r)),
-        "pohozaev": np.asarray(pohozaev(prof.manifold, prof, r)),
-        "energy": np.asarray(energy(prof, r)),
-    }
+    columns["pohozaev"] = np.asarray(pohozaev(prof.manifold, prof, columns["r"]))
+    columns["energy"] = np.asarray(energy(prof, columns["r"]))
     return checks, columns
 
 
@@ -336,18 +356,7 @@ def _scenario_log_bubble(spec: RunSpec):
     b = float(spec.params["b"])
     prof = log_bubble(b)
     data = v_transform(prof)
-    checks = _bubble_common_checks(prof, data, 4.0 * b, "log-bubble")
-    nodes = prof.manifold.grid.nodes
-    keep = nodes > 0.0
-    r = nodes[keep]
-    columns = {
-        "r": r,
-        "u": np.asarray(prof.u(r)),
-        "u_prime": np.asarray(prof.u_prime(r)),
-        "v": np.asarray(data.v(r)),
-        "P": np.asarray(data.P(r)),
-    }
-    return checks, columns
+    return _bubble_common(prof, data, 4.0 * b, "log-bubble")
 
 
 def _scenario_theorem(spec: RunSpec):
@@ -366,14 +375,13 @@ def _scenario_theorem(spec: RunSpec):
     columns: Dict[str, np.ndarray] = {}
     if report.profile is not None:
         prof = report.profile
-        nodes = M.grid.nodes
-        r = nodes[(nodes > 0.0) & (nodes <= prof.r_end)]
+        r, u, u_prime = _shot_columns(prof)
         data = v_transform(prof) if prof.global_positive else None
         ric_r, ric_th = ric_infinity_components(M, r)
         columns = {
             "r": r,
-            "u": np.asarray(prof.u(r)),
-            "u_prime": np.asarray(prof.u_prime(r)),
+            "u": u,
+            "u_prime": u_prime,
             "ric_r": np.asarray(ric_r),
             "ric_theta": np.asarray(ric_th),
             # verify_theorem sampled K on every positive node; r is a prefix
@@ -391,7 +399,7 @@ def _scenario_soliton(spec: RunSpec):
     d = int(spec.params["d"])
     p = float(spec.params["p"])
     ell = float(spec.params["ell"])
-    grid = _grid_from(spec.params, "geometric", 1e-3, 12.0, 1025)
+    grid = make_grid(*_grid_args(spec.params, "geometric", 1e-3, 12.0, 1025))
     M = power_weight(d, grid, 1.0, 2.0)
     checks = []
     columns: Dict[str, np.ndarray] = {}
@@ -410,14 +418,8 @@ def _scenario_soliton(spec: RunSpec):
     converged = abs(vol_hi - vol_lo) <= 1e-8 * vol_hi
     checks.append(Check("weighted-volume-finite", "mu(M) = |S^{d-1}| int e^{-r^2} r^{d-1} < inf",
                         converged, vol_hi - vol_lo, 1e-8 * vol_hi))
-    nodes = grid.nodes
-    r = nodes[(nodes > 0.0) & (nodes <= prof.r_end)]
-    columns = {
-        "r": r,
-        "u": np.asarray(prof.u(r)),
-        "u_prime": np.asarray(prof.u_prime(r)),
-        "energy": np.asarray(energy(prof, r)),
-    }
+    r, u, u_prime = _shot_columns(prof)
+    columns = {"r": r, "u": u, "u_prime": u_prime, "energy": np.asarray(energy(prof, r))}
     return checks, columns
 
 
@@ -425,7 +427,7 @@ def _scenario_parabolicity(spec: RunSpec):
     d = int(spec.params["d"])
     beta = float(spec.params["beta"])
     p = float(spec.params["p"])
-    grid = _grid_from(spec.params, "geometric", 1e-3, 1e3, 2049)
+    grid = make_grid(*_grid_args(spec.params, "geometric", 1e-3, 1e3, 2049))
     M = log_tail_weight(d, grid, beta=beta)
     comp = comparison_report(M, grid.r_max)
     checks = [
@@ -439,9 +441,8 @@ def _scenario_parabolicity(spec: RunSpec):
     checks.append(Check("volume-ratio-decreasing",
                         "mu(B_R) / R^{2p/(p-1)} decreasing on [10, 1000]",
                         bool(np.all(increments <= 0.0)), float(np.max(increments)), 0.0))
-    r = M.report_nodes()
-    ric_r, ric_th = ric_infinity_components(M, r)
-    columns = {"r": r, "ric_r": np.asarray(ric_r), "ric_theta": np.asarray(ric_th)}
+    curv = curvature_report(M)
+    columns = {"r": curv.r, "ric_r": curv.ric_r, "ric_theta": curv.ric_theta}
     return checks, columns
 
 
@@ -449,23 +450,21 @@ def _scenario_estimates(spec: RunSpec):
     d = int(spec.params["d"])
     b = float(spec.params["b"])
     n = float(spec.params.get("n", math.inf))
-    data = v_transform(bubble(d, b), n=n)
-    qs = spec.params["q"]
-    if not isinstance(qs, list):
-        qs = [qs]
-    checks = []
+    prof = bubble(d, b)
+    data = v_transform(prof, n=n)
+    q = spec.params["q"]
     sweep = np.geomspace(1.0, 100.0, 25)
-    for q in qs:
-        ratios = []
-        for R in sweep:
-            lhs, bound = integral_estimate_ratio(data, float(q), R)
-            ratios.append(lhs / bound)
-        ratios = np.asarray(ratios)
-        checks.append(Check(f"integral-ratio-bounded-q{q:g}",
-                            "int_{B_R} v^{-q}(...) dmu <= C mu(B_2R) R^{-q}",
-                            bool(np.max(ratios) <= 10.0 * ratios[0]),
-                            float(np.max(ratios)), float(10.0 * ratios[0])))
-    checks.append(_cheng_yau_check(bubble(d, b), float(d), sweep))
+    ratios = []
+    for R in sweep:
+        lhs, bound = integral_estimate_ratio(data, float(q), R)
+        ratios.append(lhs / bound)
+    ratios = np.asarray(ratios)
+    checks = [
+        Check(f"integral-ratio-bounded-q{q:g}", "int_{B_R} v^{-q}(...) dmu <= C mu(B_2R) R^{-q}",
+              bool(np.max(ratios) <= 10.0 * ratios[0]),
+              float(np.max(ratios)), float(10.0 * ratios[0])),
+        _cheng_yau_check(prof, float(d), sweep),
+    ]
     nodes = data.manifold.grid.nodes
     r = nodes[nodes > 0.0]
     columns = {"r": r, "v": np.asarray(data.v(r)), "P": np.asarray(data.P(r))}
@@ -499,18 +498,12 @@ def _scenario_custom(spec: RunSpec):
         return checks, columns
     checks.append(Check("solve", "-u'' - L r u' = u^p, u(0) = ell",
                         not prof.status.startswith("truncated"), prof.r_end))
-    nodes = grid.nodes
-    r = nodes[(nodes > 0.0) & (nodes <= prof.r_end)]
+    r, u, u_prime = _shot_columns(prof)
     E = np.asarray(energy(prof, r))
     slack = 1e-8 * (1.0 + np.abs(E[:-1]))
     checks.append(Check("energy-decreasing", "E' = -(L r) u'^2 <= 0",
                         bool(np.all(np.diff(E) <= slack)), float(np.max(np.diff(E)))))
-    columns = {
-        "r": r,
-        "u": np.asarray(prof.u(r)),
-        "u_prime": np.asarray(prof.u_prime(r)),
-        "energy": E,
-    }
+    columns = {"r": r, "u": u, "u_prime": u_prime, "energy": E}
     return checks, columns
 
 

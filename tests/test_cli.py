@@ -221,6 +221,21 @@ def test_cli_config_error_exit_code(tmp_path):
     result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "config error" in result.output
+    cfg = _write(tmp_path, "scenario = bubble\nd = 4\nb = 0.125\ntol = tight\n")
+    result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "config error" in result.output and "Traceback" not in result.output
+
+
+def test_cli_theorem_shot_shorter_than_cheng_yau_sweep(tmp_path):
+    """The Cheng-Yau radii R keep B_2R inside the shot, so a theorem run
+    whose grid ends at r = 100 reports the check on R <= 50."""
+    cfg = _write(tmp_path, "scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1\n"
+                           "r_max = 100\n")
+    result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code in (0, 1), result.output
+    report = json.loads((tmp_path / "out" / "theorem-2-2" / "report.json").read_text())
+    assert "cheng-yau-bounded" in [c["name"] for c in report["checks"]]
 
 
 def test_cli_missing_file_exit_code(tmp_path):
@@ -246,8 +261,21 @@ def test_cli_check_failure_exit_code(tmp_path):
         ("scenario = theorem-2-2\nd = 3\nalpha = 1.5\np = 5\nell = 1\n", "invalid-alpha"),
         ("scenario = custom\nd = 3\np = 3\nell = 1\nweight = bogus\n", "config-parse-error"),
         ("scenario = soliton-liouville\nd = 3\np = 3\nell = 1\nnodes = 8\n", "invalid-range"),
+        ("scenario = bubble\nd = three\nb = 0.125\n", "config-parse-error"),
+        ("scenario = soliton-liouville\nd = 3\np = x\nell = 1\n", "config-parse-error"),
+        ("scenario = bubble\nd = 3.7\nb = 0.125\n", "config-parse-error"),
+        ("scenario = soliton-liouville\nd = 3\np = 3\nell = 1\nnodes = 100.5\n",
+         "config-parse-error"),
+        ("scenario = bubble\nd = 4\nb = 0.125, wide\n", "config-parse-error"),
+        ("scenario = bubble\nd = 4\nb = inf\n", "config-parse-error"),
+        ("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = nan\nell = 1\n",
+         "config-parse-error"),
+        ("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1\nr_max = 1.5\n",
+         "out-of-range"),
     ],
-    ids=["theorem-alpha", "custom-weight", "soliton-nodes"],
+    ids=["theorem-alpha", "custom-weight", "soliton-nodes", "text-d", "text-p", "fractional-d",
+         "fractional-nodes", "text-in-sweep", "infinite-b", "nan-p",
+         "theorem-shot-shorter-than-cheng-yau"],
 )
 def test_cli_run_error_exit_code(tmp_path, text, code):
     cfg = _write(tmp_path, text)

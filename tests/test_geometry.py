@@ -120,6 +120,17 @@ def test_weighted_laplacian_matches_euclidean_laplacian():
     assert abs(weighted_laplacian_radial(M, w, 1.7) - 6.0) < 1e-12
 
 
+def test_weighted_laplacian_keeps_each_profiles_own_derivatives():
+    """Finite-difference derivatives of value-only profiles belong to each
+    profile: a table built for one temporary profile is never read for the
+    next one, even when the first is freed and its id reused."""
+    g = _grid()
+    M = euclidean(3, g)
+    r = 1.7
+    got = [weighted_laplacian_radial(M, RadialFunction(g, g.nodes**k), r) for k in (2, 3)]
+    assert got == [pytest.approx(6.0, abs=1e-9), pytest.approx(12.0 * r, rel=1e-3)]
+
+
 def test_weighted_laplacian_of_constant_vanishes():
     g = _grid()
     M = power_weight(3, g, coeff=0.5)

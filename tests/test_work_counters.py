@@ -5,7 +5,9 @@ quadrature integrand points is exact and repeats from run to run, so it is.
 """
 
 import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,3 +154,21 @@ def test_warm_theorem_run_matches_cold_run(builds, tmp_path):
     for report in reports:
         del report["timings"]
     assert reports[0] == reports[1]
+
+
+# ------------------------------------------------- the benchmark's call sites
+
+
+def test_benchmark_tracer_finds_every_call_site_it_patches(tmp_path):
+    """perfbench/tracing.py patches bel functions by module and name; a
+    refactor that unbinds one of those names must fail here, not only in the
+    benchmark's traced pass."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    original = scenarios.ModelManifold.drift
+    with tracing.installed(tracing.Recorder()) as recorder:
+        _run("scenario = log-bubble\nb = 0.125\n", tmp_path)
+    assert recorder.counts["radial_core.eval.calls"] > 0
+    assert scenarios.ModelManifold.drift is original
