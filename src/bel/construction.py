@@ -16,6 +16,7 @@ Euclidean-type volume bound, and the explicit asymptotic upper bound on u.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -63,6 +64,8 @@ _FLUX_SERIES_RADIUS = 0.1
 #: (-1)^k C(k+2, 2) / (2k+3), k = 0..11: the bracket's series in r^2 over 8 r^3;
 #: at r = 0.1 the first omitted term is below 1e-19 of the sum.
 _FLUX_SERIES = np.array([(-1) ** k * (k + 2) * (k + 1) / (2.0 * (2 * k + 3)) for k in range(12)])
+#: The same coefficients, highest order first, as floats for the scalar drift.
+_FLUX_SERIES_HORNER = tuple(float(c) for c in _FLUX_SERIES[::-1])
 
 
 def critical_exponent(d: int) -> float:
@@ -143,10 +146,29 @@ def build_example(
         out = -a * b * rr**3 / q**1.5 - 0.375 * b**2 * bracket
         return out if np.ndim(r) else float(out[0])
 
+    def scalar_drift(r):
+        # (d-1) psi'/psi - f' at one radius, repeating psi, dpsi, flux and
+        # the f' of _weight_from_flux: ndarray powers become np.power (a
+        # square is exact either way), numpy scalar arithmetic stays Python
+        r2, r3 = r * r, np.power(r, 3)
+        q = r2 + 1.0
+        psi_r = a * r + b * r / math.sqrt(q)
+        dpsi_r = a + b * q ** (-1.5)
+        if r < _FLUX_SERIES_RADIUS:
+            series = 0.0
+            for c in _FLUX_SERIES_HORNER:  # polyval's Horner loop
+                series = c + series * r2
+            bracket = 8.0 * r3 * series
+        else:
+            bracket = np.arctan(r) + r * (r2 - 1.0) / (q * q)
+        F = -a * b * r3 / np.power(q, 1.5) - 0.375 * b**2 * bracket
+        return (d - 1) * dpsi_r / psi_r - (d - 1) * F / (psi_r * psi_r)
+
     warping = sample(psi, grid, derivs=(dpsi, ddpsi, dddpsi))
     weight = _weight_from_flux(warping, int(d), f0, flux, (psi, dpsi, ddpsi))
     return ModelManifold(
-        d=int(d), psi=warping, f=weight, f0=f0, alpha=a, weight_from_psi=True
+        d=int(d), psi=warping, f=weight, f0=f0, alpha=a, weight_from_psi=True,
+        scalar_drift=scalar_drift,
     )
 
 

@@ -68,6 +68,20 @@ class ModelManifold:
     ``alpha`` records the linear slope of ``psi`` at infinity when known;
     ``weight_from_psi`` marks weights obtained from the concave-warping
     recipe (it enables closed-form cross-checks downstream).
+
+    ``scalar_drift``, when set, evaluates :meth:`drift` at one Python or
+    numpy float radius ``r > 0`` without the array machinery; the radial
+    shot calls the drift once per right-hand-side stage.  It must return
+    the same bits as the generic path at every radius, so it repeats that
+    path operation by operation: a ufunc where the generic path applies a
+    ufunc to an array (``ndarray ** e`` is ``np.power``), plain Python
+    arithmetic where it does numpy scalar arithmetic.  Arrays, 0-d arrays
+    included, always take the generic path, which stays the reference.
+    The stock builders (:func:`euclidean`, :func:`power_weight`,
+    :func:`log_tail_weight` and :func:`bel.construction.build_example`)
+    supply one; other manifolds leave it ``None``.  It describes ``d``,
+    ``psi`` and ``f``, so a copy that replaces any of them must replace it
+    too (``None`` selects the generic path).
     """
 
     d: int
@@ -76,6 +90,7 @@ class ModelManifold:
     f0: float = 0.0
     alpha: Optional[float] = None
     weight_from_psi: bool = False
+    scalar_drift: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
         if int(self.d) != self.d or self.d < 2:
@@ -120,6 +135,10 @@ class ModelManifold:
 
     def drift(self, r):
         """L r = (d-1) psi'/psi - f' at r > 0 (the drift of the distance)."""
+        if isinstance(r, float) and self.scalar_drift is not None:
+            if r <= 0.0:
+                raise SingularRadiusError("evaluation requires r > 0")
+            return self.scalar_drift(float(r))  # Python floats are faster than numpy scalars
         rr = _as_radii(r)
         val = (self.d - 1) * self.psi_at(rr, 1) / self.psi_at(rr) - self.f_at(rr, 1)
         return _maybe_scalar(val, r)
@@ -406,11 +425,18 @@ def euclidean(d: int, grid: RadialGrid) -> ModelManifold:
     one = lambda r: np.ones_like(np.asarray(r, dtype=float))
     psi = sample(lambda r: np.asarray(r, dtype=float), grid, derivs=(one, zero, zero))
     f = sample(zero, grid, derivs=(zero, zero, zero))
-    return ModelManifold(d=d, psi=psi, f=f, f0=0.0, alpha=1.0)
+    return ModelManifold(d=d, psi=psi, f=f, f0=0.0, alpha=1.0, scalar_drift=lambda r: (d - 1) / r)
 
 
 def power_weight(d: int, grid: RadialGrid, coeff: float = 1.0, power: float = 2.0) -> ModelManifold:
-    """psi = r with weight f = coeff * r^power (e.g. the Gaussian-type soliton)."""
+    """psi = r with weight f = coeff * r^power (e.g. the Gaussian-type soliton).
+
+    Raises ``invalid-range`` for ``power <= 1``: the model needs
+    ``f'(0) = 0``, and ``f' = coeff * power * r^(power-1)`` meets it only for
+    ``power > 1`` (``f`` itself is singular at the pole for ``power < 0``).
+    """
+    if not power > 1.0:
+        raise InvalidRangeError(f"weight power must satisfy power > 1, got {power}")
     e = euclidean(d, grid)
     f = sample(
         lambda r: coeff * np.asarray(r, dtype=float) ** power,
@@ -421,7 +447,12 @@ def power_weight(d: int, grid: RadialGrid, coeff: float = 1.0, power: float = 2.
             None,
         ),
     )
-    return ModelManifold(d=d, psi=e.psi, f=f, f0=0.0, alpha=1.0)
+    c1, e1 = coeff * power, power - 1
+
+    def scalar_drift(r):
+        return (d - 1) / r - c1 * np.power(r, e1)
+
+    return ModelManifold(d=d, psi=e.psi, f=f, f0=0.0, alpha=1.0, scalar_drift=scalar_drift)
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -497,6 +528,21 @@ def log_tail_weight(
     f_d1 = lambda r: -h1(r) / h(r)
     f_d2 = lambda r: -h2(r) / h(r) + (h1(r) / h(r)) ** 2
 
+    def scalar_drift(r):
+        # h1 / h at one radius: past the first subtraction the array path
+        # computes with numpy scalars, so only the logarithm stays a ufunc
+        t = (r - lo) / w
+        tc = min(max(t, 0.0), 1.0)
+        eta = tc**3 * (10.0 + tc * (-15.0 + 6.0 * tc))
+        deta = (30.0 * tc**2 * (1.0 - tc) ** 2 if 0.0 < t < 1.0 else 0.0) / w
+        safe = max(r, lo)
+        lg = np.log(safe)
+        tail_r = C * safe ** (2.0 - d) * lg**beta
+        tail_r1 = C * safe ** (1.0 - d) * lg ** (beta - 1) * ((2.0 - d) * lg + beta)
+        h_r = (1.0 - eta) + eta * tail_r
+        h1_r = deta * (tail_r - 1.0) + eta * tail_r1
+        return (d - 1) / r - -h1_r / h_r
+
     e = euclidean(d, grid)
     f = sample(f_fn, grid, derivs=(f_d1, f_d2, None))
-    return ModelManifold(d=d, psi=e.psi, f=f, f0=0.0, alpha=1.0)
+    return ModelManifold(d=d, psi=e.psi, f=f, f0=0.0, alpha=1.0, scalar_drift=scalar_drift)

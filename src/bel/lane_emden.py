@@ -103,12 +103,22 @@ class SolutionProfile:
 
 
 def _nonlinearity(p: Optional[float]) -> Callable[[np.ndarray], np.ndarray]:
+    """N(u): e^u, or the positive part of u to the power p.
+
+    A float ``u`` (one right-hand-side stage of the shot) takes ``np.power``,
+    the ufunc that ``ndarray ** p`` runs, so it returns the bits of the array
+    path.  Overflow to inf is caught by the shot's overflow guard, so its
+    warning is silenced: around the whole integration for floats, here for
+    arrays.
+    """
     if p is None:
         return np.exp
 
     def power(u):
+        if isinstance(u, float):
+            return np.power(u, p) if u > 0.0 else 0.0
         uu = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore"):  # inf is caught by the overflow guard
+        with np.errstate(over="ignore"):
             return np.where(uu > 0.0, uu, 0.0) ** p
 
     return power
@@ -159,16 +169,17 @@ def _shoot(
         crossing_event.direction = -1.0
         events.append(crossing_event)
 
-    sol = solve_ivp(
-        rhs,
-        (r0, r_max),
-        y0,
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-        dense_output=True,
-        events=events,
-    )
+    with np.errstate(over="ignore"):  # inf is caught just below
+        sol = solve_ivp(
+            rhs,
+            (r0, r_max),
+            y0,
+            method="DOP853",
+            rtol=tol,
+            atol=tol,
+            dense_output=True,
+            events=events,
+        )
     if not np.all(np.isfinite(sol.y[:, -1])):
         raise BlowupError("solution left the finite range during integration")
     if len(sol.t_events[0]):

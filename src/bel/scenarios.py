@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .construction import Check, build_example, default_grid, verify_theorem
-from .errors import ArtifactIOError, BelError, ConfigParseError
+from .errors import ArtifactIOError, BelError, ConfigParseError, InvalidRangeError
 from .geometry import (
     ModelManifold,
     comparison_report,
@@ -427,6 +427,8 @@ def _scenario_parabolicity(spec: RunSpec):
     d = int(spec.params["d"])
     beta = float(spec.params["beta"])
     p = float(spec.params["p"])
+    if not p > 1.0:
+        raise InvalidRangeError(f"exponent must satisfy p > 1, got {p}")
     grid = make_grid(*_grid_args(spec.params, "geometric", 1e-3, 1e3, 2049))
     M = log_tail_weight(d, grid, beta=beta)
     comp = comparison_report(M, grid.r_max)

@@ -272,10 +272,16 @@ def test_cli_check_failure_exit_code(tmp_path):
          "config-parse-error"),
         ("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1\nr_max = 1.5\n",
          "out-of-range"),
+        ("scenario = example-2-parabolicity\nd = 3\nbeta = 2\np = 1\n", "invalid-range"),
+        ("scenario = custom\nd = 3\np = 3\nell = 1\nweight = power\npower = -1\n",
+         "invalid-range"),
+        ("scenario = custom\nd = 3\np = 3\nell = 1\nweight = power\npower = 1\n",
+         "invalid-range"),
     ],
     ids=["theorem-alpha", "custom-weight", "soliton-nodes", "text-d", "text-p", "fractional-d",
          "fractional-nodes", "text-in-sweep", "infinite-b", "nan-p",
-         "theorem-shot-shorter-than-cheng-yau"],
+         "theorem-shot-shorter-than-cheng-yau", "parabolicity-p-one", "custom-power-negative",
+         "custom-power-one"],
 )
 def test_cli_run_error_exit_code(tmp_path, text, code):
     cfg = _write(tmp_path, text)

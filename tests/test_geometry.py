@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from bel.construction import build_example
 from bel.errors import (
+    InvalidRangeError,
     InvalidVirtualDimensionError,
     OutOfGridError,
     SingularRadiusError,
@@ -335,3 +337,60 @@ def test_log_tail_volume_ratio_decreasing():
     R = np.geomspace(10.0, 1000.0, 65)
     ratio = np.asarray(weighted_volume(M, R)) / R**4
     assert np.all(np.diff(ratio) < 0), "mu(B_R)/R^4 should decrease on [10, 1e3]"
+
+
+# ------------------------------------------------------ scalar drift path
+
+# Radii for the scalar-drift identity: a log sweep over both grid ends, dense
+# below r = 0.1 (build_example's flux series), the log-tail blend edges 1.5
+# and 3.0, and the neighbours of every edge.
+_EDGES = np.array([1e-4, 1e-3, 0.1, 1.5, 3.0, 12.0, 100.0, 1e3])
+_SCALAR_RADII = np.unique(np.concatenate([
+    np.geomspace(1e-4, 1e3, 5001),
+    np.linspace(1e-4, 0.1, 1001),
+    np.linspace(1.49, 1.51, 1001),
+    np.linspace(2.99, 3.01, 1001),
+    _EDGES, np.nextafter(_EDGES, 0.0), np.nextafter(_EDGES, np.inf),
+]))
+
+
+def _scalar_drift_family(kind):
+    """The stock builders over the benchmark's pool parameters."""
+    g = make_grid(1e-3, 1e3, 257, "geometric")
+    if kind == "warped":
+        return [build_example(d, alpha, grid=g) for d in (3, 4, 5) for alpha in (0.3, 0.5, 0.7)]
+    if kind == "power":
+        return [power_weight(3, g, coeff, power) for coeff in (0.5, 1.0, 2.0) for power in (1.5, 2.0)]
+    if kind == "log-tail":
+        return [log_tail_weight(d, g, beta) for d in (3, 4, 5) for beta in (1.5, 2.0, 3.0)]
+    return [euclidean(d, g) for d in range(2, 9)]
+
+
+@pytest.mark.parametrize("kind", ["warped", "power", "log-tail", "euclidean"])
+def test_scalar_drift_bit_identical_to_generic(kind):
+    """A float radius gives the bits of the 0-d array path, the one the shot
+    took before the scalar path existed.  The 0-d path costs 20-60 us a call,
+    so the members of a family split the radii between them; the edges go to
+    every member."""
+    family = _scalar_drift_family(kind)
+    assert _SCALAR_RADII.size >= 8000
+    for i, M in enumerate(family):
+        assert M.scalar_drift is not None
+        radii = np.union1d(_SCALAR_RADII[i :: len(family)], _EDGES)
+        for r in radii:
+            generic = M.drift(np.asarray(r))
+            assert M.drift(r) == generic and M.drift(float(r)) == generic, (M.d, r)
+
+
+@pytest.mark.parametrize("kind", ["warped", "power", "log-tail", "euclidean"])
+def test_scalar_drift_rejects_the_pole(kind):
+    M = _scalar_drift_family(kind)[0]
+    for r in (0.0, -1.0, np.float64(0.0)):
+        with pytest.raises(SingularRadiusError):
+            M.drift(r)
+
+
+@pytest.mark.parametrize("power", [1.0, 0.5, -1.0])
+def test_power_weight_rejects_power_at_most_one(power):
+    with pytest.raises(InvalidRangeError):
+        power_weight(3, _grid(), coeff=1.0, power=power)

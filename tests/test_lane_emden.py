@@ -1,11 +1,13 @@
 """Shooting solver and monitor checks against closed-form and series oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bel import lane_emden
+from bel import geometry, lane_emden
 from bel.construction import build_example
 from bel.errors import (
     BelError,
@@ -22,6 +24,7 @@ from bel.geometry import (
     ModelManifold,
     euclidean,
     laplacian_of_distance,
+    log_tail_weight,
     power_weight,
     weight_from_warping,
 )
@@ -404,3 +407,64 @@ def test_center_value_is_reproduced(ell):
     shot = solve_radial(flat, p=3.0, ell=ell, tol=1e-10)
     assert shot.u(0.0) == pytest.approx(ell, rel=1e-12)
     assert shot.u_prime(0.0) == 0.0
+
+
+# ---------------------------------------------------- scalar right-hand side
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.4, 3.0, 4.0, 5.0, 5.4, 6.0, 7.0])
+def test_scalar_nonlinearity_bit_identical(p):
+    """A float u (one RHS stage) gives the bits of the 0-d array path, also
+    for u <= 0 and NaN, where the positive part is 0."""
+    power = lane_emden._nonlinearity(p)
+    us = np.concatenate([np.geomspace(1e-12, 1e3, 2001), -np.geomspace(1e-12, 1e3, 11),
+                         [0.0, -0.0, np.nan, -np.inf]])
+    for u in us:
+        scalar, generic = power(u), power(np.asarray(u))
+        assert scalar == generic, (p, u)
+        assert power(float(u)) == generic
+
+
+_STOCK_SHOTS = {
+    "euclidean": (lambda g: euclidean(3, g), 3.0),
+    "power": (lambda g: power_weight(3, g, 1.0, 2.0), 3.0),
+    "log-tail": (lambda g: log_tail_weight(3, g, 2.0), 5.0),
+    "warped": (lambda g: build_example(3, 0.5, grid=g), 5.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_STOCK_SHOTS))
+def test_shot_takes_scalar_drift_on_every_stage(kind, monkeypatch):
+    """Each RHS stage of the shot goes through the builder's scalar drift,
+    and the generic drift never sees a scalar radius.  The goldens cannot
+    tell the two paths apart, since they give the same bits."""
+    build, p = _STOCK_SHOTS[kind]
+    M = build(make_grid(1e-3, 100.0, 257, "geometric"))
+    stages = []
+    fast = M.scalar_drift
+
+    def counted(r):
+        stages.append(r)
+        return fast(r)
+
+    M = dataclasses.replace(M, scalar_drift=counted)
+    solutions = []
+    ivp = lane_emden.solve_ivp
+
+    def recorded(*args, **kwargs):
+        solutions.append(ivp(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(lane_emden, "solve_ivp", recorded)
+    generic_scalars = []
+    as_radii = geometry._as_radii
+
+    def watched(r, positive=True):
+        if np.ndim(r) == 0:
+            generic_scalars.append(r)
+        return as_radii(r, positive)
+
+    monkeypatch.setattr(geometry, "_as_radii", watched)
+    solve_radial(M, p=p, ell=1.0)
+    assert len(solutions) == 1 and len(stages) == solutions[0].nfev > 0
+    assert generic_scalars == []
