@@ -34,18 +34,23 @@ from .geometry import (
     weighted_volume,
 )
 from .lane_emden import (
+    SlopeFactorTerms,
     SolutionProfile,
     asymptotic_bound_check,
-    pohozaev_slope_factor,
     positivity_criterion,
+    slope_factor,
+    slope_factor_terms,
     solve_radial,
 )
 from .radial_core import finite_difference, make_grid, sample
 
 # Unused here since build_example assembles its weight from a closed-form
-# flux, but kept bound on this module: perfbench/tracing.py instruments
-# ``bel.construction.weight_from_warping`` and ``.indefinite_gauss``.
+# flux and verify_theorem forms K from the manifold's slope-factor terms, but
+# kept bound on this module: perfbench/tracing.py instruments
+# ``bel.construction.weight_from_warping``, ``.indefinite_gauss`` and
+# ``.pohozaev_slope_factor``.
 from .geometry import weight_from_warping  # noqa: E402,F401
+from .lane_emden import pohozaev_slope_factor  # noqa: E402,F401
 from .radial_core import indefinite_gauss  # noqa: E402,F401
 
 __all__ = [
@@ -211,6 +216,10 @@ class TheoremReport:
     #: the Pohozaev slope factor K at the positive grid nodes, the samples
     #: behind ``slope-factor-nonpositive``
     slope_factor: np.ndarray
+    #: Ric^r and Ric^theta at the positive grid nodes, the samples behind
+    #: the two ``ricci-*`` checks
+    ric_r: np.ndarray
+    ric_theta: np.ndarray
 
     @property
     def all_ok(self) -> bool:
@@ -237,21 +246,28 @@ def _flux_tail_exponent(M: ModelManifold) -> float:
     return float(np.polyfit(np.log(tail), np.log(flux), 1)[0])
 
 
-def verify_theorem(
-    M: ModelManifold,
-    p: float,
-    ell: float,
-    tol: float = 1e-10,
-) -> TheoremReport:
-    """Run the full verification pipeline and collect every check.
-
-    Solver failures are recorded in the report (``solver_error``) rather than
-    raised, so a report is always produced.
+@dataclass(frozen=True)
+class _ManifoldChecks:
+    """What :func:`verify_theorem` computes from the manifold alone: the
+    checks that do not look at the shot, and the samples at the positive grid
+    nodes that the per-``(p, ell)`` checks and the scenario columns read.
+    Kept on the manifold, as ``M._cache["theorem"]``, by :func:`verify_theorem`.
     """
-    if not M.weight_from_psi or M.alpha is None:
-        raise InvalidRangeError(
-            "expected a manifold assembled by build_example (warping-derived weight)"
-        )
+
+    #: diffeomorphism, ricci-radial-positive, ricci-tangential-positive,
+    #: chi-positive, psi-cap-positive, rough-comparison, volume-comparison,
+    #: weight-ode and weight-bounded, in report order
+    checks: Tuple[Check, ...]
+    df: np.ndarray
+    ric_r: np.ndarray
+    ric_theta: np.ndarray
+    slope_terms: SlopeFactorTerms
+    #: C1 / C2 = exp(-max f) / exp(-min f), the weight factor of the
+    #: asymptotic bound's constant
+    weight_ratio: float
+
+
+def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
     d, alpha = M.d, float(M.alpha)
     grid = M.grid
     pos = grid.nodes > 0.0
@@ -288,29 +304,11 @@ def verify_theorem(
         np.all(residual[inner] <= residual_tol[inner])
     )
 
-    # -- Pohozaev slope factor --------------------------------------------
-    slope_factor = np.asarray(pohozaev_slope_factor(M, p, r), dtype=float)
-    slope_factor_max = float(np.max(slope_factor))
-
-    # -- the shot and its pointwise properties -----------------------------
-    profile: Optional[SolutionProfile] = None
-    solver_error: Optional[str] = None
-    try:
-        profile = solve_radial(M, p, ell, tol=tol)
-    except Exception as exc:  # noqa: BLE001 - failures become report entries
-        solver_error = f"{type(exc).__name__}: {exc}"
+    # -- the p-independent terms of the Pohozaev slope factor --------------
+    slope_terms = slope_factor_terms(M, r)
 
     C1 = float(np.exp(-np.max(M.f.values)))
     C2 = float(np.exp(-np.min(M.f.values)))
-    asymptotic_C = ((p - 1.0) / (2.0 * d)) * (C1 / C2) * alpha ** (d - 1)
-
-    solved = u_decreasing = gradient_product_positive = asymptotic_bound_holds = False
-    if profile is not None and profile.global_positive:
-        solved = abs(float(profile.u(0.0)) - ell) <= 1e-10 * max(1.0, ell)
-        du = np.asarray(profile.u_prime(r))
-        u_decreasing = bool(np.all(du < 0.0))
-        gradient_product_positive = bool(np.all(df_r * du > 0.0))
-        asymptotic_bound_holds = asymptotic_bound_check(profile, asymptotic_C).all_hold
 
     # -- comparison geometry ----------------------------------------------
     chi = np.asarray(warping_slope_energy(M)(r)) - psi_r**2 / r
@@ -326,18 +324,12 @@ def verify_theorem(
     f_bounded = bool(np.isfinite(f_sup)) and _flux_tail_exponent(M) < 0.5
 
     checks = (
-        Check("solve", "-u'' - L r u' = u^p, u(0) = ell",
-              solved, None if profile is None else profile.r_end),
         Check("diffeomorphism", "psi(0)=0, psi'(0)=1, psi''(0)=0, alpha r < psi < r",
               diffeo_ok),
         Check("ricci-radial-positive", "Ric^r = -(d-1) psi''/psi + f'' > 0",
               np.all(ric_r > 0.0), np.min(ric_r[shown]), 0.0),
         Check("ricci-tangential-positive", "Ric^theta > 0",
               np.all(ric_th > 0.0), np.min(ric_th[shown]), 0.0),
-        Check("slope-factor-nonpositive", "P' = K u'^2 with K = (1/2 + 1/(p+1)) S - (S'/S) V",
-              slope_factor_max <= 1e-8, slope_factor_max, 1e-8),
-        Check("u-decreasing", "u' < 0 for r > 0", u_decreasing),
-        Check("gradient-product-positive", "f' u' > 0 for r > 0", gradient_product_positive),
         Check("chi-positive", "chi = int_0^r psi'^2 - psi^2/r > 0 (sharp comparison fails)",
               chi.min() > 0.0 and not comparison.sharp_laplacian_holds, chi.min(), 0.0),
         Check("psi-cap-positive", "(d-2)(1 - psi'^2) + psi psi' f' > 0",
@@ -347,11 +339,80 @@ def verify_theorem(
               comparison.rough_constant, rough_bound),
         Check("volume-comparison", "mu(B_R) <= (C_2/d) |S^{d-1}| R^d",
               np.all(vols <= euclid_cap * (1 + 1e-9))),
-        Check("asymptotic-bound", "u <= (C r^2 + ell^{1-p})^{-1/(p-1)}",
-              asymptotic_bound_holds, asymptotic_C),
         Check("weight-ode", "f'' + 2 (psi'/psi) f' = (d-1) psi''/psi",
               weight_ode, np.max(residual[inner]), 1.0),
         Check("weight-bounded", "sup |f| < inf (flux integral converges)", f_bounded, f_sup),
+    )
+    return _ManifoldChecks(checks=checks, df=df_r, ric_r=ric_r, ric_theta=ric_th,
+                           slope_terms=slope_terms, weight_ratio=C1 / C2)
+
+
+def verify_theorem(
+    M: ModelManifold,
+    p: float,
+    ell: float,
+    tol: float = 1e-10,
+) -> TheoremReport:
+    """Run the full verification pipeline and collect every check.
+
+    The checks that depend on the manifold alone are computed at the first
+    call on ``M`` and kept on it; each call shoots, forms the slope factor
+    and runs the checks that read the shot.  Solver failures are recorded in
+    the report (``solver_error``) rather than raised, so a report is always
+    produced.
+    """
+    if not M.weight_from_psi or M.alpha is None:
+        raise InvalidRangeError(
+            "expected a manifold assembled by build_example (warping-derived weight)"
+        )
+    d, alpha = M.d, float(M.alpha)
+    if "theorem" not in M._cache:  # an error here propagates and caches nothing
+        M._cache["theorem"] = _manifold_checks(M)
+    record = M._cache["theorem"]
+    (diffeomorphism, ricci_radial, ricci_tangential, chi, psi_cap, rough, volume,
+     weight_ode, weight_bounded) = record.checks
+    r = M.grid.nodes[M.grid.nodes > 0.0]
+
+    # -- Pohozaev slope factor --------------------------------------------
+    slope_factor_K = np.asarray(slope_factor(record.slope_terms, p), dtype=float)
+    slope_factor_max = float(np.max(slope_factor_K))
+
+    # -- the shot and its pointwise properties -----------------------------
+    profile: Optional[SolutionProfile] = None
+    solver_error: Optional[str] = None
+    try:
+        profile = solve_radial(M, p, ell, tol=tol)
+    except Exception as exc:  # noqa: BLE001 - failures become report entries
+        solver_error = f"{type(exc).__name__}: {exc}"
+
+    asymptotic_C = ((p - 1.0) / (2.0 * d)) * record.weight_ratio * alpha ** (d - 1)
+
+    solved = u_decreasing = gradient_product_positive = asymptotic_bound_holds = False
+    if profile is not None and profile.global_positive:
+        solved = abs(float(profile.u(0.0)) - ell) <= 1e-10 * max(1.0, ell)
+        du = np.asarray(profile.u_prime(r))
+        u_decreasing = bool(np.all(du < 0.0))
+        gradient_product_positive = bool(np.all(record.df * du > 0.0))
+        asymptotic_bound_holds = asymptotic_bound_check(profile, asymptotic_C).all_hold
+
+    checks = (
+        Check("solve", "-u'' - L r u' = u^p, u(0) = ell",
+              solved, None if profile is None else profile.r_end),
+        diffeomorphism,
+        ricci_radial,
+        ricci_tangential,
+        Check("slope-factor-nonpositive", "P' = K u'^2 with K = (1/2 + 1/(p+1)) S - (S'/S) V",
+              slope_factor_max <= 1e-8, slope_factor_max, 1e-8),
+        Check("u-decreasing", "u' < 0 for r > 0", u_decreasing),
+        Check("gradient-product-positive", "f' u' > 0 for r > 0", gradient_product_positive),
+        chi,
+        psi_cap,
+        rough,
+        volume,
+        Check("asymptotic-bound", "u <= (C r^2 + ell^{1-p})^{-1/(p-1)}",
+              asymptotic_bound_holds, asymptotic_C),
+        weight_ode,
+        weight_bounded,
     )
     return TheoremReport(
         manifold=M,
@@ -360,5 +421,7 @@ def verify_theorem(
         profile=profile,
         solver_error=solver_error,
         checks=checks,
-        slope_factor=slope_factor,
+        slope_factor=slope_factor_K,
+        ric_r=record.ric_r,
+        ric_theta=record.ric_theta,
     )

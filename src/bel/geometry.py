@@ -158,6 +158,26 @@ class ModelManifold:
             self._cache["volume"] = CubicSpline(pts, acc)
         return self._cache["volume"]
 
+    def area_integral(self, integrand: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        """Nodal values of ``int_0^r integrand(s, S(s)) ds`` on the
+        pole-refined partition, by :func:`cumulative_gauss`.
+
+        ``S`` is evaluated once at the quadrature points, all of them inside
+        ``r > 0``, and when the volume table is not cached yet the same
+        samples build it, so a manifold that needs both integrals evaluates
+        its area density there once.
+        """
+        pts = pole_refined_partition(self.grid.nodes)
+
+        def density_and_integrand(s):
+            S = self.area_density(s)
+            return np.stack([S, integrand(s, S)])
+
+        volume, acc = cumulative_gauss(density_and_integrand, pts)
+        if "volume" not in self._cache:
+            self._cache["volume"] = CubicSpline(pts, volume)
+        return acc
+
     def cumulative_area(self, R):
         """V(R) = integral_0^R e^{-f} psi^{d-1} dr (no sphere factor)."""
         RR = _as_radii(R, positive=False)
@@ -218,7 +238,8 @@ def warping_slope_energy(M: ModelManifold):
     """
     if "int_dpsi_sq" not in M._cache:
         pts = pole_refined_partition(M.grid.nodes)
-        M._cache["int_dpsi_sq"] = indefinite_gauss(lambda s: M.psi_at(s, 1) ** 2, pts)
+        psi = M.psi  # not M: a closure kept in M._cache must not refer back to M
+        M._cache["int_dpsi_sq"] = indefinite_gauss(lambda s: psi(s, 1) ** 2, pts)
     return M._cache["int_dpsi_sq"]
 
 

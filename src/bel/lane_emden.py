@@ -24,6 +24,7 @@ bit-identical to ``OdeSolution`` without its per-segment Python loop; ``u``,
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -43,10 +44,15 @@ from .errors import (
 from .geometry import ModelManifold, ric_infinity_components
 from .radial_core import (
     RadialFunction,
+    gauss_antiderivative,
     grid_tolerance,
-    indefinite_gauss,
     pole_refined_partition,
 )
+
+# Unused here since the slope-factor table takes its nodal values from the
+# shared area-density pass, but kept bound on this module:
+# perfbench/tracing.py instruments ``bel.lane_emden.indefinite_gauss``.
+from .radial_core import indefinite_gauss  # noqa: E402,F401
 
 #: Magnitudes beyond this are treated as numerical blowup of the shot.
 OVERFLOW_GUARD = 1e300
@@ -61,6 +67,9 @@ __all__ = [
     "energy",
     "pohozaev",
     "pohozaev_slope_factor",
+    "SlopeFactorTerms",
+    "slope_factor_terms",
+    "slope_factor",
     "pohozaev_trace",
     "positivity_criterion",
     "asymptotic_bound_check",
@@ -180,6 +189,9 @@ def _shoot(
             dense_output=True,
             events=events,
         )
+    # scipy's solver object is a reference cycle that keeps rhs alive until
+    # the cyclic GC runs; rhs lets go of the manifold here
+    drift = None
     if not np.all(np.isfinite(sol.y[:, -1])):
         raise BlowupError("solution left the finite range during integration")
     if len(sol.t_events[0]):
@@ -201,7 +213,7 @@ def _shoot(
         status = f"truncated-at({r_end:.12g})"
 
     u_fn, up_fn, upp_fn = _profile_callbacks(
-        dense, float(sol.t[-1]), ell, c2, r0, r_end, drift, nonlin
+        dense, float(sol.t[-1]), ell, c2, r0, r_end, M.drift, nonlin
     )
 
     nodes = grid.nodes
@@ -358,6 +370,15 @@ def solve_liouville(
 # ------------------------------------------------------------------ monitors
 
 
+def _energy_values(p: Optional[float], u: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """E from the values of u and u' at some radii (the formula of :func:`energy`)."""
+    if p is None:
+        potential = np.exp(u)
+    else:
+        potential = np.where(u > 0.0, u, 0.0) ** (p + 1) / (p + 1)
+    return 0.5 * du**2 + potential
+
+
 def energy(profile: SolutionProfile, r):
     """E(r) = u'(r)^2/2 + U(u(r)) with U(u) = u^{p+1}/(p+1) resp. e^u.
 
@@ -366,12 +387,15 @@ def energy(profile: SolutionProfile, r):
     """
     u = np.asarray(profile.u(r), dtype=float)
     du = np.asarray(profile.u_prime(r), dtype=float)
-    if profile.p is None:
-        potential = np.exp(u)
-    else:
-        potential = np.where(u > 0.0, u, 0.0) ** (profile.p + 1) / (profile.p + 1)
-    val = 0.5 * du**2 + potential
+    val = _energy_values(profile.p, u, du)
     return val if np.ndim(r) else float(val)
+
+
+def _pohozaev_values(M: ModelManifold, p: float, r: np.ndarray, u: np.ndarray, du: np.ndarray):
+    """P from the values of u and u' at the radii r (the formula of :func:`pohozaev`)."""
+    V = np.asarray(M.cumulative_area(r), dtype=float)
+    S = np.asarray(M.area_density(r), dtype=float)
+    return V * _energy_values(p, u, du) + S * u * du / (p + 1)
 
 
 def pohozaev(M: ModelManifold, profile: SolutionProfile, r):
@@ -381,12 +405,9 @@ def pohozaev(M: ModelManifold, profile: SolutionProfile, r):
     if profile.p is None:
         raise InvalidRangeError("the Pohozaev monitor applies to the power nonlinearity")
     rr = np.asarray(r, dtype=float)
-    V = np.asarray(M.cumulative_area(rr), dtype=float)
-    S = np.asarray(M.area_density(rr), dtype=float)
-    E = np.asarray(energy(profile, rr), dtype=float)
     u = np.asarray(profile.u(rr), dtype=float)
     du = np.asarray(profile.u_prime(rr), dtype=float)
-    val = V * E + S * u * du / (profile.p + 1)
+    val = _pohozaev_values(M, profile.p, rr, u, du)
     return val if np.ndim(r) else float(val)
 
 
@@ -401,8 +422,19 @@ def _curvature_defect(M: ModelManifold, r: np.ndarray) -> np.ndarray:
 
 
 def _slope_factor_integral(M: ModelManifold) -> Callable[[np.ndarray], np.ndarray]:
-    """Antiderivative J(r) = int_0^r S G / Lr^2 ds used by the decomposition."""
+    """Antiderivative J(r) = int_0^r S G / Lr^2 ds used by the decomposition.
+
+    Its nodal values come from :meth:`ModelManifold.area_integral`, whose one
+    evaluation of S at the quadrature points also builds the volume table.
+    """
     if "slope_factor_integral" not in M._cache:
+        # M._cache keeps the antiderivative, so its integrand holds M weakly:
+        # a cycle through M would keep a dead manifold until the cyclic GC
+        manifold = weakref.ref(M)
+
+        def weighted(s, S):
+            M = manifold()
+            return S * _curvature_defect(M, s) / np.asarray(M.drift(s)) ** 2
 
         def integrand(s):
             ss = np.asarray(s, dtype=float)
@@ -410,14 +442,69 @@ def _slope_factor_integral(M: ModelManifold) -> Callable[[np.ndarray], np.ndarra
             out = np.zeros_like(ss)
             if np.any(pos):
                 sp = ss[pos]
-                out[pos] = (
-                    M.area_density(sp) * _curvature_defect(M, sp) / np.asarray(M.drift(sp)) ** 2
-                )
+                out[pos] = weighted(sp, manifold().area_density(sp))
             return out
 
         pts = pole_refined_partition(M.grid.nodes)
-        M._cache["slope_factor_integral"] = indefinite_gauss(integrand, pts)
+        M._cache["slope_factor_integral"] = gauss_antiderivative(
+            integrand, pts, M.area_integral(weighted)
+        )
     return M._cache["slope_factor_integral"]
+
+
+@dataclass(frozen=True)
+class SlopeFactorTerms:
+    """The p-independent samples behind K at some radii r > 0: the area
+    density S, the drift Lr = S'/S, V = int_0^r S and, when the decomposition
+    is checked, J = int_0^r S G / Lr^2 (else ``None``)."""
+
+    d: int
+    S: np.ndarray
+    Lr: np.ndarray
+    V: np.ndarray
+    J: Optional[np.ndarray]
+
+
+def slope_factor_terms(
+    M: ModelManifold, r, check_decomposition: Optional[bool] = None
+) -> SlopeFactorTerms:
+    """Sample the terms of :func:`pohozaev_slope_factor` at the radii ``r``.
+
+    Raises ``singular-radius`` for r <= 0 and ``monotonicity-violated`` where
+    S' <= 0.  ``check_decomposition`` defaults to ``M.weight_from_psi``.
+    """
+    rr = np.atleast_1d(np.asarray(r, dtype=float))
+    if np.any(rr <= 0.0):
+        raise SingularRadiusError("slope factor needs r > 0")
+    S = np.asarray(M.area_density(rr), dtype=float)
+    Lr = np.atleast_1d(np.asarray(M.drift(rr), dtype=float))
+    if np.any(Lr <= 0.0):
+        raise MonotonicityError(
+            "weighted area density must be increasing at the requested radii"
+        )
+    if check_decomposition is None:
+        check_decomposition = M.weight_from_psi
+    # J before V: J's table shares its area-density pass with the volume table
+    J = _slope_factor_integral(M)(rr) if check_decomposition else None
+    V = np.asarray(M.cumulative_area(rr), dtype=float)
+    return SlopeFactorTerms(d=M.d, S=S, Lr=Lr, V=V, J=J)
+
+
+def slope_factor(terms: SlopeFactorTerms, p: float) -> np.ndarray:
+    """K at the radii of ``terms``, and the decomposition cross-check when
+    ``terms.J`` is set (see :func:`pohozaev_slope_factor`)."""
+    S, Lr, V, d = terms.S, terms.Lr, terms.V, terms.d
+    K = (0.5 + 1.0 / (p + 1.0)) * S - Lr * V
+    if terms.J is not None:
+        lead = 0.5 + 1.0 / (p + 1.0) - (d - 1.0) / d
+        K_alt = lead * S + ((d - 1.0) / d) * Lr * terms.J
+        scale = 1.0 + np.abs(S) + np.abs(Lr * V)
+        worst = np.max(np.abs(K - K_alt) / scale)
+        if worst > 1e-7:
+            raise CrossCheckError(
+                f"slope-factor decomposition mismatch: relative gap {worst:.3e}"
+            )
+    return K
 
 
 def pohozaev_slope_factor(
@@ -440,30 +527,7 @@ def pohozaev_slope_factor(
     is evaluated as well and the two must agree; G <= 0 then forces K <= 0
     at critical and supercritical exponents.
     """
-    rr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(rr <= 0.0):
-        raise SingularRadiusError("slope factor needs r > 0")
-    S = np.asarray(M.area_density(rr), dtype=float)
-    Lr = np.atleast_1d(np.asarray(M.drift(rr), dtype=float))
-    if np.any(Lr <= 0.0):
-        raise MonotonicityError(
-            "weighted area density must be increasing at the requested radii"
-        )
-    V = np.asarray(M.cumulative_area(rr), dtype=float)
-    K = (0.5 + 1.0 / (p + 1.0)) * S - Lr * V
-
-    if check_decomposition is None:
-        check_decomposition = M.weight_from_psi
-    if check_decomposition:
-        J = _slope_factor_integral(M)(rr)
-        lead = 0.5 + 1.0 / (p + 1.0) - (M.d - 1.0) / M.d
-        K_alt = lead * S + ((M.d - 1.0) / M.d) * Lr * J
-        scale = 1.0 + np.abs(S) + np.abs(Lr * V)
-        worst = np.max(np.abs(K - K_alt) / scale)
-        if worst > 1e-7:
-            raise CrossCheckError(
-                f"slope-factor decomposition mismatch: relative gap {worst:.3e}"
-            )
+    K = slope_factor(slope_factor_terms(M, r, check_decomposition), p)
     return K if np.ndim(r) else float(K[0])
 
 

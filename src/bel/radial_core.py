@@ -234,7 +234,10 @@ def cumulative_gauss(
     Each node interval is split into ``refine`` pieces, each integrated with
     5-point Gauss-Legendre; partial sums are returned at the nodes
     (``out[0] = 0``).  All evaluation points are assembled into one vectorized
-    call to ``fn``.
+    call to ``fn``.  ``fn`` may return several integrands stacked along a
+    leading axis, shape ``(k, points)``; each is accumulated on its own and
+    the result has shape ``(k, nodes.size)``, so integrands that share an
+    expensive factor evaluate it once.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.size < 2:
@@ -247,12 +250,15 @@ def cumulative_gauss(
     half = 0.5 * (hi - lo)
     # evaluation points: shape (n_intervals, refine, 5)
     pts = mid[..., None] + half[..., None] * _GAUSS_X
-    vals = fn(pts.ravel()).reshape(pts.shape)
-    pieces = (half * (vals @ _GAUSS_W)).sum(axis=1)
-    out = np.empty(nodes.shape)
-    out[0] = 0.0
-    np.cumsum(pieces, out=out[1:])
-    return out
+    vals = np.asarray(fn(pts.ravel()))
+    sums = []
+    for integrand in vals.reshape(-1, pts.size):
+        pieces = (half * (integrand.reshape(pts.shape) @ _GAUSS_W)).sum(axis=1)
+        out = np.empty(nodes.shape)
+        out[0] = 0.0
+        np.cumsum(pieces, out=out[1:])
+        sums.append(out)
+    return np.stack(sums) if vals.ndim > 1 else sums[0]
 
 
 def indefinite_gauss(
@@ -269,7 +275,17 @@ def indefinite_gauss(
     vanishing factors (e.g. r^2 near a pole).
     """
     nodes = np.asarray(nodes, dtype=float)
-    acc = cumulative_gauss(fn, nodes, refine=refine)
+    return gauss_antiderivative(fn, nodes, cumulative_gauss(fn, nodes, refine=refine))
+
+
+def gauss_antiderivative(
+    fn: Callable[[np.ndarray], np.ndarray],
+    nodes: np.ndarray,
+    nodal_values: np.ndarray,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The antiderivative of :func:`indefinite_gauss`, from nodal values
+    already accumulated (``cumulative_gauss(fn, nodes)``, possibly as one row
+    of a stacked call)."""
 
     def antiderivative(r):
         rr = np.atleast_1d(np.asarray(r, dtype=float))
@@ -278,9 +294,9 @@ def indefinite_gauss(
         mid = nodes[idx] + half
         pts = mid[:, None] + half[:, None] * _GAUSS_X
         vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
-        out = acc[idx] + half * (vals @ _GAUSS_W)
+        out = nodal_values[idx] + half * (vals @ _GAUSS_W)
         return out if np.ndim(r) else float(out[0])
 
     antiderivative.nodes = nodes  # type: ignore[attr-defined]
-    antiderivative.nodal_values = acc  # type: ignore[attr-defined]
+    antiderivative.nodal_values = nodal_values  # type: ignore[attr-defined]
     return antiderivative

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .construction import Check, build_example, default_grid, verify_theorem
-from .errors import ArtifactIOError, BelError, ConfigParseError, InvalidRangeError
+from .errors import ArtifactIOError, BlowupError, ConfigParseError, InvalidRangeError
 from .geometry import (
     ModelManifold,
     comparison_report,
@@ -31,10 +31,9 @@ from .geometry import (
     laplacian_of_distance,
     log_tail_weight,
     power_weight,
-    ric_infinity_components,
     weighted_volume,
 )
-from .lane_emden import energy, pohozaev, solve_radial
+from .lane_emden import _energy_values, _pohozaev_values, energy, pohozaev, solve_radial
 from .pfunction import (
     bubble,
     cheng_yau_ratio,
@@ -49,7 +48,8 @@ from .radial_core import make_grid
 
 # Unused here since the theorem columns reuse verify_theorem's samples, but
 # kept bound on this module: perfbench/tracing.py instruments
-# ``bel.scenarios.pohozaev_trace``.
+# ``bel.scenarios.pohozaev_trace`` and ``.ric_infinity_components``.
+from .geometry import ric_infinity_components  # noqa: E402,F401
 from .lane_emden import pohozaev_trace  # noqa: E402,F401
 
 SCHEMA_VERSION = 1
@@ -268,20 +268,25 @@ def _warped_example(d: int, alpha: float, f0: float, grid_args: tuple) -> ModelM
     """``build_example`` on ``make_grid(*grid_args)``, kept for the next run.
 
     ``expand_runs`` makes the sweep points of one config consecutive, so one
-    slot lets every ``(p, ell)`` point share the manifold and its quadrature
-    caches.  The key holds the grid's arguments because ``RadialGrid``
+    slot lets every ``(p, ell)`` point share the manifold, its theorem check
+    record and its quadrature caches.  The key holds the grid's arguments because ``RadialGrid``
     compares by identity.  ``build_example`` is looked up as a module global
     at each miss, so a patched name is what gets called.
     """
     return build_example(d, alpha, f0=f0, grid=make_grid(*grid_args))
 
 
+def _shot_nodes(prof) -> np.ndarray:
+    """Mask of the positive nodes up to ``r_end``, where shot columns are written."""
+    nodes = prof.manifold.grid.nodes
+    return (nodes > 0.0) & (nodes <= prof.r_end)
+
+
 def _shot_columns(prof) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``r``, ``u`` and ``u'`` at the positive nodes up to ``r_end``, read from
     the node values the profile stores."""
-    nodes = prof.manifold.grid.nodes
-    keep = (nodes > 0.0) & (nodes <= prof.r_end)
-    return nodes[keep], prof.u.values[keep], prof.u_prime.values[keep]
+    keep = _shot_nodes(prof)
+    return prof.manifold.grid.nodes[keep], prof.u.values[keep], prof.u_prime.values[keep]
 
 
 def _scenario_euclidean(spec: RunSpec):
@@ -377,21 +382,21 @@ def _scenario_theorem(spec: RunSpec):
         prof = report.profile
         r, u, u_prime = _shot_columns(prof)
         data = v_transform(prof) if prof.global_positive else None
-        ric_r, ric_th = ric_infinity_components(M, r)
         columns = {
             "r": r,
             "u": u,
             "u_prime": u_prime,
-            "ric_r": np.asarray(ric_r),
-            "ric_theta": np.asarray(ric_th),
-            # verify_theorem sampled K on every positive node; r is a prefix
+            # verify_theorem sampled these on every positive node; r is a prefix
+            "ric_r": report.ric_r[: r.size],
+            "ric_theta": report.ric_theta[: r.size],
             "K": report.slope_factor[: r.size],
-            "pohozaev": np.asarray(pohozaev(M, prof, r)),
-            "energy": np.asarray(energy(prof, r)),
+            "pohozaev": _pohozaev_values(M, prof.p, r, u, u_prime),
+            "energy": _energy_values(prof.p, u, u_prime),
         }
         if data is not None:
-            columns["v"] = np.asarray(data.v(r))
-            columns["P"] = np.asarray(data.P(r))
+            keep = _shot_nodes(prof)
+            columns["v"] = data.v.values[keep]
+            columns["P"] = data.P.values[keep]
     return checks, columns
 
 
@@ -405,7 +410,7 @@ def _scenario_soliton(spec: RunSpec):
     columns: Dict[str, np.ndarray] = {}
     try:
         prof = solve_radial(M, p=p, ell=ell, r_max=grid.r_max, tol=spec.tol)
-    except BelError as exc:
+    except BlowupError as exc:  # a bad p, ell or tol is a coded error, not a verdict
         checks.append(Check("solve", "-u'' - L r u' = u^p with f = r^2", False))
         checks.append(Check("zero-crossing", f"solver error: {exc}", False))
         return checks, columns
@@ -419,7 +424,7 @@ def _scenario_soliton(spec: RunSpec):
     checks.append(Check("weighted-volume-finite", "mu(M) = |S^{d-1}| int e^{-r^2} r^{d-1} < inf",
                         converged, vol_hi - vol_lo, 1e-8 * vol_hi))
     r, u, u_prime = _shot_columns(prof)
-    columns = {"r": r, "u": u, "u_prime": u_prime, "energy": np.asarray(energy(prof, r))}
+    columns = {"r": r, "u": u, "u_prime": u_prime, "energy": _energy_values(prof.p, u, u_prime)}
     return checks, columns
 
 
@@ -495,13 +500,13 @@ def _scenario_custom(spec: RunSpec):
     columns: Dict[str, np.ndarray] = {}
     try:
         prof = solve_radial(M, p=p, ell=ell, r_max=grid.r_max, tol=spec.tol)
-    except BelError as exc:
+    except BlowupError as exc:  # a bad p, ell or tol is a coded error, not a verdict
         checks.append(Check("solve", f"solver error: {exc}", False))
         return checks, columns
     checks.append(Check("solve", "-u'' - L r u' = u^p, u(0) = ell",
                         not prof.status.startswith("truncated"), prof.r_end))
     r, u, u_prime = _shot_columns(prof)
-    E = np.asarray(energy(prof, r))
+    E = _energy_values(prof.p, u, u_prime)
     slack = 1e-8 * (1.0 + np.abs(E[:-1]))
     checks.append(Check("energy-decreasing", "E' = -(L r) u'^2 <= 0",
                         bool(np.all(np.diff(E) <= slack)), float(np.max(np.diff(E)))))

@@ -277,11 +277,13 @@ def test_cli_check_failure_exit_code(tmp_path):
          "invalid-range"),
         ("scenario = custom\nd = 3\np = 3\nell = 1\nweight = power\npower = 1\n",
          "invalid-range"),
+        ("scenario = soliton-liouville\nd = 3\np = 1\nell = 1\n", "invalid-range"),
+        ("scenario = custom\nd = 3\np = 3\nell = -1\n", "nonpositive-ell"),
     ],
     ids=["theorem-alpha", "custom-weight", "soliton-nodes", "text-d", "text-p", "fractional-d",
          "fractional-nodes", "text-in-sweep", "infinite-b", "nan-p",
          "theorem-shot-shorter-than-cheng-yau", "parabolicity-p-one", "custom-power-negative",
-         "custom-power-one"],
+         "custom-power-one", "soliton-p-one", "custom-ell-negative"],
 )
 def test_cli_run_error_exit_code(tmp_path, text, code):
     cfg = _write(tmp_path, text)

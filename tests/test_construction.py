@@ -1,11 +1,15 @@
 """Concave-warping construction: closed-form oracles and the property flags."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bel import construction
 from bel.construction import build_example, critical_exponent, verify_theorem
-from bel.errors import InvalidAlphaError, InvalidDimensionError, InvalidRangeError
+from bel.errors import CrossCheckError, InvalidAlphaError, InvalidDimensionError, InvalidRangeError
 from bel.geometry import euclidean, weight_from_warping
 from bel.radial_core import make_grid, pole_refined_partition
 
@@ -143,6 +147,57 @@ def test_report_flags_are_grid_reproducible(theorem_reports):
     rep = theorem_reports[(4, 0.5, 3.0, 2.0)]
     again = verify_theorem(rep.manifold, rep.p, rep.ell)
     assert again.checks == rep.checks
+
+
+@pytest.mark.parametrize("exponents", [(5.0, 6.0), (6.0, 5.0)])
+def test_reused_manifold_reports_match_fresh_ones(exponents):
+    """verify_theorem keeps the checks that depend on the manifold alone on
+    it; a manifold reused across exponents, in either order, reports bit for
+    bit what a fresh manifold does."""
+    reused = build_example(3, 0.5, grid=small_grid())
+    for p in exponents:
+        warm = verify_theorem(reused, p, 1.0)
+        fresh = verify_theorem(build_example(3, 0.5, grid=small_grid()), p, 1.0)
+        assert repr(warm.checks) == repr(fresh.checks)  # repr: exact floats
+        assert warm.slope_factor.tobytes() == fresh.slope_factor.tobytes()
+
+
+def test_failed_manifold_checks_are_not_cached(monkeypatch):
+    """An error while the manifold's check record is built propagates, and
+    the next call builds the record again instead of reading a partial one."""
+    M = build_example(3, 0.5, grid=small_grid())
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        raise CrossCheckError("injected")
+
+    monkeypatch.setattr(construction, "comparison_report", broken)
+    for _ in range(2):
+        with pytest.raises(CrossCheckError):
+            verify_theorem(M, 5.0, 1.0)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    fresh = verify_theorem(build_example(3, 0.5, grid=small_grid()), 5.0, 1.0)
+    assert repr(verify_theorem(M, 5.0, 1.0).checks) == repr(fresh.checks)
+
+
+def test_verified_manifold_is_freed_without_the_cyclic_gc():
+    """Nothing verify_theorem leaves behind (the check record, the quadrature
+    tables kept on M, the solver's own reference cycle) refers back to M, so
+    a manifold dies with its last reference, not at a later full collection
+    that several dead manifolds would wait for."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        M = build_example(3, 0.5, grid=small_grid())
+        assert verify_theorem(M, 5.0, 1.0).profile is not None
+        manifold = weakref.ref(M)
+        del M
+        assert manifold() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_subcritical_exponent_reports_without_raising(example3):

@@ -13,14 +13,16 @@ import numpy as np
 import pytest
 
 import bel.radial_core as radial_core
-from bel import scenarios
+from bel import lane_emden, scenarios
 from bel.construction import build_example, verify_theorem
 from bel.scenarios import execute_run, expand_runs, parse_config
 
 #: Integrand points of build_example(3, 0.5) + verify_theorem(M, 5, 1) on the
-#: default grid, recorded with the closed-form flux of the warped weight.  The
-#: nested quadrature it replaced (f' itself an antiderivative) used 8_981_240.
-RECORDED_POINTS = 1_336_535
+#: default grid, recorded with the closed-form flux of the warped weight and
+#: one area-density pass shared by the volume and slope-factor tables.  The
+#: nested quadrature (f' itself an antiderivative) used 8_981_240, and two
+#: area-density passes 1_336_535.
+RECORDED_POINTS = 835_415
 
 _MODULES = ("bel.radial_core", "bel.geometry", "bel.construction", "bel.lane_emden", "bel.pfunction")
 
@@ -33,7 +35,7 @@ class QuadratureCounter:
         self.points = 0
 
     def _counting(self, fn):
-        if getattr(fn, "counted", False):  # indefinite_gauss -> cumulative_gauss
+        if getattr(fn, "counted", False):  # indefinite_gauss -> the other two
             return fn
 
         def integrand(x):
@@ -51,15 +53,18 @@ class QuadratureCounter:
         return counted
 
 
+_QUADRATURES = ("cumulative_gauss", "indefinite_gauss", "gauss_antiderivative")
+
+
 @pytest.fixture
 def counter(monkeypatch):
-    """Wrap cumulative_gauss and indefinite_gauss wherever a bel module binds them."""
+    """Wrap every Gauss-Legendre quadrature wherever a bel module binds it."""
     qc = QuadratureCounter()
-    originals = {radial_core.cumulative_gauss: qc.wrap(radial_core.cumulative_gauss),
-                 radial_core.indefinite_gauss: qc.wrap(radial_core.indefinite_gauss)}
+    originals = {getattr(radial_core, attr): qc.wrap(getattr(radial_core, attr))
+                 for attr in _QUADRATURES}
     for name in _MODULES:
         module = importlib.import_module(name)
-        for attr in ("cumulative_gauss", "indefinite_gauss"):
+        for attr in _QUADRATURES:
             original = getattr(module, attr, None)
             if original in originals:
                 monkeypatch.setattr(module, attr, originals[original])
@@ -93,10 +98,11 @@ def test_warped_weight_slope_needs_no_quadrature(counter):
 SWEEP = "scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5, 6\nell = 1, 2\nnodes = 1024\n"
 
 #: Integrand points of the whole SWEEP through execute_run: one manifold
-#: build with its volume, slope-factor and int psi'^2 antiderivatives, then
-#: four runs that reuse them.  Rebuilding the manifold for every sweep point
-#: needed 1_567_580.
-RECORDED_SWEEP_POINTS = 496_860
+#: build with its check record (the volume and slope-factor tables from one
+#: area-density pass, the int psi'^2 antiderivative), then four runs that
+#: reuse it.  Rebuilding the manifold for every sweep point needed 1_567_580;
+#: sharing the manifold but recomputing its checks at every point, 496_860.
+RECORDED_SWEEP_POINTS = 238_935
 
 
 @pytest.fixture
@@ -154,6 +160,29 @@ def test_warm_theorem_run_matches_cold_run(builds, tmp_path):
     for report in reports:
         del report["timings"]
     assert reports[0] == reports[1]
+
+
+def test_warm_theorem_run_reads_stored_shot_values(monkeypatch, tmp_path):
+    """The columns of a warm theorem run read the node values the shot
+    stored, so the shot's dense output is called at most 10 times (20 when
+    the energy, Pohozaev, v and P columns evaluated it again)."""
+    calls = []
+    original = lane_emden._profile_callbacks
+
+    def counted(*args):
+        def count(fn):
+            def evaluate(r):
+                calls.append(fn)
+                return fn(r)
+            return evaluate
+        return tuple(count(fn) for fn in original(*args))
+
+    monkeypatch.setattr(lane_emden, "_profile_callbacks", counted)
+    specs = expand_runs(parse_config(SWEEP))
+    execute_run(specs[0], tmp_path)
+    del calls[:]
+    execute_run(specs[1], tmp_path)
+    assert 0 < len(calls) <= 10, len(calls)
 
 
 # ------------------------------------------------- the benchmark's call sites
