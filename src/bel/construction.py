@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidAlphaError, InvalidDimensionError, InvalidRangeError
+from .errors import BlowupError, InvalidAlphaError, InvalidDimensionError, InvalidRangeError
 from .geometry import (
     ModelManifold,
     RadialGrid,
@@ -242,7 +242,7 @@ def _flux_tail_exponent(M: ModelManifold) -> float:
     nodes = M.grid.nodes
     tail = nodes[nodes >= M.grid.r_max / 10.0]
     # the recipe weight is f' = (d-1) F / psi^2, so F is read back from f'
-    flux = np.abs(np.asarray(M.f_at(tail, 1)) * M.psi_at(tail) ** 2 / (M.d - 1))
+    flux = np.abs(np.asarray(M.f(tail, 1)) * M.psi(tail) ** 2 / (M.d - 1))
     return float(np.polyfit(np.log(tail), np.log(flux), 1)[0])
 
 
@@ -274,12 +274,12 @@ def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
     r = grid.nodes[pos]
 
     # -- warping invariants (the diffeomorphism-to-R^d side) ---------------
-    psi_r = M.psi_at(r)
-    dpsi_r = M.psi_at(r, 1)
+    psi_r = M.psi(r)
+    dpsi_r = M.psi(r, 1)
     diffeo_ok = (
-        abs(float(M.psi_at(0.0))) <= 1e-14
-        and abs(float(M.psi_at(0.0, 1)) - 1.0) <= 1e-12
-        and abs(float(M.psi_at(0.0, 2))) <= 1e-12
+        abs(float(M.psi(0.0))) <= 1e-14
+        and abs(float(M.psi(0.0, 1)) - 1.0) <= 1e-12
+        and abs(float(M.psi(0.0, 2))) <= 1e-12
         and bool(np.all(dpsi_r > 0.0))
         and bool(np.all((alpha * r < psi_r) & (psi_r < r)))
     )
@@ -293,9 +293,9 @@ def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
     # construction)
     ric_r, ric_th = (np.asarray(c) for c in ric_infinity_components(M, r))
     shown = r >= M.report_start_radius  # M.report_nodes(): the measured minima
-    ddpsi_r = M.psi_at(r, 2)
-    df_r = np.asarray(M.f_at(r, 1))
-    fd_ddf = finite_difference(np.asarray(M.f_at(grid.nodes, 1), dtype=float), grid, order=1)[pos]
+    ddpsi_r = M.psi(r, 2)
+    df_r = np.asarray(M.f(r, 1))
+    fd_ddf = finite_difference(np.asarray(M.f(grid.nodes, 1), dtype=float), grid, order=1)[pos]
     rhs = (d - 1) * ddpsi_r / psi_r - 2.0 * dpsi_r * df_r / psi_r
     residual = np.abs(fd_ddf - rhs) / (1.0 + np.abs(rhs))
     residual_tol = 100.0 * grid.local_steps[pos] ** 2
@@ -357,9 +357,9 @@ def verify_theorem(
 
     The checks that depend on the manifold alone are computed at the first
     call on ``M`` and kept on it; each call shoots, forms the slope factor
-    and runs the checks that read the shot.  Solver failures are recorded in
-    the report (``solver_error``) rather than raised, so a report is always
-    produced.
+    and runs the checks that read the shot.  A shot that blows up is recorded
+    in the report (``solver_error``) rather than raised; any other solver
+    error, such as ``p <= 1`` or ``ell <= 0``, propagates.
     """
     if not M.weight_from_psi or M.alpha is None:
         raise InvalidRangeError(
@@ -371,26 +371,25 @@ def verify_theorem(
     record = M._cache["theorem"]
     (diffeomorphism, ricci_radial, ricci_tangential, chi, psi_cap, rough, volume,
      weight_ode, weight_bounded) = record.checks
-    r = M.grid.nodes[M.grid.nodes > 0.0]
 
-    # -- Pohozaev slope factor --------------------------------------------
-    slope_factor_K = np.asarray(slope_factor(record.slope_terms, p), dtype=float)
-    slope_factor_max = float(np.max(slope_factor_K))
-
-    # -- the shot and its pointwise properties -----------------------------
+    # -- the shot first: solve_radial rejects p <= 1 and ell <= 0 ---------
     profile: Optional[SolutionProfile] = None
     solver_error: Optional[str] = None
     try:
         profile = solve_radial(M, p, ell, tol=tol)
-    except Exception as exc:  # noqa: BLE001 - failures become report entries
+    except BlowupError as exc:
         solver_error = f"{type(exc).__name__}: {exc}"
+
+    # -- Pohozaev slope factor --------------------------------------------
+    slope_factor_K = np.asarray(slope_factor(record.slope_terms, p), dtype=float)
+    slope_factor_max = float(np.max(slope_factor_K))
 
     asymptotic_C = ((p - 1.0) / (2.0 * d)) * record.weight_ratio * alpha ** (d - 1)
 
     solved = u_decreasing = gradient_product_positive = asymptotic_bound_holds = False
     if profile is not None and profile.global_positive:
         solved = abs(float(profile.u(0.0)) - ell) <= 1e-10 * max(1.0, ell)
-        du = np.asarray(profile.u_prime(r))
+        du = profile.u_prime.values[M.grid.nodes > 0.0]
         u_decreasing = bool(np.all(du < 0.0))
         gradient_product_positive = bool(np.all(record.df * du > 0.0))
         asymptotic_bound_holds = asymptotic_bound_check(profile, asymptotic_C).all_hold

@@ -127,12 +127,6 @@ class ModelManifold:
 
     # -- profile evaluation -------------------------------------------------
 
-    def psi_at(self, r, order: int = 0):
-        return self.psi(r, order)
-
-    def f_at(self, r, order: int = 0):
-        return self.f(r, order)
-
     def drift(self, r):
         """L r = (d-1) psi'/psi - f' at r > 0 (the drift of the distance)."""
         if isinstance(r, float) and self.scalar_drift is not None:
@@ -140,13 +134,13 @@ class ModelManifold:
                 raise SingularRadiusError("evaluation requires r > 0")
             return self.scalar_drift(float(r))  # Python floats are faster than numpy scalars
         rr = _as_radii(r)
-        val = (self.d - 1) * self.psi_at(rr, 1) / self.psi_at(rr) - self.f_at(rr, 1)
+        val = (self.d - 1) * self.psi(rr, 1) / self.psi(rr) - self.f(rr, 1)
         return _maybe_scalar(val, r)
 
     def area_density(self, r):
         """S(r) = e^{-f} psi^{d-1}, the weighted area density (no sphere factor)."""
         rr = np.asarray(r, dtype=float)
-        val = np.exp(-self.f_at(rr)) * self.psi_at(rr) ** (self.d - 1)
+        val = np.exp(-self.f(rr)) * self.psi(rr) ** (self.d - 1)
         return _maybe_scalar(val, r)
 
     # -- weighted volume ----------------------------------------------------
@@ -197,11 +191,11 @@ def ric_infinity_components(M: ModelManifold, r):
     ``ric_theta = -psi'' psi + (d-2)(1-(psi')^2) + psi psi' f'``.
     """
     rr = _as_radii(r)
-    psi = M.psi_at(rr)
-    dpsi = M.psi_at(rr, 1)
-    ddpsi = M.psi_at(rr, 2)
-    df = M.f_at(rr, 1)
-    ddf = M.f_at(rr, 2)
+    psi = M.psi(rr)
+    dpsi = M.psi(rr, 1)
+    ddpsi = M.psi(rr, 2)
+    df = M.f(rr, 1)
+    ddf = M.f(rr, 2)
     ric_r = -(M.d - 1) * ddpsi / psi + ddf
     ric_th = -ddpsi * psi + (M.d - 2) * (1.0 - dpsi**2) + psi * dpsi * df
     return _maybe_scalar(ric_r, r), _maybe_scalar(ric_th, r)
@@ -219,7 +213,7 @@ def ric_n_radial(M: ModelManifold, n: float, r):
     if math.isinf(n):
         return ric_r
     rr = _as_radii(r)
-    val = ric_r - M.f_at(rr, 1) ** 2 / (n - M.d)
+    val = ric_r - M.f(rr, 1) ** 2 / (n - M.d)
     return _maybe_scalar(val, r)
 
 
@@ -253,7 +247,7 @@ def laplacian_of_distance(M: ModelManifold, r):
     generic = M.drift(r)
     if M.weight_from_psi:
         rr = _as_radii(r)
-        closed = (M.d - 1) * warping_slope_energy(M)(rr) / M.psi_at(rr) ** 2
+        closed = (M.d - 1) * warping_slope_energy(M)(rr) / M.psi(rr) ** 2
         err = np.max(np.abs(closed - np.asarray(generic)) / (1.0 + np.abs(generic)))
         if err > 1e-8:
             raise CrossCheckError(

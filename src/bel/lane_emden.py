@@ -90,6 +90,8 @@ class SolutionProfile:
     ``status`` is one of ``global-positive``, ``crossed-zero-at(r*)`` or
     ``truncated-at(R)``; ``r_end`` is the last radius where ``u``/``u_prime``
     may be evaluated, and ``r_star`` the located zero crossing (if any).
+    ``u.values`` and ``u_prime.values`` hold the profile at the nodes
+    :attr:`in_range` and NaN beyond.
     """
 
     manifold: ModelManifold
@@ -100,7 +102,11 @@ class SolutionProfile:
     status: str
     r_end: float
     r_star: Optional[float] = None
-    tol: float = 1e-10
+
+    @property
+    def in_range(self) -> np.ndarray:
+        """Mask of the grid nodes inside the shot's range."""
+        return _covers(self.r_end, self.manifold.grid.nodes)
 
     @property
     def global_positive(self) -> bool:
@@ -109,6 +115,12 @@ class SolutionProfile:
     @property
     def crossed(self) -> bool:
         return self.r_star is not None
+
+
+def _covers(r_end: float, r):
+    """Where the radii ``r`` lie in a shot's range ``[0, r_end]`` (for
+    ``r >= 0``), up to a relative slack of 1e-12 at ``r_end``."""
+    return r <= r_end * (1 + 1e-12)
 
 
 def _nonlinearity(p: Optional[float]) -> Callable[[np.ndarray], np.ndarray]:
@@ -217,7 +229,7 @@ def _shoot(
     )
 
     nodes = grid.nodes
-    in_range = nodes <= r_end * (1 + 1e-12)
+    in_range = _covers(r_end, nodes)
     u_vals = np.full(nodes.shape, np.nan)
     up_vals = np.full(nodes.shape, np.nan)
     u_vals[in_range] = u_fn(np.minimum(nodes[in_range], r_end))
@@ -234,7 +246,6 @@ def _shoot(
         status=status,
         r_end=r_end,
         r_star=r_star,
-        tol=tol,
     )
 
 
@@ -300,7 +311,7 @@ def _profile_callbacks(dense, t_last, ell, c2, r0, r_end, drift, nonlin):
 
         def fn(r):
             rr = np.asarray(r, dtype=float)
-            if np.any((rr < 0.0) | (rr > r_end * (1 + 1e-12))):
+            if np.any(rr < 0.0) or not np.all(_covers(r_end, rr)):
                 raise OutOfRangeError(f"profile is defined on [0, {r_end:.6g}]")
             flat = np.atleast_1d(rr).astype(float)
             out = np.empty_like(flat)
@@ -415,9 +426,9 @@ def _curvature_defect(M: ModelManifold, r: np.ndarray) -> np.ndarray:
     """G = Ric_r + 2 psi' f'/psi - (f')^2/(d-1); G <= 0 is the slope-factor
     sign condition (equivalently the existence-side curvature constraint)."""
     ric_r, _ = ric_infinity_components(M, r)
-    dpsi = M.psi_at(r, 1)
-    psi = M.psi_at(r)
-    df = M.f_at(r, 1)
+    dpsi = M.psi(r, 1)
+    psi = M.psi(r)
+    df = M.f(r, 1)
     return np.asarray(ric_r, dtype=float) + 2.0 * dpsi * df / psi - df**2 / (M.d - 1)
 
 
@@ -557,7 +568,7 @@ def pohozaev_trace(
     M = profile.manifold
     if r is None:
         nodes = M.grid.nodes
-        r = nodes[(nodes > 0.0) & (nodes <= profile.r_end * (1 + 1e-12))]
+        r = nodes[(nodes > 0.0) & profile.in_range]
     r = np.asarray(r, dtype=float)
     E = np.asarray(energy(profile, r), dtype=float)
     P = np.asarray(pohozaev(M, profile, r), dtype=float)
@@ -606,8 +617,8 @@ def asymptotic_bound_check(profile: SolutionProfile, C: float) -> AsymptoticBoun
         raise InvalidRangeError("the upper bound applies to the power nonlinearity")
     if not profile.global_positive:
         raise InvalidRangeError("the upper bound applies to globally positive profiles")
-    nodes = profile.manifold.grid.nodes
-    r = nodes[nodes <= profile.r_end * (1 + 1e-12)]
+    keep = profile.in_range
+    r = profile.manifold.grid.nodes[keep]
     bound = (C * r**2 + profile.ell ** (1.0 - profile.p)) ** (-1.0 / (profile.p - 1.0))
-    values = np.asarray(profile.u(r), dtype=float)
+    values = profile.u.values[keep]
     return AsymptoticBoundReport(bound, bool(np.all(values <= bound * (1 + 1e-12))))

@@ -48,7 +48,7 @@ from .geometry import (
     weighted_laplacian_radial,
     weighted_volume,
 )
-from .lane_emden import SolutionProfile
+from .lane_emden import SolutionProfile, _covers
 from .radial_core import (
     RadialFunction,
     RadialGrid,
@@ -93,7 +93,6 @@ def _explicit_profile(
         status="global-positive",
         r_end=grid.r_max,
         r_star=None,
-        tol=1e-14,
     )
 
 
@@ -250,11 +249,9 @@ def v_transform(profile: SolutionProfile, n: float = math.inf) -> PFunctionData:
         return (dv / vv) * (m * ddv - P)
 
     grid = M.grid
-    dv_vals = np.full(grid.n, np.nan)
     P_vals = np.full(grid.n, np.nan)
     ok = np.isfinite(v_vals)
     if np.any(ok):
-        dv_vals[ok] = dv_fn(grid.nodes[ok])
         P_vals[ok] = P_fn(grid.nodes[ok])
     v = RadialFunction(grid, v_vals, value_fn=v_fn, derivs=(dv_fn, ddv_fn, None))
     P = RadialFunction(grid, P_vals, value_fn=P_fn, derivs=(dP_fn, None, None))
@@ -269,7 +266,7 @@ def _radial_pieces(data: PFunctionData, r: np.ndarray):
     dv = np.asarray(data.v(r, 1), dtype=float)
     ddv = np.asarray(data.v(r, 2), dtype=float)
     P = np.asarray(data.P(r), dtype=float)
-    tangential = (np.asarray(M.psi_at(r, 1)) / np.asarray(M.psi_at(r))) * dv
+    tangential = (np.asarray(M.psi(r, 1)) / np.asarray(M.psi(r))) * dv
     return dv, ddv, P, tangential
 
 
@@ -299,7 +296,7 @@ def k_functional(data: PFunctionData, r, check_decomposition: Optional[bool] = N
     if check_decomposition:
         if math.isinf(n):
             raise InvalidVirtualDimensionError("the decomposition check needs finite n")
-        fv = np.asarray(M.f_at(rr, 1), dtype=float) * dv
+        fv = np.asarray(M.f(rr, 1), dtype=float) * dv
         t1 = ((d - 1.0) / d) * (ddv - tang) ** 2
         t2 = ((m - n) / (m * n)) * P**2
         if n == d:
@@ -335,7 +332,7 @@ def w_functional(data: PFunctionData, r):
     M = data.manifold
     d, m, n = M.d, data.m, data.n
     dv, ddv, P, tang = _radial_pieces(data, rr)
-    fv = np.asarray(M.f_at(rr, 1), dtype=float) * dv
+    fv = np.asarray(M.f(rr, 1), dtype=float) * dv
     ric_r, _ = ric_infinity_components(M, rr)
 
     if math.isinf(n):
@@ -425,6 +422,12 @@ def fundamental_gap(data: PFunctionData, t: float = 1.0) -> RadialFunction:
 
 
 def _weighted_antiderivative(data: PFunctionData, key, integrand):
+    """The antiderivative of ``integrand``, kept in ``data._cache`` under ``key``.
+
+    ``integrand`` must not refer to ``data`` (hold ``data.v`` instead): a
+    cycle through the cache would keep ``data``, its profile and its manifold
+    alive until the cyclic GC.
+    """
     cache = data._cache
     if key not in cache:
         pts = pole_refined_partition(data.manifold.grid.nodes)
@@ -441,15 +444,15 @@ def ibp_residual(data: PFunctionData, q: float, R: float) -> Tuple[float, float]
     where I integrates against the weighted area measure.  Returns
     ``(lhs, rhs)``; the two agree to quadrature accuracy for every q.
     """
-    M = data.manifold
+    M, v = data.manifold, data.v
     phi = radial_cutoff(R, M)
     m, c_m = data.m, data.c_m
     sphere = unit_sphere_area(M.d)
 
     def common(s):
         ss = np.asarray(s, dtype=float)
-        vv = np.asarray(data.v(ss), dtype=float)
-        dv = np.asarray(data.v(ss, 1), dtype=float)
+        vv = np.asarray(v(ss), dtype=float)
+        dv = np.asarray(v(ss, 1), dtype=float)
         S = np.asarray(M.area_density(ss), dtype=float)
         ph = np.asarray(phi(ss), dtype=float)
         dph = np.asarray(phi(ss, 1), dtype=float)
@@ -495,17 +498,17 @@ def integral_estimate_ratio(
     else:
         raise InvalidRangeError(f"unknown part {part!r}")
 
-    M = data.manifold
+    M, v = data.manifold, data.v
     RR = np.asarray(R, dtype=float)
     if np.any(2.0 * RR > M.grid.r_max * (1 + 1e-12)):
         raise OutOfGridError("the bound factor needs 2R inside the grid")
 
     def integrand(s):
         ss = np.asarray(s, dtype=float)
-        vv = np.asarray(data.v(ss), dtype=float)
+        vv = np.asarray(v(ss), dtype=float)
         S = np.asarray(M.area_density(ss), dtype=float)
         if part == "i":
-            dv = np.asarray(data.v(ss, 1), dtype=float)
+            dv = np.asarray(v(ss, 1), dtype=float)
             return vv ** (-q) * (dv**2 + 1.0) * S
         return vv ** (-q) * S
 
@@ -527,7 +530,7 @@ def cheng_yau_ratio(profile: SolutionProfile, n: float, R: float) -> float:
     if n <= 2.0:
         raise InvalidVirtualDimensionError(f"the exponent 4/(n-2) needs n > 2, got {n}")
     nodes = profile.manifold.grid.nodes
-    if 2.0 * R > profile.r_end * (1 + 1e-12):
+    if not _covers(profile.r_end, 2.0 * R):
         raise OutOfRangeError("need the profile positive on all of B_2R")
     inner = nodes <= R
     u_in = profile.u.values[inner]
@@ -565,9 +568,9 @@ def superharmonic_floor_check(
         raise InvalidRangeError(f"the floor needs kappa > 2, got {kappa}")
     M = profile.manifold
     nodes = M.grid.nodes
-    keep = (nodes > 0.0) & (nodes <= profile.r_end * (1 + 1e-12))
+    keep = (nodes > 0.0) & profile.in_range
     r_all = nodes[keep]
-    u_all = np.asarray(profile.u(r_all), dtype=float)
+    u_all = profile.u.values[keep]
     if np.any(u_all <= 0.0):
         raise NonpositiveSolutionError("floor comparison needs a positive profile")
     lap = np.asarray(weighted_laplacian_radial(M, profile.u, r_all), dtype=float)
@@ -578,9 +581,9 @@ def superharmonic_floor_check(
     if not (0.0 < R <= r_all[-1]):
         raise OutOfRangeError(f"R must lie inside the positive range (0, {r_all[-1]:.6g}]")
     A = R ** (kappa - 2.0) * float(profile.u(R))
-    tail = r_all[r_all >= R]
-    values = np.asarray(profile.u(tail), dtype=float)
-    floor = A * tail ** (-(kappa - 2.0))
+    tail = r_all >= R
+    values = u_all[tail]
+    floor = A * r_all[tail] ** (-(kappa - 2.0))
     return SuperharmonicReport(
         floor=floor, values=values, A=A, all_hold=bool(np.all(values >= floor * (1.0 - 1e-12)))
     )

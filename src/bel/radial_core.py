@@ -35,16 +35,11 @@ _GAUSS_X, _GAUSS_W = leggauss(5)
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Strictly increasing radii from ``r_min`` to ``r_max``.
-
-    ``spacing_kind`` is ``"uniform"`` or ``"geometric"``; geometric grids
-    require ``r_min > 0``.
-    """
+    """Strictly increasing radii from ``r_min`` to ``r_max``."""
 
     r_min: float
     r_max: float
     nodes: np.ndarray
-    spacing_kind: str
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -110,7 +105,7 @@ def make_grid(r_min: float, r_max: float, n: int, kind: str = "uniform") -> Radi
     # guard against rounding at the endpoints
     nodes[0] = r_min
     nodes[-1] = r_max
-    return RadialGrid(r_min=r_min, r_max=r_max, nodes=nodes, spacing_kind=kind)
+    return RadialGrid(r_min=r_min, r_max=r_max, nodes=nodes)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

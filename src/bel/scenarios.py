@@ -33,7 +33,8 @@ from .geometry import (
     power_weight,
     weighted_volume,
 )
-from .lane_emden import _energy_values, _pohozaev_values, energy, pohozaev, solve_radial
+from .lane_emden import (_energy_values, _nonlinearity, _pohozaev_values, energy, pohozaev,
+                         solve_radial)
 from .pfunction import (
     bubble,
     cheng_yau_ratio,
@@ -44,7 +45,7 @@ from .pfunction import (
     superharmonic_floor_check,
     v_transform,
 )
-from .radial_core import make_grid
+from .radial_core import RadialFunction, make_grid
 
 # Unused here since the theorem columns reuse verify_theorem's samples, but
 # kept bound on this module: perfbench/tracing.py instruments
@@ -276,17 +277,29 @@ def _warped_example(d: int, alpha: float, f0: float, grid_args: tuple) -> ModelM
     return build_example(d, alpha, f0=f0, grid=make_grid(*grid_args))
 
 
-def _shot_nodes(prof) -> np.ndarray:
-    """Mask of the positive nodes up to ``r_end``, where shot columns are written."""
+def _shot_columns(prof, **extra: RadialFunction) -> Dict[str, np.ndarray]:
+    """The ``r``, ``u`` and ``u_prime`` columns, and one column per grid
+    function of ``extra``, at the positive nodes in the shot's range, read
+    from the node values they store."""
     nodes = prof.manifold.grid.nodes
-    return (nodes > 0.0) & (nodes <= prof.r_end)
+    keep = (nodes > 0.0) & prof.in_range
+    functions = {"u": prof.u, "u_prime": prof.u_prime, **extra}
+    return {"r": nodes[keep], **{name: f.values[keep] for name, f in functions.items()}}
 
 
-def _shot_columns(prof) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``r``, ``u`` and ``u'`` at the positive nodes up to ``r_end``, read from
-    the node values the profile stores."""
-    keep = _shot_nodes(prof)
-    return prof.manifold.grid.nodes[keep], prof.u.values[keep], prof.u_prime.values[keep]
+def _radial_shot(M: ModelManifold, spec: RunSpec, blowup: Callable[[str], List[Check]]):
+    """The run's shot over ``M``'s grid, no checks yet, and its shot columns
+    with ``energy``; if it blows up, ``None``, the checks ``blowup`` makes of
+    the solver's message, and no columns.  Any other solver error propagates:
+    a bad ``p``, ``ell`` or ``tol`` is a coded error, not a verdict."""
+    try:
+        prof = solve_radial(M, p=float(spec.params["p"]), ell=float(spec.params["ell"]),
+                            r_max=M.grid.r_max, tol=spec.tol)
+    except BlowupError as exc:
+        return None, blowup(f"solver error: {exc}"), {}
+    columns = _shot_columns(prof)
+    columns["energy"] = _energy_values(prof.p, columns["u"], columns["u_prime"])
+    return prof, [], columns
 
 
 def _scenario_euclidean(spec: RunSpec):
@@ -318,10 +331,7 @@ def _bubble_common(prof, data, target_P: float, label: str):
     window = nodes[(nodes > 0.0) & (nodes <= 50.0)]
     u2 = np.asarray(prof.u(window, 2))
     drift = np.asarray(M.drift(window))
-    if prof.p is None:
-        nonlin = np.exp(np.asarray(prof.u(window)))
-    else:
-        nonlin = np.asarray(prof.u(window)) ** prof.p
+    nonlin = _nonlinearity(prof.p)(np.asarray(prof.u(window)))
     residual = float(np.max(np.abs(u2 + drift * np.asarray(prof.u_prime(window)) + nonlin)))
     p_dev = float(np.max(np.abs(np.asarray(data.P(window)) - target_P)))
     k_sup = float(np.max(np.abs(np.asarray(k_functional(data, window, check_decomposition=False)))))
@@ -333,9 +343,9 @@ def _bubble_common(prof, data, target_P: float, label: str):
         Check(f"{label}-k-vanishes", "k = |Hess v|^2 - P^2/m + Ric(v',v') = 0",
               k_sup <= 1e-8, k_sup, 1e-8),
     ]
-    r, u, u_prime = _shot_columns(prof)
-    columns = {"r": r, "u": u, "u_prime": u_prime,
-               "v": np.asarray(data.v(r)), "P": np.asarray(data.P(r))}
+    columns = _shot_columns(prof)
+    columns["v"] = np.asarray(data.v(columns["r"]))
+    columns["P"] = np.asarray(data.P(columns["r"]))
     return checks, columns
 
 
@@ -380,39 +390,29 @@ def _scenario_theorem(spec: RunSpec):
     columns: Dict[str, np.ndarray] = {}
     if report.profile is not None:
         prof = report.profile
-        r, u, u_prime = _shot_columns(prof)
-        data = v_transform(prof) if prof.global_positive else None
-        columns = {
-            "r": r,
-            "u": u,
-            "u_prime": u_prime,
-            # verify_theorem sampled these on every positive node; r is a prefix
-            "ric_r": report.ric_r[: r.size],
-            "ric_theta": report.ric_theta[: r.size],
-            "K": report.slope_factor[: r.size],
-            "pohozaev": _pohozaev_values(M, prof.p, r, u, u_prime),
-            "energy": _energy_values(prof.p, u, u_prime),
-        }
-        if data is not None:
-            keep = _shot_nodes(prof)
-            columns["v"] = data.v.values[keep]
-            columns["P"] = data.P.values[keep]
+        extra = {}
+        if prof.global_positive:
+            data = v_transform(prof)
+            extra = {"v": data.v, "P": data.P}
+        columns = _shot_columns(prof, **extra)
+        r, u, u_prime = columns["r"], columns["u"], columns["u_prime"]
+        # verify_theorem sampled these on every positive node; r is a prefix
+        columns.update(ric_r=report.ric_r[: r.size], ric_theta=report.ric_theta[: r.size],
+                       K=report.slope_factor[: r.size],
+                       pohozaev=_pohozaev_values(M, prof.p, r, u, u_prime),
+                       energy=_energy_values(prof.p, u, u_prime))
     return checks, columns
 
 
 def _scenario_soliton(spec: RunSpec):
     d = int(spec.params["d"])
-    p = float(spec.params["p"])
-    ell = float(spec.params["ell"])
     grid = make_grid(*_grid_args(spec.params, "geometric", 1e-3, 12.0, 1025))
     M = power_weight(d, grid, 1.0, 2.0)
-    checks = []
-    columns: Dict[str, np.ndarray] = {}
-    try:
-        prof = solve_radial(M, p=p, ell=ell, r_max=grid.r_max, tol=spec.tol)
-    except BlowupError as exc:  # a bad p, ell or tol is a coded error, not a verdict
-        checks.append(Check("solve", "-u'' - L r u' = u^p with f = r^2", False))
-        checks.append(Check("zero-crossing", f"solver error: {exc}", False))
+    prof, checks, columns = _radial_shot(M, spec, lambda error: [
+        Check("solve", "-u'' - L r u' = u^p with f = r^2", False),
+        Check("zero-crossing", error, False),
+    ])
+    if prof is None:
         return checks, columns
     crossed = prof.crossed and prof.r_star is not None and math.isfinite(prof.r_star)
     checks.append(Check("zero-crossing",
@@ -423,8 +423,6 @@ def _scenario_soliton(spec: RunSpec):
     converged = abs(vol_hi - vol_lo) <= 1e-8 * vol_hi
     checks.append(Check("weighted-volume-finite", "mu(M) = |S^{d-1}| int e^{-r^2} r^{d-1} < inf",
                         converged, vol_hi - vol_lo, 1e-8 * vol_hi))
-    r, u, u_prime = _shot_columns(prof)
-    columns = {"r": r, "u": u, "u_prime": u_prime, "energy": _energy_values(prof.p, u, u_prime)}
     return checks, columns
 
 
@@ -480,8 +478,6 @@ def _scenario_estimates(spec: RunSpec):
 
 def _scenario_custom(spec: RunSpec):
     d = int(spec.params["d"])
-    p = float(spec.params["p"])
-    ell = float(spec.params["ell"])
     weight = spec.params.get("weight", "none")
     grid_args = _grid_args(spec.params, "geometric", 1e-3, 100.0, 1025)
     grid = make_grid(*grid_args)
@@ -496,21 +492,15 @@ def _scenario_custom(spec: RunSpec):
         M = _warped_example(d, float(spec.params.get("alpha", 0.5)), 0.0, grid_args)
     else:
         raise ConfigParseError(f"unknown weight {weight!r} for custom scenario")
-    checks = []
-    columns: Dict[str, np.ndarray] = {}
-    try:
-        prof = solve_radial(M, p=p, ell=ell, r_max=grid.r_max, tol=spec.tol)
-    except BlowupError as exc:  # a bad p, ell or tol is a coded error, not a verdict
-        checks.append(Check("solve", f"solver error: {exc}", False))
+    prof, checks, columns = _radial_shot(M, spec, lambda error: [Check("solve", error, False)])
+    if prof is None:
         return checks, columns
     checks.append(Check("solve", "-u'' - L r u' = u^p, u(0) = ell",
                         not prof.status.startswith("truncated"), prof.r_end))
-    r, u, u_prime = _shot_columns(prof)
-    E = _energy_values(prof.p, u, u_prime)
+    E = columns["energy"]
     slack = 1e-8 * (1.0 + np.abs(E[:-1]))
     checks.append(Check("energy-decreasing", "E' = -(L r) u'^2 <= 0",
                         bool(np.all(np.diff(E) <= slack)), float(np.max(np.diff(E)))))
-    columns = {"r": r, "u": u, "u_prime": u_prime, "energy": E}
     return checks, columns
 
 

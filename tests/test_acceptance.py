@@ -249,7 +249,7 @@ def test_acceptance_k_decomposition_agreement():
     dv = np.asarray(data.v.derivs[0](r))
     ddv = np.asarray(data.v.derivs[1](r))
     P = np.asarray(data.P(r))
-    tau = np.asarray(M.psi_at(r, 1)) / np.asarray(M.psi_at(r)) * dv
+    tau = np.asarray(M.psi(r, 1)) / np.asarray(M.psi(r)) * dv
     four_terms = (
         (d - 1.0) / d * (ddv - tau) ** 2
         + (m - n) / (m * n) * P**2

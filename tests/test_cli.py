@@ -279,11 +279,18 @@ def test_cli_check_failure_exit_code(tmp_path):
          "invalid-range"),
         ("scenario = soliton-liouville\nd = 3\np = 1\nell = 1\n", "invalid-range"),
         ("scenario = custom\nd = 3\np = 3\nell = -1\n", "nonpositive-ell"),
+        ("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 1\nell = 1\nnodes = 512\n",
+         "invalid-range"),
+        ("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = -1\nell = 1\nnodes = 512\n",
+         "invalid-range"),
+        ("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = -1\nnodes = 512\n",
+         "nonpositive-ell"),
     ],
     ids=["theorem-alpha", "custom-weight", "soliton-nodes", "text-d", "text-p", "fractional-d",
          "fractional-nodes", "text-in-sweep", "infinite-b", "nan-p",
          "theorem-shot-shorter-than-cheng-yau", "parabolicity-p-one", "custom-power-negative",
-         "custom-power-one", "soliton-p-one", "custom-ell-negative"],
+         "custom-power-one", "soliton-p-one", "custom-ell-negative", "theorem-p-one",
+         "theorem-p-minus-one", "theorem-ell-negative"],
 )
 def test_cli_run_error_exit_code(tmp_path, text, code):
     cfg = _write(tmp_path, text)
@@ -291,6 +298,23 @@ def test_cli_run_error_exit_code(tmp_path, text, code):
     assert result.exit_code == 2, result.output
     assert f"error [{code}]:" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("scenario,extra", [
+    ("theorem-2-2", "alpha = 0.5\nnodes = 512\n"),
+    ("soliton-liouville", ""),
+    ("custom", ""),
+])
+def test_cli_blowup_is_a_failed_solve_check(tmp_path, scenario, extra):
+    # ell^p overflows, so the shot blows up before it starts: a verdict
+    # (exit 1), not a coded error
+    cfg = _write(tmp_path, f"scenario = {scenario}\nd = 3\np = 5\nell = 1e62\n{extra}")
+    result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    report = json.loads((tmp_path / "out" / scenario / "report.json").read_text())
+    solve = [c for c in report["checks"] if c["name"] == "solve"]
+    assert len(solve) == 1 and solve[0]["verdict"] is False
+    assert not report["passed"]
 
 
 def test_cli_out_dir_env_fallback(tmp_path):

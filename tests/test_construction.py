@@ -37,12 +37,12 @@ def closed_form_flux(r, alpha):
 
 def test_warping_closed_form_values(example3):
     M = example3
-    assert M.psi_at(1.0) == pytest.approx(0.5 + 0.5 / np.sqrt(2.0), abs=1e-15)
-    assert M.psi_at(0.0, 1) == pytest.approx(1.0, abs=1e-15)
+    assert M.psi(1.0) == pytest.approx(0.5 + 0.5 / np.sqrt(2.0), abs=1e-15)
+    assert M.psi(0.0, 1) == pytest.approx(1.0, abs=1e-15)
     # third derivative at the pole: -3 (1 - alpha)
     assert M.psi.derivs[2](0.0) == pytest.approx(-1.5, abs=1e-14)
     r = M.grid.nodes
-    psi = M.psi_at(r)
+    psi = M.psi(r)
     assert np.all(0.5 * r < psi)
     assert np.all(psi < r)
 
@@ -66,7 +66,7 @@ def test_weight_slope_matches_flux_oracle(example3):
     for r in (0.1, 0.5, 1.0, 2.0, 10.0, 100.0):
         psi = alpha * r + (1 - alpha) * r / np.sqrt(r**2 + 1.0)
         expected = (d - 1) * closed_form_flux(r, alpha) / psi**2
-        got = float(M.f_at(r, 1))
+        got = float(M.f(r, 1))
         assert abs(got - expected) < 1e-12 * (1.0 + abs(expected))
 
 
@@ -84,13 +84,13 @@ def test_weight_value_matches_quadrature_oracle(example3):
 
 def test_weight_slope_linear_at_the_pole(example3):
     # f'(r)/r -> (d-1) psi'''(0)/3 = -(d-1)(1-alpha)
-    got = float(example3.f_at(1e-3, 1)) / 1e-3
+    got = float(example3.f(1e-3, 1)) / 1e-3
     assert abs(got - (-1.0)) < 1e-3
 
 
 def test_weight_slope_negative_everywhere(example3):
     r = example3.grid.nodes
-    assert np.all(np.asarray(example3.f_at(r, 1)) < 0.0)
+    assert np.all(np.asarray(example3.f(r, 1)) < 0.0)
 
 
 def test_weight_stays_bounded(example3):
@@ -229,11 +229,11 @@ def test_closed_form_weight_matches_quadrature_path(d, alpha):
     df, df_ref = M.f.derivs[0](r), generic.derivs[0](r)
     assert np.max(np.abs(df - df_ref) / np.abs(df_ref)) <= 1e-12
     ddf, ddf_ref = M.f.derivs[1](r), generic.derivs[1](r)
-    terms = (d - 1) * np.abs(M.psi_at(r, 2) / M.psi_at(r)) + 2.0 * np.abs(
-        M.psi_at(r, 1) / M.psi_at(r) * df_ref
+    terms = (d - 1) * np.abs(M.psi(r, 2) / M.psi(r)) + 2.0 * np.abs(
+        M.psi(r, 1) / M.psi(r) * df_ref
     )
     assert np.max(np.abs(ddf - ddf_ref) / terms) <= 1e-12
     assert np.max(np.abs(M.f.values - generic.values)) <= 1e-12
     # the pole limit f''(0) = (d-1) psi'''(0)/3 = -(d-1)(1-alpha)
-    assert float(M.f_at(0.0, 2)) == pytest.approx(-(d - 1) * (1.0 - alpha), rel=1e-14)
-    assert float(M.f_at(1e-9, 2)) == pytest.approx(-(d - 1) * (1.0 - alpha), rel=1e-12)
+    assert float(M.f(0.0, 2)) == pytest.approx(-(d - 1) * (1.0 - alpha), rel=1e-14)
+    assert float(M.f(1e-9, 2)) == pytest.approx(-(d - 1) * (1.0 - alpha), rel=1e-12)

@@ -182,9 +182,9 @@ def test_value_only_profiles_reject_radii_beyond_grid():
         f=RadialFunction(grid, np.zeros(grid.n)),
     )
     for order, exact in enumerate((2.5 + 2.5**2 / 2.0, 1.0 + 2.5, 1.0, 0.0)):
-        assert M.psi_at(2.5, order) == pytest.approx(exact, abs=1e-14 if order == 0 else 1e-9)
+        assert M.psi(2.5, order) == pytest.approx(exact, abs=1e-14 if order == 0 else 1e-9)
         with pytest.raises(OutOfGridError):
-            M.psi_at(2.0 * grid.r_max, order)
+            M.psi(2.0 * grid.r_max, order)
 
 
 def test_sphere_areas():
@@ -316,13 +316,13 @@ def test_log_tail_weight_exact_beyond_blend():
     C = 3.0 ** (d - 2) / math.log(3.0) ** beta
     for r in (3.0, 10.0, 400.0):
         expect = -math.log(C * r ** (2 - d) * math.log(r) ** beta)
-        assert abs(M.f_at(r) - expect) < 1e-12
+        assert abs(M.f(r) - expect) < 1e-12
 
 
 def test_log_tail_weight_flat_near_pole():
     M = log_tail_weight(3, _grid())
-    assert abs(M.f_at(0.5)) < 1e-15
-    assert abs(M.f_at(1.0, 1)) < 1e-15
+    assert abs(M.f(0.5)) < 1e-15
+    assert abs(M.f(1.0, 1)) < 1e-15
 
 
 def test_log_tail_weight_not_parabolic():

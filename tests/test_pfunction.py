@@ -1,6 +1,8 @@
 """Bubble profiles, the v-transform and the P-function identity suite."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -266,7 +268,7 @@ def test_w_branch_guards(theorem_profile):
 def test_w_can_go_negative_on_drifted_data(theorem_data):
     M = theorem_data.manifold
     r = M.grid.nodes[5:-5]
-    drift_term = np.asarray(M.f_at(r, 1)) * np.asarray(theorem_data.v.derivs[0](r))
+    drift_term = np.asarray(M.f(r, 1)) * np.asarray(theorem_data.v.derivs[0](r))
     assert np.max(drift_term) < 0.0  # f' < 0 while v is increasing
     w = np.asarray(w_functional(theorem_data, r))
     assert np.min(w) < -1e-3
@@ -314,7 +316,7 @@ def test_k_minus_w_is_traceless_hessian_square(theorem_data, data4inf):
         dv = np.asarray(data.v.derivs[0](r))
         ddv = np.asarray(data.v.derivs[1](r))
         P = np.asarray(data.P(r))
-        tang = np.asarray(M.psi_at(r, 1)) / np.asarray(M.psi_at(r)) * dv
+        tang = np.asarray(M.psi(r, 1)) / np.asarray(M.psi(r)) * dv
         square = (ddv - P / data.m) ** 2 + (M.d - 1) * (tang - P / data.m) ** 2
         assert np.max(np.abs(k - w - square) / (1.0 + np.abs(k) + square)) < 1e-10
 
@@ -391,6 +393,24 @@ def test_integral_sweep_stays_bounded(data4inf):
     assert ratios[-1] < ratios[0]
 
 
+def test_estimate_data_is_freed_without_the_cyclic_gc():
+    """The antiderivatives that integral_estimate_ratio and ibp_residual keep
+    in the data's cache do not refer back to the data, so it dies with its
+    last reference, not at a later full collection."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        data = v_transform(bubble(4, 0.125), n=4.0)
+        integral_estimate_ratio(data, 2.0, 10.0)
+        ibp_residual(data, 2.0, 10.0)
+        freed = weakref.ref(data)
+        del data
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # -------------------------------------------------- gradient estimate sweep
 
 
@@ -444,7 +464,7 @@ def test_superharmonic_constant_profile_trivial():
                           lambda r: np.zeros_like(np.asarray(r, dtype=float)), None))
     const = SolutionProfile(manifold=M, p=3.0, ell=1.0, u=one, u_prime=zero,
                             status="global-positive", r_end=grid.r_max,
-                            r_star=None, tol=1e-12)
+                            r_star=None)
     assert superharmonic_floor_check(const, 4.0, 2.0).all_hold
 
 
@@ -461,7 +481,7 @@ def test_superharmonic_floor_guards(bubble4):
                            None, None))
     subharmonic = SolutionProfile(manifold=M, p=3.0, ell=1.0, u=grow, u_prime=dgrow,
                                   status="global-positive", r_end=M.grid.r_max,
-                                  r_star=None, tol=1e-12)
+                                  r_star=None)
     with pytest.raises(SuperharmonicityError):
         superharmonic_floor_check(subharmonic, 4.0, 2.0)
 

@@ -83,12 +83,12 @@ def test_warped_weight_slope_needs_no_quadrature(counter):
     M = build_example(3, 0.5)
     counter.calls = counter.points = 0
     r = np.geomspace(1e-6, 1e3, 257)
-    M.f_at(r, 1)
-    M.f_at(0.5, 1)
-    M.f_at(r, 2)
+    M.f(r, 1)
+    M.f(0.5, 1)
+    M.f(r, 2)
     M.drift(r)
     assert (counter.calls, counter.points) == (0, 0)
-    M.f_at(r)  # f itself is one quadrature level over f'
+    M.f(r)  # f itself is one quadrature level over f'
     assert counter.points == 5 * r.size
 
 
@@ -163,9 +163,11 @@ def test_warm_theorem_run_matches_cold_run(builds, tmp_path):
 
 
 def test_warm_theorem_run_reads_stored_shot_values(monkeypatch, tmp_path):
-    """The columns of a warm theorem run read the node values the shot
-    stored, so the shot's dense output is called at most 10 times (20 when
-    the energy, Pohozaev, v and P columns evaluated it again)."""
+    """The columns and checks of a warm theorem run read the node values the
+    shot stored, so its dense output is called 6 times: the shot's node
+    samples (2), u(0) (1) and v_transform's P samples (3).  It was 20 when
+    the energy, Pohozaev, v and P columns evaluated it again, and 10 when
+    u'(r), the asymptotic bound's u(r) and an unread v' did."""
     calls = []
     original = lane_emden._profile_callbacks
 
@@ -182,7 +184,7 @@ def test_warm_theorem_run_reads_stored_shot_values(monkeypatch, tmp_path):
     execute_run(specs[0], tmp_path)
     del calls[:]
     execute_run(specs[1], tmp_path)
-    assert 0 < len(calls) <= 10, len(calls)
+    assert len(calls) == 6, len(calls)
 
 
 # ------------------------------------------------- the benchmark's call sites
