@@ -25,8 +25,8 @@ def _pool_worker(payload):
 @click.argument("config_file", type=click.Path())
 @click.option("--out", "out_dir", default=None, help="Output directory (overrides config).")
 @click.option("--tol", type=float, default=None, help="Solver tolerance override.")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Parallel worker processes for sweep runs.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Parallel worker processes for sweep runs (at most one per run).")
 def run(config_file, out_dir, tol, jobs):
     """Execute every run described by CONFIG_FILE and write reports."""
     try:
@@ -38,7 +38,7 @@ def run(config_file, out_dir, tol, jobs):
     try:
         specs = expand_runs(config, tol)
         if jobs > 1 and len(specs) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
                 reports = list(pool.map(_pool_worker, [(s, out_root) for s in specs]))
         else:
             reports = [execute_run(spec, out_root) for spec in specs]

@@ -309,6 +309,10 @@ def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
 
     C1 = float(np.exp(-np.max(M.f.values)))
     C2 = float(np.exp(-np.min(M.f.values)))
+    if C2 == 0.0:
+        raise InvalidRangeError(
+            f"the weight e^(-f) underflows to 0 on the whole grid "
+            f"(min f = {float(np.min(M.f.values)):.6g}); lower f0")
 
     # -- comparison geometry ----------------------------------------------
     chi = np.asarray(warping_slope_energy(M)(r)) - psi_r**2 / r

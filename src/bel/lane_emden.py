@@ -619,6 +619,10 @@ def asymptotic_bound_check(profile: SolutionProfile, C: float) -> AsymptoticBoun
         raise InvalidRangeError("the upper bound applies to globally positive profiles")
     keep = profile.in_range
     r = profile.manifold.grid.nodes[keep]
-    bound = (C * r**2 + profile.ell ** (1.0 - profile.p)) ** (-1.0 / (profile.p - 1.0))
+    ell, p = profile.ell, profile.p
+    try:
+        bound = (C * r**2 + ell ** (1.0 - p)) ** (-1.0 / (p - 1.0))
+    except OverflowError:  # ell^{1-p} is past the float range; factor it out
+        bound = ell * (1.0 + C * r**2 * ell ** (p - 1.0)) ** (-1.0 / (p - 1.0))
     values = profile.u.values[keep]
     return AsymptoticBoundReport(bound, bool(np.all(values <= bound * (1 + 1e-12))))

@@ -426,41 +426,69 @@ def _scenario_soliton(spec: RunSpec):
     return checks, columns
 
 
+#: Ball radii R of the volume-ratio check of ``example-2-parabolicity``.
+_VOLUME_RADII = np.geomspace(10.0, 1e3, 25)
+
+
+@functools.lru_cache(maxsize=1)
+def _log_tail_example(d: int, beta: float, grid_args: tuple):
+    """What an ``example-2-parabolicity`` run computes without ``p``, kept for
+    the next run: the tail-integrability check, ``mu(B_R)`` at
+    ``_VOLUME_RADII`` and the curvature columns of the log-tail manifold."""
+    grid = make_grid(*grid_args)
+    M = log_tail_weight(d, grid, beta=beta)
+    comp = comparison_report(M, grid.r_max)
+    tail = Check("tail-integrable", "int^inf dr / (e^{-f} psi^{d-1}) < inf",
+                 comp.tail_exponent < -1.0 and not comp.parabolic, comp.tail_exponent, -1.0)
+    volumes = np.asarray(weighted_volume(M, _VOLUME_RADII))
+    curv = curvature_report(M)
+    return tail, volumes, {"r": curv.r, "ric_r": curv.ric_r, "ric_theta": curv.ric_theta}
+
+
 def _scenario_parabolicity(spec: RunSpec):
     d = int(spec.params["d"])
     beta = float(spec.params["beta"])
     p = float(spec.params["p"])
     if not p > 1.0:
         raise InvalidRangeError(f"exponent must satisfy p > 1, got {p}")
-    grid = make_grid(*_grid_args(spec.params, "geometric", 1e-3, 1e3, 2049))
-    M = log_tail_weight(d, grid, beta=beta)
-    comp = comparison_report(M, grid.r_max)
-    checks = [
-        Check("tail-integrable", "int^inf dr / (e^{-f} psi^{d-1}) < inf",
-              comp.tail_exponent < -1.0 and not comp.parabolic, comp.tail_exponent, -1.0),
-    ]
+    grid_args = _grid_args(spec.params, "geometric", 1e-3, 1e3, 2049)
+    tail, volumes, columns = _log_tail_example(d, beta, grid_args)
     exponent = 2.0 * p / (p - 1.0)
-    sweep = np.geomspace(10.0, 1e3, 25)
-    ratios = np.asarray(weighted_volume(M, sweep)) / sweep**exponent
-    increments = np.diff(ratios)
-    checks.append(Check("volume-ratio-decreasing",
-                        "mu(B_R) / R^{2p/(p-1)} decreasing on [10, 1000]",
-                        bool(np.all(increments <= 0.0)), float(np.max(increments)), 0.0))
-    curv = curvature_report(M)
-    columns = {"r": curv.r, "ric_r": curv.ric_r, "ric_theta": curv.ric_theta}
-    return checks, columns
+    increments = np.diff(volumes / _VOLUME_RADII**exponent)
+    checks = [
+        tail,
+        Check("volume-ratio-decreasing", "mu(B_R) / R^{2p/(p-1)} decreasing on [10, 1000]",
+              bool(np.all(increments <= 0.0)), float(np.max(increments)), 0.0),
+    ]
+    return checks, dict(columns)
+
+
+#: Ball radii R of the integral estimates and the Cheng-Yau check of
+#: ``estimates-sweep``.
+_ESTIMATE_RADII = np.geomspace(1.0, 100.0, 25)
+
+
+@functools.lru_cache(maxsize=1)
+def _bubble_estimate_data(d: int, b: float, n: float):
+    """What an ``estimates-sweep`` run computes without ``q``, kept for the
+    next run: the bubble's v-transform, its Cheng-Yau check and the ``r``,
+    ``v`` and ``P`` columns."""
+    prof = bubble(d, b)
+    data = v_transform(prof, n=n)
+    nodes = data.manifold.grid.nodes
+    r = nodes[nodes > 0.0]
+    columns = {"r": r, "v": np.asarray(data.v(r)), "P": np.asarray(data.P(r))}
+    return data, _cheng_yau_check(prof, float(d), _ESTIMATE_RADII), columns
 
 
 def _scenario_estimates(spec: RunSpec):
     d = int(spec.params["d"])
     b = float(spec.params["b"])
     n = float(spec.params.get("n", math.inf))
-    prof = bubble(d, b)
-    data = v_transform(prof, n=n)
+    data, cheng_yau, columns = _bubble_estimate_data(d, b, n)
     q = spec.params["q"]
-    sweep = np.geomspace(1.0, 100.0, 25)
     ratios = []
-    for R in sweep:
+    for R in _ESTIMATE_RADII:  # one radius per call: an array R moves lhs by an ulp
         lhs, bound = integral_estimate_ratio(data, float(q), R)
         ratios.append(lhs / bound)
     ratios = np.asarray(ratios)
@@ -468,12 +496,9 @@ def _scenario_estimates(spec: RunSpec):
         Check(f"integral-ratio-bounded-q{q:g}", "int_{B_R} v^{-q}(...) dmu <= C mu(B_2R) R^{-q}",
               bool(np.max(ratios) <= 10.0 * ratios[0]),
               float(np.max(ratios)), float(10.0 * ratios[0])),
-        _cheng_yau_check(prof, float(d), sweep),
+        cheng_yau,
     ]
-    nodes = data.manifold.grid.nodes
-    r = nodes[nodes > 0.0]
-    columns = {"r": r, "v": np.asarray(data.v(r)), "P": np.asarray(data.P(r))}
-    return checks, columns
+    return checks, dict(columns)
 
 
 def _scenario_custom(spec: RunSpec):
@@ -519,6 +544,16 @@ _RUNNERS: Dict[str, Callable[[RunSpec], Tuple[List[Check], Dict[str, np.ndarray]
 # ---------------------------------------------------------------- artifacts
 
 
+@functools.lru_cache(maxsize=1)
+def _profile_text(names: Tuple[str, ...], *columns: bytes) -> str:
+    """The CSV text of ``emit_profiles``, kept for the next call: sweep points
+    that share their columns bit for bit (float64 bytes, so ``-0.0`` and
+    ``0.0`` or two NaN payloads are different keys) share the text."""
+    lists = [np.frombuffer(column).tolist() for column in columns]
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    return ",".join(names) + "\n" + "".join(row % values for values in zip(*lists))
+
+
 def emit_profiles(columns: Dict[str, np.ndarray], path) -> None:
     """Write radial profiles as CSV: canonical column order, 17 significant
     digits (round-trip exact), LF line endings, empty columns omitted."""
@@ -528,12 +563,11 @@ def emit_profiles(columns: Dict[str, np.ndarray], path) -> None:
     length = {np.size(columns[c]) for c in ordered}
     if len(length) != 1:
         raise ArtifactIOError(f"profile columns have mismatched lengths: {sorted(length)}")
-    lists = [np.asarray(columns[c], dtype=float).tolist() for c in ordered]
-    row = ",".join(["%.17g"] * len(ordered)) + "\n"
+    text = _profile_text(tuple(ordered),
+                         *(np.asarray(columns[c], dtype=float).tobytes() for c in ordered))
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(ordered) + "\n")
-            fh.writelines(row % values for values in zip(*lists))
+            fh.write(text)
     except OSError as exc:
         raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
 

@@ -25,8 +25,17 @@ def theorem_reports():
     return reports
 
 
+def _clear_memos():
+    for memo in vars(scenarios).values():
+        if hasattr(memo, "cache_clear"):
+            memo.cache_clear()
+
+
 @pytest.fixture(autouse=True)
-def cold_theorem_manifold():
-    """Start every test without the manifold a previous theorem run left in
-    the scenarios memo, so that no test depends on test order."""
-    scenarios._warped_example.cache_clear()
+def cold_memos():
+    """Start every test without what a previous run left in the scenarios
+    memos (every ``functools.lru_cache`` of the module), so that no test
+    depends on test order.  A test that names this fixture gets the function
+    that clears them."""
+    _clear_memos()
+    return _clear_memos

@@ -118,6 +118,14 @@ def test_emit_profiles_round_trip(tmp_path):
     assert [row[1] for row in parsed] == list(u)  # 17 sig digits round-trip
 
 
+def _per_cell(columns):
+    """The CSV bytes of ``columns`` with every cell formatted on its own."""
+    names = [c for c in scenarios.PROFILE_COLUMNS if c in columns]
+    rows = zip(*(columns[c] for c in names))
+    return (",".join(names) + "\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n" for row in rows)).encode()
+
+
 def test_emit_profiles_matches_per_cell_format(tmp_path):
     """Rows are formatted in one pass; the bytes equal formatting every cell
     with format(v, ".17g"), non-finite values and negative zero included."""
@@ -125,10 +133,31 @@ def test_emit_profiles_matches_per_cell_format(tmp_path):
     r = np.array([0.0, -0.0, 5e-324, 1e300, 0.1])
     u = np.array([math.nan, math.inf, -math.inf, -1.0 / 3.0, 2.0**53 + 1.0])
     emit_profiles({"r": r, "u": u}, path)
-    expected = "r,u\n" + "".join(
-        ",".join(format(v, ".17g") for v in row) + "\n" for row in zip(r, u)
-    )
-    assert path.read_bytes() == expected.encode()
+    assert path.read_bytes() == _per_cell({"r": r, "u": u})
+
+
+def test_emit_profiles_reuses_text_of_bit_identical_columns(tmp_path):
+    columns = {"r": np.array([0.5, 1.0]), "u": np.array([math.pi, -0.0])}
+    for name in ("a.csv", "b.csv"):
+        emit_profiles({c: v.copy() for c, v in columns.items()}, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == _per_cell(columns)
+    assert scenarios._profile_text.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("first,second", [
+    ({"r": np.array([0.0, 1.0])}, {"r": np.array([-0.0, 1.0])}),
+    ({"r": np.array([1.0]), "u": np.array([math.nan])},
+     {"r": np.array([1.0]), "u": np.frombuffer(np.uint64(0x7FF8000000000001).tobytes())}),
+    ({"r": np.array([1.0, 2.0]), "u": np.array([3.0, 4.0])},
+     {"r": np.array([1.0, 2.0]), "v": np.array([3.0, 4.0])}),
+], ids=["signed-zero", "nan-payload", "column-name"])
+def test_emit_profiles_never_reuses_text_of_bit_different_columns(tmp_path, first, second):
+    """Equal values (0.0 == -0.0), two NaNs or the same numbers under another
+    name are bit-different columns: the second call formats its own text."""
+    for name, columns in (("a.csv", first), ("b.csv", second)):
+        emit_profiles(columns, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == _per_cell(columns)
+    assert scenarios._profile_text.cache_info().hits == 0
 
 
 def test_emit_profiles_omits_empty_columns(tmp_path):
@@ -285,12 +314,14 @@ def test_cli_check_failure_exit_code(tmp_path):
          "invalid-range"),
         ("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = -1\nnodes = 512\n",
          "nonpositive-ell"),
+        ("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1\nf0 = 800\nnodes = 256\n",
+         "invalid-range"),
     ],
     ids=["theorem-alpha", "custom-weight", "soliton-nodes", "text-d", "text-p", "fractional-d",
          "fractional-nodes", "text-in-sweep", "infinite-b", "nan-p",
          "theorem-shot-shorter-than-cheng-yau", "parabolicity-p-one", "custom-power-negative",
          "custom-power-one", "soliton-p-one", "custom-ell-negative", "theorem-p-one",
-         "theorem-p-minus-one", "theorem-ell-negative"],
+         "theorem-p-minus-one", "theorem-ell-negative", "theorem-weight-underflow"],
 )
 def test_cli_run_error_exit_code(tmp_path, text, code):
     cfg = _write(tmp_path, text)
@@ -317,6 +348,20 @@ def test_cli_blowup_is_a_failed_solve_check(tmp_path, scenario, extra):
     assert not report["passed"]
 
 
+def test_cli_tiny_center_value_ends_in_a_report(tmp_path):
+    # ell^{1-p} = 1e1200 overflows a float; the asymptotic bound is still
+    # representable and the run ends in a report, not a traceback
+    cfg = _write(tmp_path, "scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1e-300\n"
+                           "nodes = 256\n")
+    result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    report = json.loads((tmp_path / "out" / "theorem-2-2" / "report.json").read_text())
+    bound = [c for c in report["checks"] if c["name"] == "asymptotic-bound"]
+    assert len(bound) == 1 and bound[0]["verdict"] is True
+
+
 def test_cli_out_dir_env_fallback(tmp_path):
     cfg = _write(tmp_path, "scenario = log-bubble\nb = 0.125\n")
     env_dir = tmp_path / "from-env"
@@ -335,6 +380,42 @@ def test_cli_parallel_matches_serial(tmp_path):
         b = json.loads((tmp_path / "par" / d / "report.json").read_text())
         a.pop("timings"), b.pop("timings")
         assert a == b
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_jobs_below_one_is_a_usage_error(tmp_path, jobs):
+    cfg = _write(tmp_path, "scenario = euclidean-sanity\nd = 2,3\n")
+    result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out"), "--jobs", jobs])
+    assert result.exit_code == 2, result.output
+    assert "--jobs" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_jobs_pool_has_at_most_one_worker_per_run(tmp_path, monkeypatch):
+    """A recorder stands in for the process pool: it maps serially, so no
+    worker is started, and records the pool size asked for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("bel.cli.ProcessPoolExecutor", SerialPool)
+    cfg = _write(tmp_path, "scenario = euclidean-sanity\nd = 2,3\n")
+    for jobs in ("100000", "2"):
+        result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out"),
+                                           "--jobs", jobs])
+        assert result.exit_code == 0, result.output
+    assert sizes == [2, 2]
 
 
 def test_cli_reports_are_deterministic(tmp_path):

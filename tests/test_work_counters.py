@@ -145,21 +145,28 @@ def test_theorem_run_rebuilds_for_another_manifold(builds, tmp_path, other):
     assert len(builds) == 2
 
 
-def test_warm_theorem_run_matches_cold_run(builds, tmp_path):
-    """A sweep point run on the manifold an earlier point left behind writes
-    the same artifacts as the same point run on a newly built manifold."""
-    specs = expand_runs(parse_config(SWEEP))
+def _assert_warm_matches_cold(specs, tmp_path, clear_memos, memos=()):
+    """Run ``specs[-1]`` after ``specs[0]``, where it must hit each memo of
+    ``memos`` once, and again with every memo cleared; both runs must write
+    the same bytes."""
     execute_run(specs[0], tmp_path / "warm")
     execute_run(specs[-1], tmp_path / "warm")
-    scenarios._warped_example.cache_clear()
+    assert [getattr(scenarios, memo).cache_info().hits for memo in memos] == [1] * len(memos)
+    clear_memos()
     execute_run(specs[-1], tmp_path / "cold")
-    assert len(builds) == 2
     warm, cold = (tmp_path / side / specs[-1].slug for side in ("warm", "cold"))
     assert (warm / "profiles.csv").read_bytes() == (cold / "profiles.csv").read_bytes()
     reports = [json.loads((run / "report.json").read_text()) for run in (warm, cold)]
     for report in reports:
         del report["timings"]
     assert reports[0] == reports[1]
+
+
+def test_warm_theorem_run_matches_cold_run(builds, tmp_path, cold_memos):
+    """A sweep point run on the manifold an earlier point left behind writes
+    the same artifacts as the same point run on a newly built manifold."""
+    _assert_warm_matches_cold(expand_runs(parse_config(SWEEP)), tmp_path, cold_memos)
+    assert len(builds) == 2
 
 
 def test_warm_theorem_run_reads_stored_shot_values(monkeypatch, tmp_path):
@@ -185,6 +192,36 @@ def test_warm_theorem_run_reads_stored_shot_values(monkeypatch, tmp_path):
     del calls[:]
     execute_run(specs[1], tmp_path)
     assert len(calls) == 6, len(calls)
+
+
+# ------------------------------------------------- closed-form sweeps
+
+#: A two-point sweep of each closed-form scenario whose swept parameter
+#: leaves the manifold alone, with the memos its second point reuses.
+CLOSED_FORM_SWEEPS = {
+    "example-2-parabolicity": ("scenario = example-2-parabolicity\nd = 3\nbeta = 2\np = 2, 5\n",
+                               ("_log_tail_example", "_profile_text")),
+    "estimates-sweep": ("scenario = estimates-sweep\nd = 4\nb = 0.125\nq = 2, 2.5\n",
+                        ("_bubble_estimate_data", "_profile_text")),
+    "euclidean-sanity": ("scenario = euclidean-sanity\nd = 2, 4\n", ("_profile_text",)),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(CLOSED_FORM_SWEEPS))
+def test_warm_closed_form_run_matches_cold_run(tmp_path, cold_memos, scenario):
+    """A sweep point run after its neighbour reuses that neighbour's work
+    and CSV text, and writes the same artifacts as the same point run with
+    every memo cleared."""
+    text, memos = CLOSED_FORM_SWEEPS[scenario]
+    _assert_warm_matches_cold(expand_runs(parse_config(text)), tmp_path, cold_memos, memos)
+
+
+def test_every_memo_starts_cold():
+    """The autouse fixture clears every memo of the scenarios module."""
+    memos = [memo for memo in vars(scenarios).values() if hasattr(memo, "cache_clear")]
+    assert {memo.__name__ for memo in memos} >= {
+        "_warped_example", "_log_tail_example", "_bubble_estimate_data", "_profile_text"}
+    assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
 
 
 # ------------------------------------------------- the benchmark's call sites
