@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._g17 import format_rows
 from .construction import Check, build_example, default_grid, verify_theorem
 from .errors import ArtifactIOError, BlowupError, ConfigParseError, InvalidRangeError
 from .geometry import (
@@ -247,12 +248,23 @@ def expand_runs(config: ScenarioConfig, tol: Optional[float] = None) -> List[Run
 def _cheng_yau_check(prof, n: float, radii: np.ndarray) -> Check:
     """Cheng-Yau gradient ratio over the ``radii`` R with B_2R inside the shot
     (the first radius alone if none is), bounded by ten times its first value
-    (floored at 1e-3)."""
+    (floored at 1e-3).  It fails, saying why, when a ratio is not finite or
+    ``u'`` vanishes at every positive node of the largest ball: a positive
+    solution has ``u' < 0`` for ``r > 0``, so a zero ratio there measures an
+    underflowed profile, not a bounded one."""
     fit = radii[2.0 * radii <= prof.r_end]
-    sweep = [cheng_yau_ratio(prof, n, R) for R in (fit if fit.size else radii[:1])]
+    radii = fit if fit.size else radii[:1]
+    sweep = np.array([cheng_yau_ratio(prof, n, R) for R in radii])
     bound = 10.0 * max(sweep[0], 1e-3)
-    return Check("cheng-yau-bounded", "sup |u'/u|^2 <= C (1/R^2 + sup u^{4/(n-2)})",
-                 max(sweep) <= bound, max(sweep), bound)
+    nodes = prof.manifold.grid.nodes
+    if not np.all(np.isfinite(sweep)):
+        failed = "; failed: a ratio is not finite"
+    elif not np.any(prof.u_prime.values[(nodes > 0.0) & (nodes <= radii[-1])]):
+        failed = "; failed: u' = 0 at every positive node of B_R"
+    else:
+        failed = ""
+    return Check("cheng-yau-bounded", "sup |u'/u|^2 <= C (1/R^2 + sup u^{4/(n-2)})" + failed,
+                 not failed and np.max(sweep) <= bound, np.max(sweep), bound)
 
 
 def _grid_args(params: dict, kind: str, r_min: float, r_max: float, nodes: int) -> tuple:
@@ -548,10 +560,10 @@ _RUNNERS: Dict[str, Callable[[RunSpec], Tuple[List[Check], Dict[str, np.ndarray]
 def _profile_text(names: Tuple[str, ...], *columns: bytes) -> str:
     """The CSV text of ``emit_profiles``, kept for the next call: sweep points
     that share their columns bit for bit (float64 bytes, so ``-0.0`` and
-    ``0.0`` or two NaN payloads are different keys) share the text."""
-    lists = [np.frombuffer(column).tolist() for column in columns]
-    row = ",".join(["%.17g"] * len(names)) + "\n"
-    return ",".join(names) + "\n" + "".join(row % values for values in zip(*lists))
+    ``0.0`` or two NaN payloads are different keys) share the text.  The rows
+    are the bytes of ``"%.17g,...,%.17g\\n" % row`` (``_g17.format_rows``)."""
+    table = np.column_stack([np.frombuffer(column) for column in columns])
+    return ",".join(names) + "\n" + format_rows(table)
 
 
 def emit_profiles(columns: Dict[str, np.ndarray], path) -> None:

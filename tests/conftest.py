@@ -1,6 +1,8 @@
 """Shared fixtures: the four verification cases are expensive, so they are
 built once per session and reused by the unit and acceptance suites."""
 
+from importlib.resources import files
+
 import pytest
 
 from bel import scenarios
@@ -23,6 +25,16 @@ def theorem_reports():
         M = build_example(d, alpha)
         reports[(d, alpha, p, ell)] = verify_theorem(M, p, ell)
     return reports
+
+
+@pytest.fixture(scope="session")
+def bundled_theorem_run(tmp_path_factory):
+    """The run directory of the bundled ``theorem-2-2`` config, run once."""
+    out = tmp_path_factory.mktemp("bundled-theorem")
+    config = scenarios.parse_config((files("bel") / "configs" / "theorem-2-2.cfg").read_text())
+    (spec,) = scenarios.expand_runs(config)
+    scenarios.execute_run(spec, out)
+    return out / spec.slug
 
 
 def _clear_memos():

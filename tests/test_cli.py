@@ -362,6 +362,30 @@ def test_cli_tiny_center_value_ends_in_a_report(tmp_path):
     assert len(bound) == 1 and bound[0]["verdict"] is True
 
 
+def test_cli_tiny_center_value_fails_cheng_yau(tmp_path):
+    """u' underflows to 0 at every node, so every Cheng-Yau ratio is 0: the
+    check fails and says why, instead of passing on degenerate data."""
+    cfg = _write(tmp_path, "scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1e-300\n"
+                           "nodes = 256\n")
+    result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    report = json.loads((tmp_path / "out" / "theorem-2-2" / "report.json").read_text())
+    (check,) = [c for c in report["checks"] if c["name"] == "cheng-yau-bounded"]
+    assert check["verdict"] is False and check["measured"] == 0.0
+    assert check["reference"].endswith("failed: u' = 0 at every positive node of B_R")
+
+
+def test_cheng_yau_check_fails_on_a_non_finite_ratio(theorem_reports, monkeypatch):
+    profile = theorem_reports[(3, 0.5, 5.0, 1.0)].profile
+    radii = np.geomspace(1.0, 100.0, 13)
+    assert scenarios._cheng_yau_check(profile, 3.0, radii).verdict
+    monkeypatch.setattr(scenarios, "cheng_yau_ratio",
+                        lambda prof, n, R: math.nan if R > 50.0 else 1e-3)
+    check = scenarios._cheng_yau_check(profile, 3.0, radii)
+    assert not check.verdict
+    assert check.reference.endswith("failed: a ratio is not finite")
+
+
 def test_cli_out_dir_env_fallback(tmp_path):
     cfg = _write(tmp_path, "scenario = log-bubble\nb = 0.125\n")
     env_dir = tmp_path / "from-env"

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import bel.radial_core as radial_core
-from bel import lane_emden, scenarios
+from bel import _g17, lane_emden, scenarios
 from bel.construction import build_example, verify_theorem
 from bel.scenarios import execute_run, expand_runs, parse_config
 
@@ -90,6 +90,18 @@ def test_warped_weight_slope_needs_no_quadrature(counter):
     assert (counter.calls, counter.points) == (0, 0)
     M.f(r)  # f itself is one quadrature level over f'
     assert counter.points == 5 * r.size
+
+
+@pytest.mark.skipif(not _g17._FAST_PATH, reason="long double narrower than 64 bits")
+def test_csv_fallback_cells_gated(bundled_theorem_run):
+    """The CSV formatter proves the digits of all but a few cells of the
+    bundled theorem run; the rest are formatted by ``%``.  The fallback
+    share measured 2.2% (the tie window is 2.2% of the unit interval), so a
+    slide back to the slow path fails here."""
+    body = (bundled_theorem_run / "profiles.csv").read_text().split("\n", 1)[1]
+    table = np.array([[float(v) for v in line.split(",")] for line in body.splitlines()])
+    assert table.shape == (4096, 10)
+    assert _g17.fallback_count(table) <= 0.05 * table.size, _g17.fallback_count(table)
 
 
 # ------------------------------------------------------ theorem-2-2 sweeps
