@@ -61,13 +61,12 @@ def run(config_file, out_dir, tol, jobs):
 
 @main.command("list-scenarios")
 def list_scenarios():
-    """Show scenario names, their purpose and required config keys."""
-    for name, (required, optional, description) in SCENARIOS.items():
-        keys = ", ".join(sorted(required))
-        line = f"{name}: {description} (requires: {keys}"
-        if optional:
-            line += f"; optional: {', '.join(sorted(optional))}"
-        click.echo(line + ")")
+    """Show scenario names, their purpose and every config key's domain."""
+    for name, record in SCENARIOS.items():
+        click.echo(f"{name}: {record.description}")
+        for key, param in record.keys.items():
+            default = "required" if param.default is None else f"default {param.default}"
+            click.echo(f"  {key}: {param}; {default}")
 
 
 if __name__ == "__main__":

@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA = 0.5
+DEFAULT_GRID = (1e-3, 1e3, 4096, "geometric")  # make_grid arguments of default_grid
 
 #: Below this radius build_example's flux uses the series of its bracket.
 _FLUX_SERIES_RADIUS = 0.1
@@ -82,7 +83,7 @@ def critical_exponent(d: int) -> float:
 
 def default_grid() -> RadialGrid:
     """Geometric grid reaching r = 10^3, resolving both pole and tail."""
-    return make_grid(1e-3, 1e3, 4096, "geometric")
+    return make_grid(*DEFAULT_GRID)
 
 
 def build_example(

@@ -17,13 +17,13 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ._g17 import format_rows
-from .construction import Check, build_example, default_grid, verify_theorem
-from .errors import ArtifactIOError, BlowupError, ConfigParseError, InvalidRangeError
+from .construction import DEFAULT_GRID, Check, build_example, verify_theorem
+from .errors import ArtifactIOError, BlowupError, ConfigParseError
 from .geometry import (
     ModelManifold,
     comparison_report,
@@ -34,8 +34,7 @@ from .geometry import (
     power_weight,
     weighted_volume,
 )
-from .lane_emden import (_energy_values, _nonlinearity, _pohozaev_values, energy, pohozaev,
-                         solve_radial)
+from .lane_emden import _energy_values, _nonlinearity, _pohozaev_values, solve_radial
 from .pfunction import (
     bubble,
     cheng_yau_ratio,
@@ -46,13 +45,13 @@ from .pfunction import (
     superharmonic_floor_check,
     v_transform,
 )
-from .radial_core import RadialFunction, make_grid
+from .radial_core import MIN_NODES, RadialFunction, make_grid
 
-# Unused here since the theorem columns reuse verify_theorem's samples, but
-# kept bound on this module: perfbench/tracing.py instruments
-# ``bel.scenarios.pohozaev_trace`` and ``.ric_infinity_components``.
+# Unused here since the columns read stored node values, but kept bound on
+# this module: perfbench/tracing.py instruments ``bel.scenarios.energy``,
+# ``.pohozaev``, ``.pohozaev_trace`` and ``.ric_infinity_components``.
 from .geometry import ric_infinity_components  # noqa: E402,F401
-from .lane_emden import pohozaev_trace  # noqa: E402,F401
+from .lane_emden import energy, pohozaev, pohozaev_trace  # noqa: E402,F401
 
 SCHEMA_VERSION = 1
 
@@ -86,46 +85,79 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One concrete run: every parameter a scalar, plus a directory slug."""
+    """One concrete run: ``params`` as parsed (the report echoes them), a slug,
+    and the runner's keyword ``values``: every key typed, defaults filled in,
+    the grid keys in ``grid``, the ``make_grid`` arguments."""
 
     scenario: str
     params: Dict[str, object]
     slug: str
     tol: float
+    values: Dict[str, object]
 
 
-_COMMON_KEYS = {"scenario", "out_dir", "tol", "r_max", "nodes", "spacing"}
-#: Run parameters that hold text; every other parameter must be a number.
-_TEXT_KEYS = {"spacing", "weight"}
-_INTEGER_KEYS = {"d", "nodes"}
+@dataclass(frozen=True)
+class Interval:
+    """The numbers from ``lo`` to ``hi``, ends in or out as ``ends`` brackets them."""
 
-# scenario -> (required keys, optional scenario-specific keys, description)
-SCENARIOS: Dict[str, Tuple[set, set, str]] = {
-    "euclidean-sanity": ({"d"}, set(), "flat-space curvature, distance Laplacian and ball volume"),
-    "bubble": ({"d", "b"}, set(), "critical-power bubble: PDE residual, P constancy, k = 0"),
-    "log-bubble": ({"b"}, set(), "planar exponential-nonlinearity bubble checks"),
-    "theorem-2-2": (
-        {"d", "alpha", "p", "ell"},
-        {"f0"},
-        "warped example with decreasing weight: full rigidity-failure property suite",
-    ),
-    "soliton-liouville": (
-        {"d", "p", "ell"},
-        set(),
-        "Gaussian-type weight: every radial shot crosses zero (non-existence witness)",
-    ),
-    "example-2-parabolicity": (
-        {"d", "beta", "p"},
-        set(),
-        "logarithmic-tail weight: tail integral converges, volume ratio decreases",
-    ),
-    "estimates-sweep": ({"d", "b", "q"}, {"n"}, "weighted ball estimates stay bounded over R"),
-    "custom": (
-        {"d", "p", "ell"},
-        {"weight", "coeff", "power", "beta", "alpha", "n"},
-        "free-form radial solve with generic sanity checks",
-    ),
-}
+    lo: float = -math.inf
+    hi: float = math.inf
+    ends: str = "()"
+
+    def __contains__(self, x) -> bool:
+        return ((self.lo < x or self.ends[0] == "[" and x == self.lo)
+                and (x < self.hi or self.ends[1] == "]" and x == self.hi))
+
+    def __str__(self) -> str:
+        return f"{self.ends[0]}{self.lo:g}, {self.hi:g}{self.ends[1]}"
+
+
+@dataclass(frozen=True)
+class Param:
+    """A config key: its kind (``int``, ``float`` or ``str``), its domain (an
+    ``Interval`` or a set of choices) and its default (``None``: required)."""
+
+    kind: type
+    domain: object
+    default: object = None
+
+    def __str__(self) -> str:
+        if isinstance(self.domain, Interval):
+            return f"{'an integer' if self.kind is int else 'a number'} in {self.domain}"
+        return "one of " + ", ".join(sorted(self.domain))
+
+    def typed(self, key: str, value):
+        """``value`` as ``kind``; ``config-parse-error`` unless it is one inside the
+        domain (an integral number is an integer; parsed text reads as no number)."""
+        try:
+            typed = self.kind(value)
+            ok = (self.kind is float or typed == value) and typed in self.domain
+        except (ValueError, OverflowError):  # text, int(nan), int(inf), float(10**400)
+            ok = False
+        if not ok:
+            raise ConfigParseError(f"{key} must be {self}, got {value!r}")
+        return typed
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A scenario: what it checks, its runner, its default ``make_grid``
+    arguments (``None`` where the profiles bring their own grid), its keys."""
+
+    description: str
+    runner: Callable[..., Tuple[List[Check], Dict[str, np.ndarray]]]
+    grid: Optional[Tuple[float, float, int, str]]
+    params: Dict[str, Param]
+
+    @property
+    def keys(self) -> Dict[str, Param]:
+        """``params``, plus ``r_max``, ``nodes`` and ``spacing`` where there is a grid."""
+        if self.grid is None:
+            return self.params
+        _, r_max, nodes, spacing = self.grid
+        return {**self.params, "r_max": Param(float, Interval(0.0), r_max),
+                "nodes": Param(int, Interval(MIN_NODES, ends="[)"), nodes),
+                "spacing": Param(str, {"uniform", "geometric"}, spacing)}
 
 
 def _parse_scalar(token: str):
@@ -169,21 +201,15 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     if scenario is None:
         raise ConfigParseError(f"{source}: missing required key 'scenario'")
     if scenario not in SCENARIOS:
-        raise ConfigParseError(
-            f"{source}: unknown scenario {scenario!r}; see list-scenarios"
-        )
-    required, optional, _ = SCENARIOS[scenario]
-    allowed = required | optional | _COMMON_KEYS
+        raise ConfigParseError(f"{source}: unknown scenario {scenario!r}; see list-scenarios")
+    keys = SCENARIOS[scenario].keys
     for key in entries:
-        if key not in allowed:
-            raise ConfigParseError(
-                f"{source}: unknown key {key!r} for scenario {scenario} (line {line_of[key]})"
-            )
-    missing = required - set(entries)
+        if key not in keys and key not in ("out_dir", "tol"):
+            raise ConfigParseError(f"{source}: unknown key {key!r} for scenario {scenario} "
+                                   f"(line {line_of[key]})")
+    missing = {key for key, param in keys.items() if param.default is None} - set(entries)
     if missing:
-        raise ConfigParseError(
-            f"{source}: scenario {scenario} needs keys {sorted(missing)}"
-        )
+        raise ConfigParseError(f"{source}: scenario {scenario} needs keys {sorted(missing)}")
     out_dir = entries.pop("out_dir", None)
     tol = entries.pop("tol", None)
     if isinstance(out_dir, (int, float)):
@@ -211,34 +237,23 @@ def load_config(path) -> ScenarioConfig:
 def expand_runs(config: ScenarioConfig, tol: Optional[float] = None) -> List[RunSpec]:
     """Expand comma sweeps into the cartesian product of concrete runs.
 
-    Raises ``config-parse-error`` when a run gets text for a numeric key, a
-    NaN or infinite number (``n = inf`` excepted), or a non-integer ``d`` or
-    ``nodes``.
+    Every point is checked before any run is returned: a value that is not
+    of its key's kind and domain is a ``config-parse-error``.
     """
-    swept = [k for k in config.sweep_keys]
-    pools = [config.params[k] for k in swept]
+    record = SCENARIOS[config.scenario]
+    keys = record.keys
+    swept = list(config.sweep_keys)
     runs: List[RunSpec] = []
     run_tol = tol if tol is not None else (config.tol if config.tol is not None else 1e-10)
-    for combo in itertools.product(*pools) if swept else [()]:
-        params = dict(config.params)
-        for key, value in zip(swept, combo):
-            params[key] = value
-        for key, value in params.items():
-            if key in _TEXT_KEYS:
-                continue
-            if not isinstance(value, (int, float)) or math.isnan(value):
-                raise ConfigParseError(f"{key} must be a number, got {value!r}")
-            if math.isinf(value) and not (key == "n" and value > 0):
-                raise ConfigParseError(f"{key} must be finite (only n may be inf), got {value!r}")
-            if key in _INTEGER_KEYS and not float(value).is_integer():
-                raise ConfigParseError(f"{key} must be an integer, got {value!r}")
-        slug = config.scenario
-        if swept:
-            slug += "-" + "-".join(
-                f"{k}{v:g}" if isinstance(v, (int, float)) else f"{k}{v}"
-                for k, v in zip(swept, combo)
-            )
-        runs.append(RunSpec(scenario=config.scenario, params=params, slug=slug, tol=run_tol))
+    for combo in itertools.product(*(config.params[k] for k in swept)):
+        params = {**config.params, **dict(zip(swept, combo))}
+        values = {key: param.default for key, param in keys.items()}
+        values.update((key, keys[key].typed(key, value)) for key, value in params.items())
+        if record.grid is not None:
+            values["grid"] = (record.grid[0], *map(values.pop, ("r_max", "nodes", "spacing")))
+        slug = "-".join([config.scenario] + [f"{k}{v:g}" if isinstance(v, (int, float))
+                                             else f"{k}{v}" for k, v in zip(swept, combo)])
+        runs.append(RunSpec(config.scenario, params, slug, run_tol, values))
     return runs
 
 
@@ -267,15 +282,6 @@ def _cheng_yau_check(prof, n: float, radii: np.ndarray) -> Check:
                  not failed and np.max(sweep) <= bound, np.max(sweep), bound)
 
 
-def _grid_args(params: dict, kind: str, r_min: float, r_max: float, nodes: int) -> tuple:
-    """``make_grid`` arguments: the scenario's defaults, overridden by the
-    config's ``spacing``, ``r_max`` and ``nodes``."""
-    spacing = params.get("spacing", kind)
-    if spacing == "geometric" and r_min == 0.0:
-        r_min = 1e-3
-    return (r_min, float(params.get("r_max", r_max)), int(params.get("nodes", nodes)), spacing)
-
-
 @functools.lru_cache(maxsize=1)
 def _warped_example(d: int, alpha: float, f0: float, grid_args: tuple) -> ModelManifold:
     """``build_example`` on ``make_grid(*grid_args)``, kept for the next run.
@@ -299,14 +305,12 @@ def _shot_columns(prof, **extra: RadialFunction) -> Dict[str, np.ndarray]:
     return {"r": nodes[keep], **{name: f.values[keep] for name, f in functions.items()}}
 
 
-def _radial_shot(M: ModelManifold, spec: RunSpec, blowup: Callable[[str], List[Check]]):
-    """The run's shot over ``M``'s grid, no checks yet, and its shot columns
-    with ``energy``; if it blows up, ``None``, the checks ``blowup`` makes of
-    the solver's message, and no columns.  Any other solver error propagates:
-    a bad ``p``, ``ell`` or ``tol`` is a coded error, not a verdict."""
+def _radial_shot(M: ModelManifold, p, ell, tol, blowup: Callable[[str], List[Check]]):
+    """The shot over ``M``'s grid, no checks yet, and its shot columns with
+    ``energy``; if it blows up, ``None``, the checks ``blowup`` makes of the
+    solver's message, and no columns.  Any other solver error propagates."""
     try:
-        prof = solve_radial(M, p=float(spec.params["p"]), ell=float(spec.params["ell"]),
-                            r_max=M.grid.r_max, tol=spec.tol)
+        prof = solve_radial(M, p=p, ell=ell, r_max=M.grid.r_max, tol=tol)
     except BlowupError as exc:
         return None, blowup(f"solver error: {exc}"), {}
     columns = _shot_columns(prof)
@@ -314,10 +318,8 @@ def _radial_shot(M: ModelManifold, spec: RunSpec, blowup: Callable[[str], List[C
     return prof, [], columns
 
 
-def _scenario_euclidean(spec: RunSpec):
-    d = int(spec.params["d"])
-    grid = make_grid(*_grid_args(spec.params, "uniform", 1e-3, 10.0, 1025))
-    M = euclidean(d, grid)
+def _scenario_euclidean(spec: RunSpec, d, grid):
+    M = euclidean(d, make_grid(*grid))
     curv = curvature_report(M)
     worst_ric = max(np.max(np.abs(curv.ric_r)), np.max(np.abs(curv.ric_theta)))
     r = curv.r
@@ -355,15 +357,10 @@ def _bubble_common(prof, data, target_P: float, label: str):
         Check(f"{label}-k-vanishes", "k = |Hess v|^2 - P^2/m + Ric(v',v') = 0",
               k_sup <= 1e-8, k_sup, 1e-8),
     ]
-    columns = _shot_columns(prof)
-    columns["v"] = np.asarray(data.v(columns["r"]))
-    columns["P"] = np.asarray(data.P(columns["r"]))
-    return checks, columns
+    return checks, _shot_columns(prof, v=data.v, P=data.P)
 
 
-def _scenario_bubble(spec: RunSpec):
-    d = int(spec.params["d"])
-    b = float(spec.params["b"])
+def _scenario_bubble(spec: RunSpec, d, b):
     prof = bubble(d, b)
     data = v_transform(prof, n=float(d))
     checks, columns = _bubble_common(prof, data, 2.0 * b * d, "bubble")
@@ -374,27 +371,20 @@ def _scenario_bubble(spec: RunSpec):
     floor = superharmonic_floor_check(prof, float(d), 2.0)
     checks.append(Check("superharmonic-floor", "u >= A r^{2-kappa} for r >= R, kappa = d",
                         floor.all_hold, float(np.min(floor.values / floor.floor)), 1.0))
-    columns["pohozaev"] = np.asarray(pohozaev(prof.manifold, prof, columns["r"]))
-    columns["energy"] = np.asarray(energy(prof, columns["r"]))
+    r, u, u_prime = columns["r"], columns["u"], columns["u_prime"]
+    columns.update(pohozaev=_pohozaev_values(prof.manifold, prof.p, r, u, u_prime),
+                   energy=_energy_values(prof.p, u, u_prime))
     return checks, columns
 
 
-def _scenario_log_bubble(spec: RunSpec):
-    b = float(spec.params["b"])
+def _scenario_log_bubble(spec: RunSpec, b):
     prof = log_bubble(b)
     data = v_transform(prof)
     return _bubble_common(prof, data, 4.0 * b, "log-bubble")
 
 
-def _scenario_theorem(spec: RunSpec):
-    d = int(spec.params["d"])
-    alpha = float(spec.params["alpha"])
-    p = float(spec.params["p"])
-    ell = float(spec.params["ell"])
-    f0 = float(spec.params.get("f0", 0.0))
-    default = default_grid()
-    grid_args = _grid_args(spec.params, "geometric", 1e-3, default.r_max, default.n)
-    M = _warped_example(d, alpha, f0, grid_args)
+def _scenario_theorem(spec: RunSpec, d, alpha, p, ell, f0, grid):
+    M = _warped_example(d, alpha, f0, grid)
     report = verify_theorem(M, p, ell, tol=spec.tol)
     checks = list(report.checks)
     if report.profile is not None and report.profile.global_positive:
@@ -416,11 +406,9 @@ def _scenario_theorem(spec: RunSpec):
     return checks, columns
 
 
-def _scenario_soliton(spec: RunSpec):
-    d = int(spec.params["d"])
-    grid = make_grid(*_grid_args(spec.params, "geometric", 1e-3, 12.0, 1025))
-    M = power_weight(d, grid, 1.0, 2.0)
-    prof, checks, columns = _radial_shot(M, spec, lambda error: [
+def _scenario_soliton(spec: RunSpec, d, p, ell, grid):
+    M = power_weight(d, make_grid(*grid), 1.0, 2.0)
+    prof, checks, columns = _radial_shot(M, p, ell, spec.tol, lambda error: [
         Check("solve", "-u'' - L r u' = u^p with f = r^2", False),
         Check("zero-crossing", error, False),
     ])
@@ -430,8 +418,8 @@ def _scenario_soliton(spec: RunSpec):
     checks.append(Check("zero-crossing",
                         "finite weighted volume forbids positive solutions",
                         crossed, prof.r_star))
-    vol_hi = float(weighted_volume(M, grid.r_max))
-    vol_lo = float(weighted_volume(M, grid.r_max / 2.0))
+    vol_hi = float(weighted_volume(M, M.grid.r_max))
+    vol_lo = float(weighted_volume(M, M.grid.r_max / 2.0))
     converged = abs(vol_hi - vol_lo) <= 1e-8 * vol_hi
     checks.append(Check("weighted-volume-finite", "mu(M) = |S^{d-1}| int e^{-r^2} r^{d-1} < inf",
                         converged, vol_hi - vol_lo, 1e-8 * vol_hi))
@@ -457,14 +445,8 @@ def _log_tail_example(d: int, beta: float, grid_args: tuple):
     return tail, volumes, {"r": curv.r, "ric_r": curv.ric_r, "ric_theta": curv.ric_theta}
 
 
-def _scenario_parabolicity(spec: RunSpec):
-    d = int(spec.params["d"])
-    beta = float(spec.params["beta"])
-    p = float(spec.params["p"])
-    if not p > 1.0:
-        raise InvalidRangeError(f"exponent must satisfy p > 1, got {p}")
-    grid_args = _grid_args(spec.params, "geometric", 1e-3, 1e3, 2049)
-    tail, volumes, columns = _log_tail_example(d, beta, grid_args)
+def _scenario_parabolicity(spec: RunSpec, d, beta, p, grid):
+    tail, volumes, columns = _log_tail_example(d, beta, grid)
     exponent = 2.0 * p / (p - 1.0)
     increments = np.diff(volumes / _VOLUME_RADII**exponent)
     checks = [
@@ -488,20 +470,16 @@ def _bubble_estimate_data(d: int, b: float, n: float):
     prof = bubble(d, b)
     data = v_transform(prof, n=n)
     nodes = data.manifold.grid.nodes
-    r = nodes[nodes > 0.0]
-    columns = {"r": r, "v": np.asarray(data.v(r)), "P": np.asarray(data.P(r))}
+    keep = nodes > 0.0
+    columns = {"r": nodes[keep], "v": data.v.values[keep], "P": data.P.values[keep]}
     return data, _cheng_yau_check(prof, float(d), _ESTIMATE_RADII), columns
 
 
-def _scenario_estimates(spec: RunSpec):
-    d = int(spec.params["d"])
-    b = float(spec.params["b"])
-    n = float(spec.params.get("n", math.inf))
+def _scenario_estimates(spec: RunSpec, d, b, q, n):
     data, cheng_yau, columns = _bubble_estimate_data(d, b, n)
-    q = spec.params["q"]
     ratios = []
     for R in _ESTIMATE_RADII:  # one radius per call: an array R moves lhs by an ulp
-        lhs, bound = integral_estimate_ratio(data, float(q), R)
+        lhs, bound = integral_estimate_ratio(data, q, R)
         ratios.append(lhs / bound)
     ratios = np.asarray(ratios)
     checks = [
@@ -513,23 +491,17 @@ def _scenario_estimates(spec: RunSpec):
     return checks, dict(columns)
 
 
-def _scenario_custom(spec: RunSpec):
-    d = int(spec.params["d"])
-    weight = spec.params.get("weight", "none")
-    grid_args = _grid_args(spec.params, "geometric", 1e-3, 100.0, 1025)
-    grid = make_grid(*grid_args)
-    if weight == "none":
-        M = euclidean(d, grid)
+def _scenario_custom(spec: RunSpec, d, p, ell, weight, coeff, power, beta, alpha, grid):
+    if weight == "warped":
+        M = _warped_example(d, alpha, 0.0, grid)
     elif weight == "power":
-        M = power_weight(d, grid, float(spec.params.get("coeff", 1.0)),
-                         float(spec.params.get("power", 2.0)))
+        M = power_weight(d, make_grid(*grid), coeff, power)
     elif weight == "log-tail":
-        M = log_tail_weight(d, grid, beta=float(spec.params.get("beta", 2.0)))
-    elif weight == "warped":
-        M = _warped_example(d, float(spec.params.get("alpha", 0.5)), 0.0, grid_args)
+        M = log_tail_weight(d, make_grid(*grid), beta=beta)
     else:
-        raise ConfigParseError(f"unknown weight {weight!r} for custom scenario")
-    prof, checks, columns = _radial_shot(M, spec, lambda error: [Check("solve", error, False)])
+        M = euclidean(d, make_grid(*grid))
+    prof, checks, columns = _radial_shot(M, p, ell, spec.tol,
+                                         lambda error: [Check("solve", error, False)])
     if prof is None:
         return checks, columns
     checks.append(Check("solve", "-u'' - L r u' = u^p, u(0) = ell",
@@ -541,16 +513,43 @@ def _scenario_custom(spec: RunSpec):
     return checks, columns
 
 
-_RUNNERS: Dict[str, Callable[[RunSpec], Tuple[List[Check], Dict[str, np.ndarray]]]] = {
-    "euclidean-sanity": _scenario_euclidean,
-    "bubble": _scenario_bubble,
-    "log-bubble": _scenario_log_bubble,
-    "theorem-2-2": _scenario_theorem,
-    "soliton-liouville": _scenario_soliton,
-    "example-2-parabolicity": _scenario_parabolicity,
-    "estimates-sweep": _scenario_estimates,
-    "custom": _scenario_custom,
+_DIM2, _DIM3 = Param(int, Interval(2, ends="[)")), Param(int, Interval(3, ends="[)"))
+_POSITIVE, _P = Param(float, Interval(0.0)), Param(float, Interval(1.0))
+_ALPHA = Interval(0.0, 1.0)
+
+SCENARIOS: Dict[str, Scenario] = {
+    "euclidean-sanity": Scenario("flat-space curvature, distance Laplacian and ball volume",
+                                 _scenario_euclidean, (1e-3, 10.0, 1025, "uniform"), {"d": _DIM2}),
+    "bubble": Scenario("critical-power bubble: PDE residual, P constancy, k = 0",
+                       _scenario_bubble, None, {"d": _DIM3, "b": _POSITIVE}),
+    "log-bubble": Scenario("planar exponential-nonlinearity bubble checks",
+                           _scenario_log_bubble, None, {"b": _POSITIVE}),
+    "theorem-2-2": Scenario(
+        "warped example with decreasing weight: full rigidity-failure property suite",
+        _scenario_theorem, DEFAULT_GRID, {"d": _DIM3, "alpha": Param(float, _ALPHA), "p": _P,
+                                          "ell": _POSITIVE, "f0": Param(float, Interval(), 0.0)}),
+    "soliton-liouville": Scenario(
+        "Gaussian-type weight: every radial shot crosses zero (non-existence witness)",
+        _scenario_soliton, (1e-3, 12.0, 1025, "geometric"), {"d": _DIM2, "p": _P, "ell": _POSITIVE}),
+    "example-2-parabolicity": Scenario(
+        "logarithmic-tail weight: tail integral converges, volume ratio decreases",
+        _scenario_parabolicity, (1e-3, 1e3, 2049, "geometric"),
+        {"d": _DIM2, "beta": Param(float, Interval()), "p": _P}),
+    "estimates-sweep": Scenario(
+        "weighted ball estimates stay bounded over R", _scenario_estimates, None,
+        {"d": _DIM3, "b": _POSITIVE, "q": Param(float, Interval(0.0, ends="[)")),
+         "n": Param(float, Interval(0.0, ends="(]"), math.inf)}),
+    "custom": Scenario(
+        "free-form radial solve with generic sanity checks", _scenario_custom,
+        (1e-3, 100.0, 1025, "geometric"),
+        {"d": _DIM2, "p": _P, "ell": _POSITIVE,
+         "weight": Param(str, {"none", "power", "log-tail", "warped"}, "none"),
+         "coeff": Param(float, Interval(), 1.0), "power": Param(float, Interval(1.0), 2.0),
+         "beta": Param(float, Interval(), 2.0), "alpha": Param(float, _ALPHA, 0.5)}),
 }
+
+#: What ``execute_run`` calls: a dict of its own, whose runners perfbench/tracing.py wraps.
+_RUNNERS: Dict[str, Callable] = {name: record.runner for name, record in SCENARIOS.items()}
 
 
 # ---------------------------------------------------------------- artifacts
@@ -606,7 +605,7 @@ def execute_run(spec: RunSpec, out_root) -> dict:
     """Run one concrete scenario, write its artifacts, return the report."""
     runner = _RUNNERS[spec.scenario]
     start = time.perf_counter()
-    checks, columns = runner(spec)
+    checks, columns = runner(spec, **spec.values)
     elapsed = time.perf_counter() - start
     report = {
         "schema": SCHEMA_VERSION,

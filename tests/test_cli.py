@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bel import scenarios
 from bel.cli import main
@@ -69,6 +71,24 @@ def test_parse_rejections(text, fragment):
     assert fragment in str(err.value)
 
 
+#: The required keys of each closed-form scenario, which has no grid.
+CLOSED_FORM = {"bubble": "d = 4\nb = 0.125\n", "log-bubble": "b = 0.125\n",
+               "estimates-sweep": "d = 4\nb = 0.125\nq = 2\n"}
+
+
+@pytest.mark.parametrize("scenario,line", [
+    *((name, line) for name in CLOSED_FORM for line in ("r_max = 3", "nodes = 64", "spacing = uniform")),
+    ("custom", "n = 7"),
+], ids=lambda value: value.split(" =")[0])
+def test_parse_rejects_keys_no_runner_reads(scenario, line):
+    """A closed-form scenario's profiles bring their own grid, and no custom
+    run reads ``n``: such a key is unknown, not silently ignored."""
+    required = CLOSED_FORM.get(scenario, "d = 3\np = 3\nell = 1\n")
+    with pytest.raises(ConfigParseError) as err:
+        parse_config(f"scenario = {scenario}\n{required}{line}\n")
+    assert f"unknown key {line.split(' =')[0]!r} for scenario {scenario}" in str(err.value)
+
+
 def test_unknown_key_error_names_line():
     with pytest.raises(ConfigParseError) as err:
         parse_config("scenario = bubble\nd = 4\nb = 0.125\nbogus = 7\n")
@@ -92,6 +112,72 @@ def test_expand_runs_cartesian_product_and_slugs():
     assert all(s.tol == 1e-10 for s in specs)
     cfg = parse_config("scenario = custom\nd = 3\np = 3\nell = 1\nweight = none, power\n")
     assert [s.slug for s in expand_runs(cfg)] == ["custom-weightnone", "custom-weightpower"]
+
+
+def _inside(param):
+    """Values inside ``param``'s domain, its included ends among them."""
+    domain = param.domain
+    if not isinstance(domain, scenarios.Interval):
+        return st.sampled_from(sorted(domain))
+    lo, hi, (left, right) = domain.lo, domain.hi, domain.ends
+    if param.kind is int:
+        low = math.floor(lo) + 1 if left == "(" else math.ceil(lo)
+        return st.one_of(st.just(low), st.integers(min_value=low, max_value=10**4))
+    finite = st.floats(min_value=None if math.isinf(lo) else lo,
+                       max_value=None if math.isinf(hi) else hi,
+                       exclude_min=left == "(" and not math.isinf(lo),
+                       exclude_max=right == ")" and not math.isinf(hi),
+                       allow_nan=False, allow_infinity=False)
+    ends = [end for end, side in ((lo, left), (hi, right)) if side in "[]"]
+    return st.one_of(st.sampled_from(ends), finite) if ends else finite
+
+
+def _outside(param):
+    """Values of another kind than ``param``'s or outside its domain, the
+    floats next to its ends among them."""
+    domain = param.domain
+    bad = [st.sampled_from(["wide", "three", "Geometric"])]
+    if not isinstance(domain, scenarios.Interval):
+        return st.one_of(*bad, st.integers(), st.floats())
+    lo, hi, (left, right) = domain.lo, domain.hi, domain.ends
+    edges = [math.nan, lo if left == "(" else math.nextafter(lo, -math.inf)]
+    bad.append(st.floats(max_value=lo).filter(lambda v: left == "(" or v < lo))
+    if right == ")" or hi < math.inf:
+        edges.append(hi if right == ")" else math.nextafter(hi, math.inf))
+        bad.append(st.floats(min_value=hi).filter(lambda v: right == ")" or v > hi))
+    if param.kind is int:
+        bad.append(st.floats(min_value=lo, max_value=1e4).filter(lambda v: not v.is_integer()))
+    return st.one_of(st.sampled_from(edges), *bad)
+
+
+def _token(value):
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_expand_runs_checks_every_point_against_the_table(data):
+    """Each key of a scenario swept over a value inside its domain and a
+    drawn one: the sweep expands, keeping the parsed values, only when the
+    drawn value is of the key's kind and inside its domain; otherwise the
+    whole sweep is a config-parse-error that names the key."""
+    name = data.draw(st.sampled_from(sorted(SCENARIOS)))
+    keys = SCENARIOS[name].keys
+    required = {k: _token(data.draw(_inside(p))) for k, p in keys.items() if p.default is None}
+    for key, param in keys.items():
+        inside = data.draw(st.booleans())
+        sweep = [data.draw(_inside(param)), data.draw(_inside(param) if inside else _outside(param))]
+        lines = {**required, key: ", ".join(map(_token, sweep))}
+        config = parse_config(f"scenario = {name}\n" + "".join(f"{k} = {v}\n" for k, v in lines.items()))
+        if not inside:
+            with pytest.raises(ConfigParseError, match=f"^{key} must be "):
+                expand_runs(config)
+            continue
+        specs = expand_runs(config)
+        assert [spec.params for spec in specs] == [{**config.params, key: v} for v in sweep]
+        assert [type(spec.params[key]) for spec in specs] == [type(v) for v in sweep]
+        if key in specs[0].values:  # the grid keys are folded into ``grid``
+            assert [spec.values[key] for spec in specs] == [param.kind(v) for v in sweep]
 
 
 def test_expand_runs_tol_precedence():
@@ -191,7 +277,7 @@ def test_execute_run_writes_artifacts(tmp_path):
 def test_report_json_is_strict_when_a_check_measures_nan(tmp_path, monkeypatch):
     """Non-finite check values are written as strings, so report.json parses
     with a reader that rejects NaN and Infinity."""
-    def nan_runner(spec):
+    def nan_runner(spec, **values):
         return [Check("nan-measured", "a check that measures NaN", False, math.nan, math.inf)], {}
 
     monkeypatch.setitem(scenarios._RUNNERS, "bubble", nan_runner)
@@ -256,6 +342,17 @@ def test_cli_config_error_exit_code(tmp_path):
     assert "config error" in result.output and "Traceback" not in result.output
 
 
+def test_cli_sweep_point_out_of_domain_writes_nothing(tmp_path):
+    """Every sweep point is checked before the first run starts, so the good
+    point before a bad one writes no run directory."""
+    cfg = _write(tmp_path, "scenario = bubble\nd = 4\nb = 0.125, -1\n")
+    result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "error [config-parse-error]: b must be a number in (0, inf), got -1" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_theorem_shot_shorter_than_cheng_yau_sweep(tmp_path):
     """The Cheng-Yau radii R keep B_2R inside the shot, so a theorem run
     whose grid ends at r = 100 reports the check on R <= 50."""
@@ -287,9 +384,9 @@ def test_cli_check_failure_exit_code(tmp_path):
 @pytest.mark.parametrize(
     "text,code",
     [
-        ("scenario = theorem-2-2\nd = 3\nalpha = 1.5\np = 5\nell = 1\n", "invalid-alpha"),
+        ("scenario = theorem-2-2\nd = 3\nalpha = 1.5\np = 5\nell = 1\n", "config-parse-error"),
         ("scenario = custom\nd = 3\np = 3\nell = 1\nweight = bogus\n", "config-parse-error"),
-        ("scenario = soliton-liouville\nd = 3\np = 3\nell = 1\nnodes = 8\n", "invalid-range"),
+        ("scenario = soliton-liouville\nd = 3\np = 3\nell = 1\nnodes = 8\n", "config-parse-error"),
         ("scenario = bubble\nd = three\nb = 0.125\n", "config-parse-error"),
         ("scenario = soliton-liouville\nd = 3\np = x\nell = 1\n", "config-parse-error"),
         ("scenario = bubble\nd = 3.7\nb = 0.125\n", "config-parse-error"),
@@ -301,27 +398,30 @@ def test_cli_check_failure_exit_code(tmp_path):
          "config-parse-error"),
         ("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1\nr_max = 1.5\n",
          "out-of-range"),
-        ("scenario = example-2-parabolicity\nd = 3\nbeta = 2\np = 1\n", "invalid-range"),
+        ("scenario = example-2-parabolicity\nd = 3\nbeta = 2\np = 1\n", "config-parse-error"),
         ("scenario = custom\nd = 3\np = 3\nell = 1\nweight = power\npower = -1\n",
-         "invalid-range"),
+         "config-parse-error"),
         ("scenario = custom\nd = 3\np = 3\nell = 1\nweight = power\npower = 1\n",
-         "invalid-range"),
-        ("scenario = soliton-liouville\nd = 3\np = 1\nell = 1\n", "invalid-range"),
-        ("scenario = custom\nd = 3\np = 3\nell = -1\n", "nonpositive-ell"),
+         "config-parse-error"),
+        ("scenario = soliton-liouville\nd = 3\np = 1\nell = 1\n", "config-parse-error"),
+        ("scenario = custom\nd = 3\np = 3\nell = -1\n", "config-parse-error"),
         ("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 1\nell = 1\nnodes = 512\n",
-         "invalid-range"),
+         "config-parse-error"),
         ("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = -1\nell = 1\nnodes = 512\n",
-         "invalid-range"),
+         "config-parse-error"),
         ("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = -1\nnodes = 512\n",
-         "nonpositive-ell"),
+         "config-parse-error"),
         ("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1\nf0 = 800\nnodes = 256\n",
          "invalid-range"),
+        ("scenario = soliton-liouville\nd = 3\np = 1" + "0" * 400 + "\nell = 1\n",
+         "config-parse-error"),
     ],
     ids=["theorem-alpha", "custom-weight", "soliton-nodes", "text-d", "text-p", "fractional-d",
          "fractional-nodes", "text-in-sweep", "infinite-b", "nan-p",
          "theorem-shot-shorter-than-cheng-yau", "parabolicity-p-one", "custom-power-negative",
          "custom-power-one", "soliton-p-one", "custom-ell-negative", "theorem-p-one",
-         "theorem-p-minus-one", "theorem-ell-negative", "theorem-weight-underflow"],
+         "theorem-p-minus-one", "theorem-ell-negative", "theorem-weight-underflow",
+         "p-beyond-float-range"],
 )
 def test_cli_run_error_exit_code(tmp_path, text, code):
     cfg = _write(tmp_path, text)
@@ -329,6 +429,8 @@ def test_cli_run_error_exit_code(tmp_path, text, code):
     assert result.exit_code == 2, result.output
     assert f"error [{code}]:" in result.output
     assert "Traceback" not in result.output
+    if code == "config-parse-error":  # found before any run starts
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("scenario,extra", [
@@ -463,3 +565,5 @@ def test_cli_list_scenarios():
     assert result.exit_code == 0
     for name in SCENARIOS:
         assert name in result.output
+    assert "  alpha: a number in (0, 1); required\n" in result.output
+    assert "  nodes: an integer in [16, inf); default 4096\n" in result.output

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import bel.radial_core as radial_core
-from bel import _g17, lane_emden, scenarios
+from bel import _g17, lane_emden, pfunction, scenarios
 from bel.construction import build_example, verify_theorem
 from bel.scenarios import execute_run, expand_runs, parse_config
 
@@ -206,6 +206,37 @@ def test_warm_theorem_run_reads_stored_shot_values(monkeypatch, tmp_path):
     assert len(calls) == 6, len(calls)
 
 
+#: Closed-form callback calls of one run of each closed-form scenario; they
+#: were 45, 23 and 87 when its v, P, Pohozaev and energy columns evaluated
+#: the callbacks again at the nodes whose values the profile stores.
+CLOSED_FORM_CALLS = {
+    "scenario = bubble\nd = 4\nb = 0.125\n": 37,
+    "scenario = log-bubble\nb = 0.125\n": 19,
+    "scenario = estimates-sweep\nd = 4\nb = 0.125\nq = 2\n": 83,
+}
+
+
+@pytest.mark.parametrize("text", sorted(CLOSED_FORM_CALLS), ids=lambda t: t.split()[2])
+def test_closed_form_run_reads_stored_node_values(monkeypatch, tmp_path, text):
+    """The profile columns of a closed-form run read the node values its
+    profile and v-transform store instead of calling ``u``, ``u'`` or ``u''``
+    at those nodes again."""
+    calls = []
+    original = pfunction._explicit_profile
+
+    def counted(d, grid, p, ell, *callbacks):
+        def count(fn):
+            def evaluate(r):
+                calls.append(fn)
+                return fn(r)
+            return evaluate
+        return original(d, grid, p, ell, *map(count, callbacks))
+
+    monkeypatch.setattr(pfunction, "_explicit_profile", counted)
+    _run(text, tmp_path)
+    assert len(calls) == CLOSED_FORM_CALLS[text], len(calls)
+
+
 # ------------------------------------------------- closed-form sweeps
 
 #: A two-point sweep of each closed-form scenario whose swept parameter
@@ -251,4 +282,5 @@ def test_benchmark_tracer_finds_every_call_site_it_patches(tmp_path):
     with tracing.installed(tracing.Recorder()) as recorder:
         _run("scenario = log-bubble\nb = 0.125\n", tmp_path)
     assert recorder.counts["radial_core.eval.calls"] > 0
+    assert recorder.counts["scenarios.runner.calls"] == 1
     assert scenarios.ModelManifold.drift is original
