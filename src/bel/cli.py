@@ -8,7 +8,7 @@ from pathlib import Path
 import click
 
 from .errors import BelError, ConfigParseError
-from .scenarios import SCENARIOS, execute_run, expand_runs, load_config
+from .scenarios import SCENARIOS, TOL, execute_run, expand_runs, load_config
 
 
 @click.group()
@@ -66,7 +66,9 @@ def list_scenarios():
         click.echo(f"{name}: {record.description}")
         for key, param in record.keys.items():
             default = "required" if param.default is None else f"default {param.default}"
-            click.echo(f"  {key}: {param}; {default}")
+            read = "" if param.read_with is None else "; read with {} = {}".format(*param.read_with)
+            click.echo(f"  {key}: {param}{read}; {default}")
+    click.echo(f"every scenario: tol: {TOL}; default {TOL.default}")
 
 
 if __name__ == "__main__":

@@ -392,12 +392,18 @@ def verify_theorem(
     asymptotic_C = ((p - 1.0) / (2.0 * d)) * record.weight_ratio * alpha ** (d - 1)
 
     solved = u_decreasing = gradient_product_positive = asymptotic_bound_holds = False
+    underflowed = ""
     if profile is not None and profile.global_positive:
         solved = abs(float(profile.u(0.0)) - ell) <= 1e-10 * max(1.0, ell)
         du = profile.u_prime.values[M.grid.nodes > 0.0]
         u_decreasing = bool(np.all(du < 0.0))
         gradient_product_positive = bool(np.all(record.df * du > 0.0))
-        asymptotic_bound_holds = asymptotic_bound_check(profile, asymptotic_C).all_hold
+        # a positive solution has u' < 0 for r > 0: an all-zero u' is an
+        # underflowed profile, on which any bound on u holds trivially
+        if not np.any(du):
+            underflowed = "; failed: u' = 0 at every positive node"
+        else:
+            asymptotic_bound_holds = asymptotic_bound_check(profile, asymptotic_C).all_hold
 
     checks = (
         Check("solve", "-u'' - L r u' = u^p, u(0) = ell",
@@ -413,7 +419,7 @@ def verify_theorem(
         psi_cap,
         rough,
         volume,
-        Check("asymptotic-bound", "u <= (C r^2 + ell^{1-p})^{-1/(p-1)}",
+        Check("asymptotic-bound", "u <= (C r^2 + ell^{1-p})^{-1/(p-1)}" + underflowed,
               asymptotic_bound_holds, asymptotic_C),
         weight_ode,
         weight_bounded,

@@ -71,7 +71,7 @@ class ModelManifold:
 
     ``scalar_drift``, when set, evaluates :meth:`drift` at one Python or
     numpy float radius ``r > 0`` without the array machinery; the radial
-    shot calls the drift once per right-hand-side stage.  It must return
+    shot calls it directly, once per right-hand-side stage.  It must return
     the same bits as the generic path at every radius, so it repeats that
     path operation by operation: a ufunc where the generic path applies a
     ufunc to an array (``ndarray ** e`` is ``np.power``), plain Python

@@ -14,12 +14,14 @@ E = u'^2/2 + U(u), the Pohozaev-style function
 and its slope factor K with P' = K u'^2, together with a curvature-flavoured
 decomposition of K used as an internal cross-check.
 
-A shot's profile between the series region and ``r_end`` is the solver's
-DOP853 dense output (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6).  It is
-evaluated by one vectorised pass over the stacked segment coefficients, with
-the per-point arithmetic of scipy's ``Dop853DenseOutput``, so values are
-bit-identical to ``OdeSolution`` without its per-segment Python loop; ``u``,
-``u'`` and the crossing bisection all go through that one path.
+A shot is integrated by bel's own DOP853 driver (:mod:`bel._dop853`), which
+repeats scipy's ``solve_ivp`` arithmetic bit for bit without its per-step
+objects.  The right-hand side runs on Python floats and calls the builder's
+``scalar_drift`` directly when there is one.  A shot's profile between the
+series region and ``r_end`` is the driver's dense output: ``u`` and ``u'`` at
+many radii go through its vectorised evaluation, the crossing bisection
+through its evaluation at one radius on Python floats; both give the bits of
+scipy's ``OdeSolution``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._dop853 import dense_output, scalar_dense_output, solve_ivp
 from .errors import (
     BlowupError,
     CrossCheckError,
@@ -157,22 +159,25 @@ def _shoot(
         r_max = grid.r_max
     if not (0.0 < r_max <= grid.r_max * (1 + 1e-12)):
         raise InvalidRangeError(f"r_max must lie in (0, {grid.r_max}]")
-    if tol <= 0.0:
-        raise InvalidRangeError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise InvalidRangeError(f"tol must be a positive finite number, got {tol}")
 
     d = M.d
     nonlin = _nonlinearity(p)
     with np.errstate(over="ignore"):  # inf is caught just below
         c2 = nonlin(ell) / (2.0 * d)  # u = ell - c2 r^2 + O(r^4) near the pole
     r0 = series_handoff_radius(grid)
+    if not r0 < r_max:
+        raise InvalidRangeError(f"r_max must exceed the series handoff radius {r0:g}")
     y0 = np.array([ell - c2 * r0**2, -2.0 * c2 * r0])
     if not np.all(np.isfinite(y0)) or np.max(np.abs(y0)) >= OVERFLOW_GUARD:
         raise BlowupError("initial data exceeds the overflow guard")
 
-    drift = M.drift
+    drift = M.scalar_drift or M.drift
 
     def rhs(r, y):
-        return (y[1], -drift(r) * y[1] - nonlin(y[0]))
+        u, du = y
+        return du, -drift(r) * du - nonlin(u)
 
     def guard_event(r, y):
         return OVERFLOW_GUARD - max(abs(y[0]), abs(y[1]))
@@ -191,30 +196,17 @@ def _shoot(
         events.append(crossing_event)
 
     with np.errstate(over="ignore"):  # inf is caught just below
-        sol = solve_ivp(
-            rhs,
-            (r0, r_max),
-            y0,
-            method="DOP853",
-            rtol=tol,
-            atol=tol,
-            dense_output=True,
-            events=events,
-        )
-    # scipy's solver object is a reference cycle that keeps rhs alive until
-    # the cyclic GC runs; rhs lets go of the manifold here
-    drift = None
-    if not np.all(np.isfinite(sol.y[:, -1])):
+        sol = solve_ivp(rhs, (r0, r_max), y0, rtol=tol, atol=tol, events=events)
+    if not np.all(np.isfinite(sol.y)):
         raise BlowupError("solution left the finite range during integration")
     if len(sol.t_events[0]):
         raise BlowupError(
             f"overflow guard {OVERFLOW_GUARD:g} tripped at r = {sol.t_events[0][0]:.6g}"
         )
 
-    dense = _dense_output(sol)
     r_star: Optional[float] = None
     if p is not None and len(sol.t_events[1]):
-        r_star = _refine_crossing(dense, sol.t, float(sol.t_events[1][0]), tol)
+        r_star = _refine_crossing(sol, float(sol.t_events[1][0]), tol)
         status = f"crossed-zero-at({r_star:.12g})"
         r_end = r_star
     elif sol.status == 0:
@@ -225,7 +217,7 @@ def _shoot(
         status = f"truncated-at({r_end:.12g})"
 
     u_fn, up_fn, upp_fn = _profile_callbacks(
-        dense, float(sol.t[-1]), ell, c2, r0, r_end, M.drift, nonlin
+        dense_output(sol), float(sol.t[-1]), ell, c2, r0, r_end, M.drift, nonlin
     )
 
     nodes = grid.nodes
@@ -249,8 +241,10 @@ def _shoot(
     )
 
 
-def _refine_crossing(dense, t, r_event: float, tol: float) -> float:
+def _refine_crossing(sol, r_event: float, tol: float) -> float:
     """Bisect the dense output around the located event until |u| <= tol."""
+    t = sol.t
+    dense = scalar_dense_output(sol)
     lo = t[-2] if t.size > 1 else t[0]
     hi = r_event
     if dense(hi)[0] > 0.0:  # event landed a hair early; nudge the bracket
@@ -265,44 +259,6 @@ def _refine_crossing(dense, t, r_event: float, tol: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _dense_output(sol) -> Callable:
-    """Vectorised evaluation of the shot's DOP853 dense output.
-
-    Evaluates like ``sol.sol`` and gives bit-identical results, without its
-    per-segment Python loop: the segments' ``t_old``, ``h``, ``y_old`` and
-    interpolation coefficients ``F`` are stacked once, every radius finds its
-    segment through one ``searchsorted`` (``side="left"``, clamped to the
-    first and last segment, as ``OdeSolution`` does), and all radii go
-    through the loop of ``Dop853DenseOutput._call_impl`` together.  Returns
-    ``y`` of shape ``(2,)`` for a scalar radius, ``(2, n)`` for n radii.
-    """
-    segments = sol.sol.interpolants
-    ts = sol.sol.ts
-    t_old = np.array([s.t_old for s in segments])
-    h = np.array([s.h for s in segments])
-    y_old = np.array([s.y_old for s in segments])
-    F = np.array([s.F for s in segments])  # (segments, order, 2)
-    last = len(segments) - 1
-
-    def evaluate(r):
-        rr = np.asarray(r, dtype=float)
-        flat = np.atleast_1d(rr)
-        seg = np.clip(np.searchsorted(ts, flat, side="left") - 1, 0, last)
-        x = ((flat - t_old[seg]) / h[seg])[:, None]
-        coeffs = F[seg]
-        y = np.zeros((flat.size, y_old.shape[1]))
-        for i in range(F.shape[1]):
-            y += coeffs[:, -1 - i]
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += y_old[seg]
-        return y.T if rr.ndim else y[0]
-
-    return evaluate
 
 
 def _profile_callbacks(dense, t_last, ell, c2, r0, r_end, drift, nonlin):

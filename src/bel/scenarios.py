@@ -115,11 +115,14 @@ class Interval:
 @dataclass(frozen=True)
 class Param:
     """A config key: its kind (``int``, ``float`` or ``str``), its domain (an
-    ``Interval`` or a set of choices) and its default (``None``: required)."""
+    ``Interval`` or a set of choices), its default (``None``: required) and,
+    for a key that only one choice of another key reads, that ``(key,
+    choice)`` pair (``read_with``)."""
 
     kind: type
     domain: object
     default: object = None
+    read_with: Optional[Tuple[str, str]] = None
 
     def __str__(self) -> str:
         if isinstance(self.domain, Interval):
@@ -139,10 +142,15 @@ class Param:
         return typed
 
 
+#: The solver and check tolerance ``tol``: the config key or ``--tol``.
+TOL = Param(float, Interval(0.0), 1e-10)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A scenario: what it checks, its runner, its default ``make_grid``
-    arguments (``None`` where the profiles bring their own grid), its keys."""
+    arguments (``None`` where the profiles bring their own grid), its keys
+    (``tol``, which every scenario takes, is :data:`TOL`)."""
 
     description: str
     runner: Callable[..., Tuple[List[Check], Dict[str, np.ndarray]]]
@@ -238,17 +246,26 @@ def expand_runs(config: ScenarioConfig, tol: Optional[float] = None) -> List[Run
     """Expand comma sweeps into the cartesian product of concrete runs.
 
     Every point is checked before any run is returned: a value that is not
-    of its key's kind and domain is a ``config-parse-error``.
+    of its key's kind and domain, a key set where the choice it is read with
+    is not made, or a ``tol`` (``tol`` here, else the config's) outside
+    :data:`TOL` is a ``config-parse-error``.
     """
     record = SCENARIOS[config.scenario]
     keys = record.keys
     swept = list(config.sweep_keys)
     runs: List[RunSpec] = []
-    run_tol = tol if tol is not None else (config.tol if config.tol is not None else 1e-10)
+    run_tol = TOL.typed("tol", tol if tol is not None else
+                        config.tol if config.tol is not None else TOL.default)
     for combo in itertools.product(*(config.params[k] for k in swept)):
         params = {**config.params, **dict(zip(swept, combo))}
         values = {key: param.default for key, param in keys.items()}
         values.update((key, keys[key].typed(key, value)) for key, value in params.items())
+        for key in params:
+            if keys[key].read_with is not None:
+                other, choice = keys[key].read_with
+                if values[other] != choice:
+                    raise ConfigParseError(f"{key} is read only with {other} = {choice}, "
+                                           f"not with {other} = {values[other]}")
         if record.grid is not None:
             values["grid"] = (record.grid[0], *map(values.pop, ("r_max", "nodes", "spacing")))
         slug = "-".join([config.scenario] + [f"{k}{v:g}" if isinstance(v, (int, float))
@@ -544,8 +561,10 @@ SCENARIOS: Dict[str, Scenario] = {
         (1e-3, 100.0, 1025, "geometric"),
         {"d": _DIM2, "p": _P, "ell": _POSITIVE,
          "weight": Param(str, {"none", "power", "log-tail", "warped"}, "none"),
-         "coeff": Param(float, Interval(), 1.0), "power": Param(float, Interval(1.0), 2.0),
-         "beta": Param(float, Interval(), 2.0), "alpha": Param(float, _ALPHA, 0.5)}),
+         "coeff": Param(float, Interval(), 1.0, ("weight", "power")),
+         "power": Param(float, Interval(1.0), 2.0, ("weight", "power")),
+         "beta": Param(float, Interval(), 2.0, ("weight", "log-tail")),
+         "alpha": Param(float, _ALPHA, 0.5, ("weight", "warped"))}),
 }
 
 #: What ``execute_run`` calls: a dict of its own, whose runners perfbench/tracing.py wraps.

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +172,8 @@ def test_expand_runs_checks_every_point_against_the_table(data):
         inside = data.draw(st.booleans())
         sweep = [data.draw(_inside(param)), data.draw(_inside(param) if inside else _outside(param))]
         lines = {**required, key: ", ".join(map(_token, sweep))}
+        if param.read_with is not None:  # make the choice the key is read with
+            lines[param.read_with[0]] = param.read_with[1]
         config = parse_config(f"scenario = {name}\n" + "".join(f"{k} = {v}\n" for k, v in lines.items()))
         if not inside:
             with pytest.raises(ConfigParseError, match=f"^{key} must be "):
@@ -433,6 +439,47 @@ def test_cli_run_error_exit_code(tmp_path, text, code):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text,args,message", [
+    ("scenario = bubble\nd = 4\nb = 0.125\ntol = -1\n", [], "tol must be a number in (0, inf)"),
+    ("scenario = bubble\nd = 4\nb = 0.125\ntol = inf\n", [], "tol must be a number in (0, inf)"),
+    ("scenario = log-bubble\nb = 0.125\n", ["--tol", "nan"], "tol must be a number in (0, inf)"),
+    ("scenario = custom\nd = 3\np = 3\nell = 1\nweight = none\npower = 5\n", [],
+     "power is read only with weight = power, not with weight = none"),
+    ("scenario = custom\nd = 3\np = 3\nell = 1\ncoeff = 2\n", [],
+     "coeff is read only with weight = power, not with weight = none"),
+    ("scenario = custom\nd = 3\np = 3\nell = 1\nweight = power\nbeta = 1\n", [],
+     "beta is read only with weight = log-tail, not with weight = power"),
+    ("scenario = custom\nd = 3\np = 3\nell = 1\nweight = log-tail\nalpha = 0.3\n", [],
+     "alpha is read only with weight = warped, not with weight = log-tail"),
+    ("scenario = custom\nd = 3\np = 3\nell = 1\nweight = power, none\npower = 3\n", [],
+     "power is read only with weight = power, not with weight = none"),
+], ids=["negative-tol", "infinite-tol", "nan-tol-option", "power-without-power-weight",
+        "coeff-without-power-weight", "beta-without-log-tail", "alpha-without-warped",
+        "power-on-a-swept-weight"])
+def test_cli_rejects_tol_and_unread_weight_keys(tmp_path, text, args, message):
+    """tol is checked against the table, for the config value and --tol
+    alike; a custom weight key set without its weight is never silently
+    ignored.  The whole sweep is rejected before any run starts."""
+    cfg = _write(tmp_path, text)
+    result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out"), *args])
+    assert result.exit_code == 2, result.output
+    assert f"error [config-parse-error]: {message}" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_nan_tol_exits_fast(tmp_path):
+    """A NaN tolerance once made the shot's step size NaN and the run never
+    ended; it is now a config error, and a subprocess with a timeout keeps a
+    regression from hanging the suite."""
+    cfg = _write(tmp_path, "scenario = soliton-liouville\nd = 3\np = 3\nell = 1\ntol = nan\n")
+    src = str(Path(scenarios.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "bel.cli", "run", cfg, "--out",
+                           str(tmp_path / "out")], capture_output=True, text=True, timeout=5, env=env)
+    assert done.returncode == 2, done.stderr
+    assert "error [config-parse-error]: tol must be a number in (0, inf), got nan" in done.stderr
+
+
 @pytest.mark.parametrize("scenario,extra", [
     ("theorem-2-2", "alpha = 0.5\nnodes = 512\n"),
     ("soliton-liouville", ""),
@@ -452,7 +499,9 @@ def test_cli_blowup_is_a_failed_solve_check(tmp_path, scenario, extra):
 
 def test_cli_tiny_center_value_ends_in_a_report(tmp_path):
     # ell^{1-p} = 1e1200 overflows a float; the asymptotic bound is still
-    # representable and the run ends in a report, not a traceback
+    # representable and the run ends in a report, not a traceback.  u' has
+    # underflowed to 0 at every node, so the bound holds only trivially: the
+    # check fails and says why
     cfg = _write(tmp_path, "scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1e-300\n"
                            "nodes = 256\n")
     result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
@@ -461,7 +510,8 @@ def test_cli_tiny_center_value_ends_in_a_report(tmp_path):
     assert "Traceback" not in result.output
     report = json.loads((tmp_path / "out" / "theorem-2-2" / "report.json").read_text())
     bound = [c for c in report["checks"] if c["name"] == "asymptotic-bound"]
-    assert len(bound) == 1 and bound[0]["verdict"] is True
+    assert len(bound) == 1 and bound[0]["verdict"] is False
+    assert bound[0]["reference"].endswith("; failed: u' = 0 at every positive node")
 
 
 def test_cli_tiny_center_value_fails_cheng_yau(tmp_path):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from bel import geometry, lane_emden
+from bel._dop853 import dense_output, scalar_dense_output
 from bel.construction import build_example
 from bel.errors import (
     BelError,
@@ -130,46 +132,98 @@ def test_gaussian_weight_crossing_for_several_center_values(ell):
     assert shot.crossed
 
 
-def _captured_shot(monkeypatch, M, p, ell):
-    """Shoot and return (profile, the raw solve_ivp result)."""
-    captured = []
-    solve_ivp = lane_emden.solve_ivp
+_ORACLE_SHOTS = {
+    # a warped global-positive shot, a crossing on the soliton weight, a
+    # log-tail shot, a Liouville shot (p = None) and one that trips the
+    # overflow guard (u' grows like e^{r^2} once u has plunged below zero)
+    "theorem": lambda: (build_example(3, 0.5, grid=make_grid(1e-3, 100.0, 1025, "geometric")),
+                        5.0, 1.0),
+    "soliton": lambda: (power_weight(3, make_grid(0.0, 6.0, 301, "uniform"), 1.0, 2.0), 3.0, 1.0),
+    "log-tail": lambda: (log_tail_weight(3, make_grid(1e-3, 100.0, 257, "geometric"), 2.0),
+                         5.0, 1.0),
+    "liouville": lambda: (euclidean(2, make_grid(1e-3, 20.0, 257, "geometric")), None, 1.0),
+    "overflow-guard": lambda: (power_weight(2, make_grid(1e-3, 4.0, 129, "geometric"), 5.0, 2.0),
+                               None, 690.0),
+}
 
-    def capture(*args, **kwargs):
-        captured.append(solve_ivp(*args, **kwargs))
-        return captured[-1]
+
+def _driver_and_oracle(monkeypatch, case):
+    """Shoot ``case`` through bel's DOP853 driver, then solve the same problem
+    with scipy's ``solve_ivp``; returns (manifold, driver result, scipy result)."""
+    M, p, ell = _ORACLE_SHOTS[case]()
+    captured = []
+    driver = lane_emden.solve_ivp
+
+    def capture(fun, t_span, y0, **kwargs):
+        captured.append((fun, t_span, y0, kwargs, driver(fun, t_span, y0, **kwargs)))
+        return captured[-1][-1]
 
     monkeypatch.setattr(lane_emden, "solve_ivp", capture)
-    profile = solve_radial(M, p=p, ell=ell, tol=1e-10)
+    try:
+        if p is None:
+            solve_liouville(M, ell=ell)
+        else:
+            solve_radial(M, p=p, ell=ell)
+    except BlowupError:
+        assert case == "overflow-guard"
     monkeypatch.undo()
-    return profile, captured[0]
+    fun, t_span, y0, kwargs, sol = captured[0]
+    with np.errstate(over="ignore"):
+        oracle = scipy_solve_ivp(fun, t_span, y0, method="DOP853", dense_output=True, **kwargs)
+    return M, sol, oracle
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_SHOTS))
+def test_driver_matches_scipy_solve_ivp_bit_for_bit(monkeypatch, case):
+    """bel's driver repeats scipy's DOP853 arithmetic operation by operation:
+    steps, work, status, event roots, final state and dense output agree to
+    the bit."""
+    M, sol, oracle = _driver_and_oracle(monkeypatch, case)
+    expected_status = {"soliton": 1, "overflow-guard": 1}.get(case, 0)
+    assert sol.status == oracle.status == expected_status
+    assert np.array_equal(sol.t, oracle.t)
+    assert sol.nfev == oracle.nfev
+    assert len(sol.t_events) == len(oracle.t_events)
+    for mine, theirs in zip(sol.t_events, oracle.t_events):
+        assert np.array_equal(mine, theirs)
+    assert sum(te.size for te in sol.t_events) == (expected_status == 1)
+    assert np.array_equal(sol.y, oracle.y[:, -1])
+    dense = dense_output(sol)
+    t0, t1 = sol.t[0], sol.t[-1]
+    nodes = M.grid.nodes
+    for r in (nodes[(nodes >= t0) & (nodes <= t1)], np.random.default_rng(7).uniform(t0, t1, 500)):
+        assert np.array_equal(dense(r), oracle.sol(r))
 
 
 @pytest.mark.parametrize("case", ["theorem", "soliton"])
 def test_vectorised_dense_output_is_bit_identical(monkeypatch, case):
-    """The stacked-segment evaluation reads scipy-private DOP853 attributes
-    (t_old, h, y_old, F); this is the guard that fails if they change."""
-    if case == "theorem":
-        M, p = build_example(3, 0.5, grid=make_grid(1e-3, 100.0, 1025, "geometric")), 5.0
-    else:
-        M, p = power_weight(3, make_grid(0.0, 6.0, 301, "uniform"), coeff=1.0, power=2.0), 3.0
-    profile, sol = _captured_shot(monkeypatch, M, p, 1.0)
-    assert profile.global_positive == (case == "theorem")
-    assert profile.crossed == (case == "soliton")
-    dense = lane_emden._dense_output(sol)
+    """The stacked-segment evaluation and the scalar one give the bits of
+    scipy's ``OdeSolution``, at the step ends and at scalar radii too."""
+    _, sol, oracle = _driver_and_oracle(monkeypatch, case)
+    dense, scalar = dense_output(sol), scalar_dense_output(sol)
+    assert np.array_equal(dense(sol.t), oracle.sol(sol.t))
     t0, t1 = sol.t[0], sol.t[-1]
-    nodes = M.grid.nodes
-    rng = np.random.default_rng(7)
-    for r in (
-        nodes[(nodes >= t0) & (nodes <= t1)],
-        sol.t,
-        rng.uniform(t0, t1, 500),
-    ):
-        assert np.array_equal(dense(r), sol.sol(r))
-    for r in (float(t0), 0.5 * (t0 + t1), float(sol.t[len(sol.t) // 2]), float(t1)):
+    for r in (float(t0), 0.5 * (t0 + t1), float(sol.t[len(sol.t) // 2]), float(t1),
+              *np.random.default_rng(11).uniform(t0, t1, 50)):
         got = dense(r)
         assert got.shape == (2,)
-        assert np.array_equal(got, sol.sol(r))
+        assert np.array_equal(got, oracle.sol(r))
+        assert scalar(r) == got.tolist()
+
+
+def test_driver_ends_a_shot_whose_step_size_is_not_finite():
+    """A NaN tolerance makes the first step size NaN, which never trips the
+    minimum step; the driver ends the shot (status -1) instead of looping."""
+    calls = []
+
+    def fun(r, y):
+        calls.append(r)
+        assert len(calls) < 1000, "the driver kept stepping with a NaN step size"
+        return y[1], -y[0]
+
+    sol = lane_emden.solve_ivp(fun, (1e-4, 1.0), np.array([1.0, 0.0]), rtol=np.nan, atol=np.nan)
+    assert sol.status == -1
+    assert np.array_equal(sol.t, [1e-4]) and sol.h.size == 0
 
 
 def test_decomposition_mismatch_raises_coded_error(monkeypatch):
@@ -236,8 +290,11 @@ def test_profile_rejects_radii_beyond_its_range(bubble_shot):
 
 
 def test_solver_validates_tolerance_and_range(flat4):
+    for tol in (0.0, -1e-10, np.nan, np.inf):
+        with pytest.raises(InvalidRangeError):
+            solve_radial(flat4, p=3.0, ell=1.0, tol=tol)
     with pytest.raises(InvalidRangeError):
-        solve_radial(flat4, p=3.0, ell=1.0, tol=0.0)
+        solve_radial(flat4, p=3.0, ell=1.0, r_max=1e-5)  # below the series handoff radius
     with pytest.raises(InvalidRangeError):
         solve_radial(flat4, p=3.0, ell=1.0, r_max=25.0)
 
