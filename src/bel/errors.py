@@ -19,12 +19,6 @@ class InvalidRangeError(BelError):
     code = "invalid-range"
 
 
-class InsufficientNodesError(BelError):
-    """Too few nodes for the requested finite-difference order."""
-
-    code = "insufficient-nodes"
-
-
 class OutOfGridError(BelError):
     """A radius beyond the sampled grid was requested."""
 

@@ -69,19 +69,19 @@ class ModelManifold:
     ``weight_from_psi`` marks weights obtained from the concave-warping
     recipe (it enables closed-form cross-checks downstream).
 
-    ``scalar_drift``, when set, evaluates :meth:`drift` at one Python or
-    numpy float radius ``r > 0`` without the array machinery; the radial
-    shot calls it directly, once per right-hand-side stage.  It must return
-    the same bits as the generic path at every radius, so it repeats that
-    path operation by operation: a ufunc where the generic path applies a
-    ufunc to an array (``ndarray ** e`` is ``np.power``), plain Python
-    arithmetic where it does numpy scalar arithmetic.  Arrays, 0-d arrays
-    included, always take the generic path, which stays the reference.
-    The stock builders (:func:`euclidean`, :func:`power_weight`,
-    :func:`log_tail_weight` and :func:`bel.construction.build_example`)
-    supply one; other manifolds leave it ``None``.  It describes ``d``,
-    ``psi`` and ``f``, so a copy that replaces any of them must replace it
-    too (``None`` selects the generic path).
+    ``scalar_drift``, when set, evaluates the drift at one Python float
+    radius ``r > 0`` without the array machinery; the radial shot calls it
+    directly, once per right-hand-side stage.  It must return the same bits
+    as :meth:`drift` at every radius, so it repeats that path operation by
+    operation: a ufunc where :meth:`drift` applies a ufunc to an array
+    (``ndarray ** e`` is ``np.power``), plain Python arithmetic where it
+    does numpy scalar arithmetic.  :meth:`drift` never calls it and stays
+    the reference.  The stock builders (:func:`euclidean`,
+    :func:`power_weight`, :func:`log_tail_weight` and
+    :func:`bel.construction.build_example`) supply one; other manifolds
+    leave it ``None``.  It describes ``d``, ``psi`` and ``f``, so a copy
+    that replaces any of them must replace it too (with ``None`` the shot
+    calls :meth:`drift`).
     """
 
     d: int
@@ -129,10 +129,6 @@ class ModelManifold:
 
     def drift(self, r):
         """L r = (d-1) psi'/psi - f' at r > 0 (the drift of the distance)."""
-        if isinstance(r, float) and self.scalar_drift is not None:
-            if r <= 0.0:
-                raise SingularRadiusError("evaluation requires r > 0")
-            return self.scalar_drift(float(r))  # Python floats are faster than numpy scalars
         rr = _as_radii(r)
         val = (self.d - 1) * self.psi(rr, 1) / self.psi(rr) - self.f(rr, 1)
         return _maybe_scalar(val, r)
@@ -487,23 +483,16 @@ def _smoothstep_d2(t: np.ndarray) -> np.ndarray:
     return np.where(inside, 60.0 * t * (1.0 - t) * (1.0 - 2.0 * t), 0.0)
 
 
-def log_tail_weight(
-    d: int,
-    grid: RadialGrid,
-    beta: float = 2.0,
-    blend: tuple[float, float] = (1.5, 3.0),
-) -> ModelManifold:
+def log_tail_weight(d: int, grid: RadialGrid, beta: float = 2.0) -> ModelManifold:
     """psi = r with a weight whose density is ``C r^{2-d} log^beta r`` at infinity.
 
     ``e^{-f} = h`` with ``h = (1 - eta) + eta * C r^{2-d} log^beta r`` where
-    ``eta`` is a quintic smoothstep over the ``blend`` window and ``C`` is
+    ``eta`` is a quintic smoothstep over the window ``[1.5, 3]`` and ``C`` is
     normalized so the tail formula equals 1 at the window's right edge.  The
     weight is exactly constant near the pole (so f'(0) = 0) and exactly the
     logarithmic tail beyond the window.
     """
-    lo, hi = blend
-    if not (1.0 < lo < hi):
-        raise InvalidRangeError(f"blend window must sit right of r = 1, got {blend}")
+    lo, hi = 1.5, 3.0
     C = hi ** (d - 2) / math.log(hi) ** beta
 
     def tail(r):

@@ -17,6 +17,7 @@ to radial profiles on model manifolds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
@@ -194,20 +195,13 @@ def v_transform(profile: SolutionProfile, n: float = math.inf) -> PFunctionData:
         m = 2.0
         c_m = 0.5
 
-        def v_fn(r):
-            return np.exp(-0.5 * np.asarray(u(r), dtype=float))
+        def chain(uu, du_r=None, ddu_r=None):
+            """v = e^{-u/2}, then v' and v''."""
+            v = np.exp(-0.5 * uu)
+            yield v
+            yield -0.5 * v * du_r
+            yield v * (0.25 * du_r**2 - 0.5 * ddu_r)
 
-        def dv_fn(r):
-            vv = v_fn(r)
-            return -0.5 * vv * np.asarray(du(r), dtype=float)
-
-        def ddv_fn(r):
-            vv = v_fn(r)
-            du_r = np.asarray(du(r), dtype=float)
-            ddu_r = np.asarray(u(r, 2), dtype=float)
-            return vv * (0.25 * du_r**2 - 0.5 * ddu_r)
-
-        v_vals = np.exp(-0.5 * u.values)
     else:
         if profile.r_star is not None:
             raise NonpositiveSolutionError(
@@ -218,43 +212,36 @@ def v_transform(profile: SolutionProfile, n: float = math.inf) -> PFunctionData:
         c_m = (p - 1.0) / 2.0  # = 2/(m-2)
         gamma = -(p - 1.0) / 2.0
 
-        def v_fn(r):
-            return np.asarray(u(r), dtype=float) ** gamma
-
-        def dv_fn(r):
-            uu = np.asarray(u(r), dtype=float)
-            return gamma * uu ** (gamma - 1.0) * np.asarray(du(r), dtype=float)
-
-        def ddv_fn(r):
-            uu = np.asarray(u(r), dtype=float)
-            du_r = np.asarray(du(r), dtype=float)
-            ddu_r = np.asarray(u(r, 2), dtype=float)
-            return gamma * (gamma - 1.0) * uu ** (gamma - 2.0) * du_r**2 + gamma * uu ** (
+        def chain(uu, du_r=None, ddu_r=None):
+            """v = u^gamma, then v' and v''."""
+            yield uu**gamma
+            yield gamma * uu ** (gamma - 1.0) * du_r
+            yield gamma * (gamma - 1.0) * uu ** (gamma - 2.0) * du_r**2 + gamma * uu ** (
                 gamma - 1.0
             ) * ddu_r
 
-        with np.errstate(invalid="ignore"):
-            v_vals = u.values**gamma
+    def jet(r, order):
+        """v, ..., v^(order) at r: ``chain`` yields them in turn and stops
+        there, so it takes u, ..., u^(order) only, each evaluated once."""
+        sources = ((u, 0), (du, 0), (u, 2))[: order + 1]
+        inputs = [np.asarray(f(r, k), dtype=float) for f, k in sources]
+        return list(itertools.islice(chain(*inputs), order + 1))
 
-    def P_fn(r):
-        vv = np.asarray(v_fn(r), dtype=float)
-        dv = np.asarray(dv_fn(r), dtype=float)
-        return ((m / 2.0) * dv**2 + c_m) / vv
+    def P_of(v, dv):
+        return ((m / 2.0) * dv**2 + c_m) / v
 
-    def dP_fn(r):
-        vv = np.asarray(v_fn(r), dtype=float)
-        dv = np.asarray(dv_fn(r), dtype=float)
-        ddv = np.asarray(ddv_fn(r), dtype=float)
-        P = ((m / 2.0) * dv**2 + c_m) / vv
-        return (dv / vv) * (m * ddv - P)
+    def dP_of(v, dv, ddv):
+        return (dv / v) * (m * ddv - P_of(v, dv))
 
-    grid = M.grid
-    P_vals = np.full(grid.n, np.nan)
-    ok = np.isfinite(v_vals)
-    if np.any(ok):
-        P_vals[ok] = P_fn(grid.nodes[ok])
-    v = RadialFunction(grid, v_vals, value_fn=v_fn, derivs=(dv_fn, ddv_fn, None))
-    P = RadialFunction(grid, P_vals, value_fn=P_fn, derivs=(dP_fn, None, None))
+    # Node values from the profile's node values: u^gamma is NaN where u < 0
+    # and overflows where u is tiny; P is NaN wherever v is not finite.
+    with np.errstate(invalid="ignore", over="ignore"):
+        v_vals, dv_vals = itertools.islice(chain(u.values, du.values), 2)
+        P_vals = np.where(np.isfinite(v_vals), P_of(v_vals, dv_vals), np.nan)
+    v = RadialFunction(M.grid, v_vals, value_fn=lambda r: jet(r, 0)[0],
+                       derivs=(lambda r: jet(r, 1)[1], lambda r: jet(r, 2)[2], None))
+    P = RadialFunction(M.grid, P_vals, value_fn=lambda r: P_of(*jet(r, 1)),
+                       derivs=(lambda r: dP_of(*jet(r, 2)), None, None))
     return PFunctionData(manifold=M, m=m, n=float(n), v=v, P=P, c_m=c_m)
 
 

@@ -25,12 +25,15 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import cumulative_simpson
 
-from .errors import InsufficientNodesError, InvalidRangeError, OutOfGridError
+from .errors import InvalidRangeError, OutOfGridError
 
 #: Minimum node count for any grid.
 MIN_NODES = 16
 
 _GAUSS_X, _GAUSS_W = leggauss(5)
+
+#: Pieces each node interval is split into by :func:`cumulative_gauss`.
+_REFINE = 4
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -178,8 +181,6 @@ def finite_difference(values: np.ndarray, grid: RadialGrid, order: int) -> np.nd
     """Second-order finite differences on (possibly non-uniform) nodes."""
     if not 1 <= order <= 3:
         raise InvalidRangeError(f"derivative order {order} not in 1..3")
-    if grid.n < order + 2:
-        raise InsufficientNodesError(f"{grid.n} nodes cannot support order {order}")
     out = np.asarray(values, dtype=float)
     for _ in range(order):
         out = np.gradient(out, grid.nodes, edge_order=2)
@@ -203,30 +204,27 @@ def integrate_cumulative(f: RadialFunction) -> RadialFunction:
     return RadialFunction(f.grid, vals)
 
 
-def pole_refined_partition(nodes: np.ndarray, points: int = 81, inner: float = 1e-8) -> np.ndarray:
+def pole_refined_partition(nodes: np.ndarray) -> np.ndarray:
     """Integration partition covering ``[0, nodes[-1]]``, geometrically graded
     near the pole.
 
     Contains every node of ``nodes``.  The span up to the first positive node
-    is subdivided down to ``inner`` times that radius, so that splines built
-    on the partition stay accurate for integrands later divided by r- or
-    r^2-scale factors (weight slopes, curvature combinations).
+    is subdivided by 81 geometric points down to 1e-8 times that radius, so
+    that splines built on the partition stay accurate for integrands later
+    divided by r- or r^2-scale factors (weight slopes, curvature
+    combinations).
     """
     nodes = np.asarray(nodes, dtype=float)
     r1 = nodes[1] if nodes[0] == 0.0 else nodes[0]
-    prefix = r1 * np.geomspace(inner, 1.0, points)
+    prefix = r1 * np.geomspace(1e-8, 1.0, 81)
     rest = nodes[nodes > r1]
     return np.concatenate([[0.0], prefix, rest])
 
 
-def cumulative_gauss(
-    fn: Callable[[np.ndarray], np.ndarray],
-    nodes: np.ndarray,
-    refine: int = 4,
-) -> np.ndarray:
+def cumulative_gauss(fn: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray:
     """Cumulative integral of a smooth callback, machine accuracy.
 
-    Each node interval is split into ``refine`` pieces, each integrated with
+    Each node interval is split into ``_REFINE`` pieces, each integrated with
     5-point Gauss-Legendre; partial sums are returned at the nodes
     (``out[0] = 0``).  All evaluation points are assembled into one vectorized
     call to ``fn``.  ``fn`` may return several integrands stacked along a
@@ -237,13 +235,13 @@ def cumulative_gauss(
     nodes = np.asarray(nodes, dtype=float)
     if nodes.size < 2:
         return np.zeros(nodes.shape)
-    # subinterval edges: shape (n_intervals, refine+1)
-    frac = np.linspace(0.0, 1.0, refine + 1)
+    # subinterval edges: shape (n_intervals, _REFINE+1)
+    frac = np.linspace(0.0, 1.0, _REFINE + 1)
     lo = nodes[:-1, None] + np.diff(nodes)[:, None] * frac[None, :-1]
     hi = nodes[:-1, None] + np.diff(nodes)[:, None] * frac[None, 1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    # evaluation points: shape (n_intervals, refine, 5)
+    # evaluation points: shape (n_intervals, _REFINE, 5)
     pts = mid[..., None] + half[..., None] * _GAUSS_X
     vals = np.asarray(fn(pts.ravel()))
     sums = []
@@ -257,9 +255,7 @@ def cumulative_gauss(
 
 
 def indefinite_gauss(
-    fn: Callable[[np.ndarray], np.ndarray],
-    nodes: np.ndarray,
-    refine: int = 4,
+    fn: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Antiderivative of ``fn`` from ``nodes[0]``, callable at arbitrary points.
 
@@ -270,7 +266,7 @@ def indefinite_gauss(
     vanishing factors (e.g. r^2 near a pole).
     """
     nodes = np.asarray(nodes, dtype=float)
-    return gauss_antiderivative(fn, nodes, cumulative_gauss(fn, nodes, refine=refine))
+    return gauss_antiderivative(fn, nodes, cumulative_gauss(fn, nodes))
 
 
 def gauss_antiderivative(

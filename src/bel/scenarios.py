@@ -278,14 +278,17 @@ def expand_runs(config: ScenarioConfig, tol: Optional[float] = None) -> List[Run
 
 
 def _cheng_yau_check(prof, n: float, radii: np.ndarray) -> Check:
-    """Cheng-Yau gradient ratio over the ``radii`` R with B_2R inside the shot
-    (the first radius alone if none is), bounded by ten times its first value
-    (floored at 1e-3).  It fails, saying why, when a ratio is not finite or
-    ``u'`` vanishes at every positive node of the largest ball: a positive
-    solution has ``u' < 0`` for ``r > 0``, so a zero ratio there measures an
-    underflowed profile, not a bounded one."""
-    fit = radii[2.0 * radii <= prof.r_end]
-    radii = fit if fit.size else radii[:1]
+    """Cheng-Yau gradient ratio over the ``radii`` R with B_2R inside the shot,
+    bounded by ten times its first value (floored at 1e-3).  It fails, saying
+    why, when no B_2R fits inside the shot, when a ratio is not finite or
+    when ``u'`` vanishes at every positive node of the largest ball: a
+    positive solution has ``u' < 0`` for ``r > 0``, so a zero ratio there
+    measures an underflowed profile, not a bounded one."""
+    reference = "sup |u'/u|^2 <= C (1/R^2 + sup u^{4/(n-2)})"
+    radii = radii[2.0 * radii <= prof.r_end]
+    if not radii.size:
+        return Check("cheng-yau-bounded", reference + "; failed: B_2R leaves the shot at every R",
+                     False)
     sweep = np.array([cheng_yau_ratio(prof, n, R) for R in radii])
     bound = 10.0 * max(sweep[0], 1e-3)
     nodes = prof.manifold.grid.nodes
@@ -295,7 +298,7 @@ def _cheng_yau_check(prof, n: float, radii: np.ndarray) -> Check:
         failed = "; failed: u' = 0 at every positive node of B_R"
     else:
         failed = ""
-    return Check("cheng-yau-bounded", "sup |u'/u|^2 <= C (1/R^2 + sup u^{4/(n-2)})" + failed,
+    return Check("cheng-yau-bounded", reference + failed,
                  not failed and np.max(sweep) <= bound, np.max(sweep), bound)
 
 
@@ -359,12 +362,13 @@ def _bubble_common(prof, data, target_P: float, label: str):
     """The checks and profile columns that bubble and log-bubble share."""
     M = prof.manifold
     nodes = M.grid.nodes
-    window = nodes[(nodes > 0.0) & (nodes <= 50.0)]
+    inside = (nodes > 0.0) & (nodes <= 50.0)
+    window = nodes[inside]
     u2 = np.asarray(prof.u(window, 2))
     drift = np.asarray(M.drift(window))
-    nonlin = _nonlinearity(prof.p)(np.asarray(prof.u(window)))
-    residual = float(np.max(np.abs(u2 + drift * np.asarray(prof.u_prime(window)) + nonlin)))
-    p_dev = float(np.max(np.abs(np.asarray(data.P(window)) - target_P)))
+    nonlin = _nonlinearity(prof.p)(prof.u.values[inside])
+    residual = float(np.max(np.abs(u2 + drift * prof.u_prime.values[inside] + nonlin)))
+    p_dev = float(np.max(np.abs(data.P.values[inside] - target_P)))
     k_sup = float(np.max(np.abs(np.asarray(k_functional(data, window, check_decomposition=False)))))
     checks = [
         Check(f"{label}-pde-residual", "-u'' - L r u' = nonlinearity(u)",
@@ -414,6 +418,8 @@ def _scenario_theorem(spec: RunSpec, d, alpha, p, ell, f0, grid):
             data = v_transform(prof)
             extra = {"v": data.v, "P": data.P}
         columns = _shot_columns(prof, **extra)
+        if not np.all(np.isfinite(columns.get("v", 0.0))):  # u^{-(p-1)/2} overflows on a tiny u
+            del columns["v"], columns["P"]
         r, u, u_prime = columns["r"], columns["u"], columns["u_prime"]
         # verify_theorem sampled these on every positive node; r is a prefix
         columns.update(ric_r=report.ric_r[: r.size], ric_theta=report.ric_theta[: r.size],

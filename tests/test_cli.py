@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +371,19 @@ def test_cli_theorem_shot_shorter_than_cheng_yau_sweep(tmp_path):
     assert "cheng-yau-bounded" in [c["name"] for c in report["checks"]]
 
 
+def test_cli_theorem_shot_shorter_than_every_cheng_yau_ball(tmp_path):
+    """A shot that ends before r = 2 leaves every Cheng-Yau ball B_2R,
+    R >= 1: the run still ends in a report, whose check fails and says why."""
+    cfg = _write(tmp_path, "scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1\n"
+                           "r_max = 1.5\nnodes = 256\n")
+    result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    report = json.loads((tmp_path / "out" / "theorem-2-2" / "report.json").read_text())
+    (check,) = [c for c in report["checks"] if c["name"] == "cheng-yau-bounded"]
+    assert check["verdict"] is False and check["measured"] is None
+    assert check["reference"].endswith("; failed: B_2R leaves the shot at every R")
+
+
 def test_cli_missing_file_exit_code(tmp_path):
     result = CliRunner().invoke(main, ["run", str(tmp_path / "nope.cfg")])
     assert result.exit_code == 2
@@ -402,8 +416,6 @@ def test_cli_check_failure_exit_code(tmp_path):
         ("scenario = bubble\nd = 4\nb = inf\n", "config-parse-error"),
         ("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = nan\nell = 1\n",
          "config-parse-error"),
-        ("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1\nr_max = 1.5\n",
-         "out-of-range"),
         ("scenario = example-2-parabolicity\nd = 3\nbeta = 2\np = 1\n", "config-parse-error"),
         ("scenario = custom\nd = 3\np = 3\nell = 1\nweight = power\npower = -1\n",
          "config-parse-error"),
@@ -424,7 +436,7 @@ def test_cli_check_failure_exit_code(tmp_path):
     ],
     ids=["theorem-alpha", "custom-weight", "soliton-nodes", "text-d", "text-p", "fractional-d",
          "fractional-nodes", "text-in-sweep", "infinite-b", "nan-p",
-         "theorem-shot-shorter-than-cheng-yau", "parabolicity-p-one", "custom-power-negative",
+         "parabolicity-p-one", "custom-power-negative",
          "custom-power-one", "soliton-p-one", "custom-ell-negative", "theorem-p-one",
          "theorem-p-minus-one", "theorem-ell-negative", "theorem-weight-underflow",
          "p-beyond-float-range"],
@@ -501,10 +513,16 @@ def test_cli_tiny_center_value_ends_in_a_report(tmp_path):
     # ell^{1-p} = 1e1200 overflows a float; the asymptotic bound is still
     # representable and the run ends in a report, not a traceback.  u' has
     # underflowed to 0 at every node, so the bound holds only trivially: the
-    # check fails and says why
+    # check fails and says why.  v = u^{-2} overflows at every node, so the
+    # profiles carry no v or P column, and no overflow warning is printed
     cfg = _write(tmp_path, "scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1e-300\n"
                            "nodes = 256\n")
-    result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
+    assert [str(w.message) for w in caught] == []
+    header = (tmp_path / "out" / "theorem-2-2" / "profiles.csv").read_text().split("\n", 1)[0]
+    assert header == "r,u,u_prime,ric_r,ric_theta,K,pohozaev,energy"
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
     assert "Traceback" not in result.output

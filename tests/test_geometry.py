@@ -378,8 +378,7 @@ def test_scalar_drift_bit_identical_to_generic(kind):
         assert M.scalar_drift is not None
         radii = np.union1d(_SCALAR_RADII[i :: len(family)], _EDGES)
         for r in radii:
-            generic = M.drift(np.asarray(r))
-            assert M.drift(r) == generic and M.drift(float(r)) == generic, (M.d, r)
+            assert M.scalar_drift(float(r)) == M.drift(np.asarray(r)), (M.d, r)
 
 
 @pytest.mark.parametrize("kind", ["warped", "power", "log-tail", "euclidean"])

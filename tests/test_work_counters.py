@@ -183,10 +183,10 @@ def test_warm_theorem_run_matches_cold_run(builds, tmp_path, cold_memos):
 
 def test_warm_theorem_run_reads_stored_shot_values(monkeypatch, tmp_path):
     """The columns and checks of a warm theorem run read the node values the
-    shot stored, so its dense output is called 6 times: the shot's node
-    samples (2), u(0) (1) and v_transform's P samples (3).  It was 20 when
-    the energy, Pohozaev, v and P columns evaluated it again, and 10 when
-    u'(r), the asymptotic bound's u(r) and an unread v' did."""
+    shot stored, so its dense output is called 3 times: the shot's node
+    samples (2) and u(0) (1).  It was 20 when the energy, Pohozaev, v and P
+    columns evaluated it again, 10 when u'(r), the asymptotic bound's u(r)
+    and an unread v' did, and 6 when v_transform's P samples did."""
     calls = []
     original = lane_emden._profile_callbacks
 
@@ -203,16 +203,20 @@ def test_warm_theorem_run_reads_stored_shot_values(monkeypatch, tmp_path):
     execute_run(specs[0], tmp_path)
     del calls[:]
     execute_run(specs[1], tmp_path)
-    assert len(calls) == 6, len(calls)
+    assert len(calls) == 3, len(calls)
 
 
 #: Closed-form callback calls of one run of each closed-form scenario; they
 #: were 45, 23 and 87 when its v, P, Pohozaev and energy columns evaluated
-#: the callbacks again at the nodes whose values the profile stores.
+#: the callbacks again at the nodes whose values the profile stores, and
+#: 37, 19 and 83 when v_transform's P node values, the PDE residual's u and
+#: u' and the P-constancy check's P did.  Off the nodes, v^(k) and P^(k)
+#: evaluate each of u, ..., u^(k) once (P and v' two callbacks, P' and v''
+#: three).
 CLOSED_FORM_CALLS = {
-    "scenario = bubble\nd = 4\nb = 0.125\n": 37,
-    "scenario = log-bubble\nb = 0.125\n": 19,
-    "scenario = estimates-sweep\nd = 4\nb = 0.125\nq = 2\n": 83,
+    "scenario = bubble\nd = 4\nb = 0.125\n": 24,
+    "scenario = log-bubble\nb = 0.125\n": 10,
+    "scenario = estimates-sweep\nd = 4\nb = 0.125\nq = 2\n": 80,
 }
 
 
