@@ -21,8 +21,10 @@ it leaves out is the machinery: function wrappers, event arrays, one
 Only the coefficient tables come from scipy.  The driver covers what the
 radial shot needs: a state of two components ``(u, u')``, a forward
 interval, scalar tolerances, every event terminal.  It differs from scipy in
-one way: a step size that is not finite ends the integration with
-``status = -1`` (scipy would loop forever on a NaN one).
+two ways, both of which end the integration with ``status = -1``: a step
+size that is not finite (scipy would loop forever on a NaN one), and a spent
+budget of ``_MAX_NFEV`` right-hand-side calls (scipy has none, so a stiff
+problem can take millions of calls).
 """
 
 from __future__ import annotations
@@ -46,16 +48,20 @@ _D = _coef.D
 _ERROR_EXPONENT = -1 / (7 + 1)  # error estimator of order 7
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ROOT_TOL = 4 * np.finfo(float).eps
+#: Right-hand-side calls after which no further step is tried: over 100
+#: times the most a shot of the benchmark pools takes (1,811).
+_MAX_NFEV = 200_000
 
 
 @dataclass(frozen=True)
 class Dop853Result:
     """One integration: ``t`` holds ``t0`` and every accepted step's end (the
     terminal root last), ``y`` the state at ``t[-1]``; ``status`` is 0 at
-    ``t_bound``, 1 at a terminal event, -1 when a step failed.  Segment ``i``
-    of the dense output spans ``t[i]..t[i+1]`` with the interpolant of the
-    step from ``t_old[i]`` of size ``h[i]``, which starts at ``y_old[i]``
-    and has the coefficients ``F[i]`` of shape ``(7, n)``."""
+    ``t_bound``, 1 at a terminal event, -1 when a step failed or the
+    right-hand-side budget was spent.  Segment ``i`` of the dense output
+    spans ``t[i]..t[i+1]`` with the interpolant of the step from
+    ``t_old[i]`` of size ``h[i]``, which starts at ``y_old[i]`` and has the
+    coefficients ``F[i]`` of shape ``(7, n)``."""
 
     t: np.ndarray
     y: np.ndarray
@@ -165,7 +171,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events: Sequence[Cal
         rejected = False
         u, du = y
         while True:
-            if h_abs < min_step or not math.isfinite(h_abs):
+            if h_abs < min_step or not math.isfinite(h_abs) or nfev >= _MAX_NFEV:
                 status = -1
                 break
             t_new = t + h_abs

@@ -18,6 +18,7 @@ noise near the 0/0 limit of ``psi'/psi`` never enters a verdict.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Optional
 
@@ -129,9 +130,7 @@ class ModelManifold:
 
     def drift(self, r):
         """L r = (d-1) psi'/psi - f' at r > 0 (the drift of the distance)."""
-        rr = _as_radii(r)
-        val = (self.d - 1) * self.psi(rr, 1) / self.psi(rr) - self.f(rr, 1)
-        return _maybe_scalar(val, r)
+        return _maybe_scalar(RadialJet(self, r).drift, r)
 
     def area_density(self, r):
         """S(r) = e^{-f} psi^{d-1}, the weighted area density (no sphere factor)."""
@@ -144,8 +143,7 @@ class ModelManifold:
     def _volume_spline(self) -> CubicSpline:
         if "volume" not in self._cache:
             pts = pole_refined_partition(self.grid.nodes)
-            acc = cumulative_gauss(self.area_density, pts)
-            self._cache["volume"] = CubicSpline(pts, acc)
+            self._cache["volume"] = _volume_table(pts, cumulative_gauss(self.area_density, pts))
         return self._cache["volume"]
 
     def area_integral(self, integrand: Callable[[np.ndarray, np.ndarray], np.ndarray]):
@@ -165,7 +163,7 @@ class ModelManifold:
 
         volume, acc = cumulative_gauss(density_and_integrand, pts)
         if "volume" not in self._cache:
-            self._cache["volume"] = CubicSpline(pts, volume)
+            self._cache["volume"] = _volume_table(pts, volume)
         return acc
 
     def cumulative_area(self, R):
@@ -176,7 +174,74 @@ class ModelManifold:
         return _maybe_scalar(self._volume_spline()(RR), R)
 
 
+def _volume_table(pts: np.ndarray, volume: np.ndarray) -> CubicSpline:
+    """The spline of ``V`` through its values on the partition ``pts``.
+
+    Raises ``invalid-range`` when a value is not finite, naming the first
+    partition radius by which ``S = e^{-f} psi^{d-1}`` (or its integral)
+    has left the float range.
+    """
+    bad = ~np.isfinite(volume)
+    if np.any(bad):
+        raise InvalidRangeError(
+            "weighted area density S = e^-f psi^(d-1) leaves the float range: "
+            f"its volume table is not finite from r = {pts[np.argmax(bad)]:.6g}"
+        )
+    return CubicSpline(pts, volume)
+
+
 # --------------------------------------------------------------- curvature
+
+
+class RadialJet:
+    """``psi``, ``psi'``, ``psi''``, ``f'`` and ``f''`` at radii r > 0, with
+    the drift and the curvature components formed from them.
+
+    Each profile value is evaluated once, when first read, so quantities
+    that share a point set share its evaluations.  These properties are the
+    one formula of the drift and of each curvature component.
+    """
+
+    def __init__(self, M: ModelManifold, r):
+        self.d = M.d
+        self.r = _as_radii(r)
+        self._M = M
+
+    @functools.cached_property
+    def psi(self):
+        return self._M.psi(self.r)
+
+    @functools.cached_property
+    def dpsi(self):
+        return self._M.psi(self.r, 1)
+
+    @functools.cached_property
+    def ddpsi(self):
+        return self._M.psi(self.r, 2)
+
+    @functools.cached_property
+    def df(self):
+        return self._M.f(self.r, 1)
+
+    @functools.cached_property
+    def ddf(self):
+        return self._M.f(self.r, 2)
+
+    @property
+    def drift(self):
+        """L r = (d-1) psi'/psi - f'."""
+        return (self.d - 1) * self.dpsi / self.psi - self.df
+
+    @property
+    def ric_r(self):
+        """The radial component -(d-1) psi''/psi + f''."""
+        return -(self.d - 1) * self.ddpsi / self.psi + self.ddf
+
+    @property
+    def ric_theta(self):
+        """The angular component -psi'' psi + (d-2)(1-(psi')^2) + psi psi' f'."""
+        psi, dpsi = self.psi, self.dpsi
+        return -self.ddpsi * psi + (self.d - 2) * (1.0 - dpsi**2) + psi * dpsi * self.df
 
 
 def ric_infinity_components(M: ModelManifold, r):
@@ -186,15 +251,8 @@ def ric_infinity_components(M: ModelManifold, r):
     ``ric_r = -(d-1) psi''/psi + f''`` and
     ``ric_theta = -psi'' psi + (d-2)(1-(psi')^2) + psi psi' f'``.
     """
-    rr = _as_radii(r)
-    psi = M.psi(rr)
-    dpsi = M.psi(rr, 1)
-    ddpsi = M.psi(rr, 2)
-    df = M.f(rr, 1)
-    ddf = M.f(rr, 2)
-    ric_r = -(M.d - 1) * ddpsi / psi + ddf
-    ric_th = -ddpsi * psi + (M.d - 2) * (1.0 - dpsi**2) + psi * dpsi * df
-    return _maybe_scalar(ric_r, r), _maybe_scalar(ric_th, r)
+    jet = RadialJet(M, r)
+    return _maybe_scalar(jet.ric_r, r), _maybe_scalar(jet.ric_theta, r)
 
 
 def ric_n_radial(M: ModelManifold, n: float, r):
@@ -205,12 +263,10 @@ def ric_n_radial(M: ModelManifold, n: float, r):
     """
     if not math.isinf(n) and n <= M.d:
         raise InvalidVirtualDimensionError(f"need n > d = {M.d}, got n = {n}")
-    ric_r, _ = ric_infinity_components(M, r)
+    jet = RadialJet(M, r)
     if math.isinf(n):
-        return ric_r
-    rr = _as_radii(r)
-    val = ric_r - M.f(rr, 1) ** 2 / (n - M.d)
-    return _maybe_scalar(val, r)
+        return _maybe_scalar(jet.ric_r, r)
+    return _maybe_scalar(jet.ric_r - jet.df**2 / (n - M.d), r)
 
 
 def weighted_laplacian_radial(M: ModelManifold, w: RadialFunction, r):

@@ -43,7 +43,7 @@ from .errors import (
     SingularRadiusError,
     WrongDimensionError,
 )
-from .geometry import ModelManifold, ric_infinity_components
+from .geometry import ModelManifold, RadialJet
 from .radial_core import (
     RadialFunction,
     gauss_antiderivative,
@@ -52,8 +52,10 @@ from .radial_core import (
 )
 
 # Unused here since the slope-factor table takes its nodal values from the
-# shared area-density pass, but kept bound on this module:
-# perfbench/tracing.py instruments ``bel.lane_emden.indefinite_gauss``.
+# shared area-density pass and G its curvature from a RadialJet, but kept
+# bound on this module: perfbench/tracing.py instruments
+# ``bel.lane_emden.indefinite_gauss`` and ``.ric_infinity_components``.
+from .geometry import ric_infinity_components  # noqa: E402,F401
 from .radial_core import indefinite_gauss  # noqa: E402,F401
 
 #: Magnitudes beyond this are treated as numerical blowup of the shot.
@@ -378,14 +380,11 @@ def pohozaev(M: ModelManifold, profile: SolutionProfile, r):
     return val if np.ndim(r) else float(val)
 
 
-def _curvature_defect(M: ModelManifold, r: np.ndarray) -> np.ndarray:
+def _curvature_defect(jet: RadialJet) -> np.ndarray:
     """G = Ric_r + 2 psi' f'/psi - (f')^2/(d-1); G <= 0 is the slope-factor
     sign condition (equivalently the existence-side curvature constraint)."""
-    ric_r, _ = ric_infinity_components(M, r)
-    dpsi = M.psi(r, 1)
-    psi = M.psi(r)
-    df = M.f(r, 1)
-    return np.asarray(ric_r, dtype=float) + 2.0 * dpsi * df / psi - df**2 / (M.d - 1)
+    df = jet.df
+    return np.asarray(jet.ric_r, dtype=float) + 2.0 * jet.dpsi * df / jet.psi - df**2 / (jet.d - 1)
 
 
 def _slope_factor_integral(M: ModelManifold) -> Callable[[np.ndarray], np.ndarray]:
@@ -400,8 +399,8 @@ def _slope_factor_integral(M: ModelManifold) -> Callable[[np.ndarray], np.ndarra
         manifold = weakref.ref(M)
 
         def weighted(s, S):
-            M = manifold()
-            return S * _curvature_defect(M, s) / np.asarray(M.drift(s)) ** 2
+            jet = RadialJet(manifold(), s)  # G and Lr share one evaluation of psi and f
+            return S * _curvature_defect(jet) / np.asarray(jet.drift) ** 2
 
         def integrand(s):
             ss = np.asarray(s, dtype=float)
@@ -547,7 +546,7 @@ def positivity_criterion(M: ModelManifold, tol: Optional[np.ndarray] = None) -> 
     nodes = M.grid.nodes
     pos = nodes > 0.0
     rr = nodes[pos]
-    q = _curvature_defect(M, rr)
+    q = _curvature_defect(RadialJet(M, rr))
     if tol is None:
         tol = grid_tolerance(M.grid)[pos]
     return bool(np.all(q <= tol))

@@ -35,6 +35,10 @@ _GAUSS_X, _GAUSS_W = leggauss(5)
 #: Pieces each node interval is split into by :func:`cumulative_gauss`.
 _REFINE = 4
 
+#: Integrand points per call of a quadrature's callback: a block's
+#: temporaries stay in cache instead of faulting in fresh pages.
+_BLOCK_POINTS = 8192
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class RadialGrid:
@@ -226,8 +230,9 @@ def cumulative_gauss(fn: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) 
 
     Each node interval is split into ``_REFINE`` pieces, each integrated with
     5-point Gauss-Legendre; partial sums are returned at the nodes
-    (``out[0] = 0``).  All evaluation points are assembled into one vectorized
-    call to ``fn``.  ``fn`` may return several integrands stacked along a
+    (``out[0] = 0``).  ``fn`` is called on blocks of at most
+    ``_BLOCK_POINTS`` evaluation points (see :func:`_in_blocks`), so it must
+    be pointwise.  ``fn`` may return several integrands stacked along a
     leading axis, shape ``(k, points)``; each is accumulated on its own and
     the result has shape ``(k, nodes.size)``, so integrands that share an
     expensive factor evaluate it once.
@@ -243,7 +248,7 @@ def cumulative_gauss(fn: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) 
     half = 0.5 * (hi - lo)
     # evaluation points: shape (n_intervals, _REFINE, 5)
     pts = mid[..., None] + half[..., None] * _GAUSS_X
-    vals = np.asarray(fn(pts.ravel()))
+    vals = _in_blocks(fn, pts.ravel())
     sums = []
     for integrand in vals.reshape(-1, pts.size):
         pieces = (half * (integrand.reshape(pts.shape) @ _GAUSS_W)).sum(axis=1)
@@ -252,6 +257,17 @@ def cumulative_gauss(fn: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) 
         np.cumsum(pieces, out=out[1:])
         sums.append(out)
     return np.stack(sums) if vals.ndim > 1 else sums[0]
+
+
+def _in_blocks(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """``fn(x)`` for a pointwise ``fn`` and 1-D points ``x``, evaluated on
+    consecutive blocks of ``_BLOCK_POINTS`` points and joined along the last
+    axis (integrands stacked along leading axes stay stacked)."""
+    if x.size <= _BLOCK_POINTS:
+        return np.asarray(fn(x), dtype=float)
+    blocks = [np.asarray(fn(x[i : i + _BLOCK_POINTS]), dtype=float)
+              for i in range(0, x.size, _BLOCK_POINTS)]
+    return np.concatenate(blocks, axis=-1)
 
 
 def indefinite_gauss(
@@ -276,7 +292,13 @@ def gauss_antiderivative(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The antiderivative of :func:`indefinite_gauss`, from nodal values
     already accumulated (``cumulative_gauss(fn, nodes)``, possibly as one row
-    of a stacked call)."""
+    of a stacked call).
+
+    At a radius that is one of ``nodes`` (all but the last, whose interval
+    is clipped to the one before) the result is the nodal value itself and
+    ``fn`` is not called there; elsewhere ``fn`` is called on the 5 points
+    of the partial segment, in blocks (:func:`_in_blocks`).
+    """
 
     def antiderivative(r):
         rr = np.atleast_1d(np.asarray(r, dtype=float))
@@ -284,7 +306,12 @@ def gauss_antiderivative(
         half = 0.5 * (rr - nodes[idx])
         mid = nodes[idx] + half
         pts = mid[:, None] + half[:, None] * _GAUSS_X
-        vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
+        # rows at a node keep zeros (their weight half is 0); the product
+        # below runs over every row, so no row changes place in it
+        vals = np.zeros(pts.shape)
+        off = half != 0.0
+        if np.any(off):
+            vals[off] = _in_blocks(fn, pts[off].ravel()).reshape(-1, _GAUSS_X.size)
         out = nodal_values[idx] + half * (vals @ _GAUSS_W)
         return out if np.ndim(r) else float(out[0])
 

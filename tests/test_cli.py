@@ -451,6 +451,30 @@ def test_cli_run_error_exit_code(tmp_path, text, code):
         assert not (tmp_path / "out").exists()
 
 
+_DENSITY_OVERFLOW = "scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1\nnodes = 256\n"
+
+
+@pytest.mark.parametrize("text,radius", [
+    (_DENSITY_OVERFLOW + "f0 = -800\n", "1e-11"),
+    (_DENSITY_OVERFLOW + "r_max = 1e300\n", "8.73326e+103"),
+    (_DENSITY_OVERFLOW.replace("alpha = 0.5", "alpha = 1e-9"), "614.095"),
+    (_DENSITY_OVERFLOW.replace("d = 3", "d = 300").replace("p = 5", "p = 1.5"), "10"),
+    ("scenario = example-2-parabolicity\nd = 3\nbeta = 2\np = 2\nr_max = 1e300\n",
+     "4.04514e+151"),
+], ids=["theorem-f0", "theorem-r-max", "theorem-alpha", "theorem-d", "parabolicity-r-max"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # these inputs overflow by design
+def test_cli_density_overflow_is_a_coded_error(tmp_path, text, radius):
+    """A weighted area density that leaves the float range ends in
+    ``invalid-range`` naming the first radius of its volume table that is
+    not finite, not in scipy's spline error."""
+    cfg = _write(tmp_path, text)
+    result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "error [invalid-range]: weighted area density" in result.output
+    assert f"not finite from r = {radius}\n" in result.output
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("text,args,message", [
     ("scenario = bubble\nd = 4\nb = 0.125\ntol = -1\n", [], "tol must be a number in (0, inf)"),
     ("scenario = bubble\nd = 4\nb = 0.125\ntol = inf\n", [], "tol must be a number in (0, inf)"),
@@ -490,6 +514,25 @@ def test_cli_nan_tol_exits_fast(tmp_path):
                            str(tmp_path / "out")], capture_output=True, text=True, timeout=5, env=env)
     assert done.returncode == 2, done.stderr
     assert "error [config-parse-error]: tol must be a number in (0, inf), got nan" in done.stderr
+
+
+def test_cli_stiff_shot_ends_in_a_failed_solve_check(tmp_path):
+    """A weight with coeff = -1e6 makes the shot stiff: it once made 2.27M
+    right-hand-side calls in 20 s and reached r = 0.98 of 100.  The driver's
+    budget ends it as truncated, so the solve check fails (exit 1) within
+    seconds; a subprocess with a timeout keeps a regression from hanging the
+    suite."""
+    cfg = _write(tmp_path, "scenario = custom\nd = 3\np = 5\nell = 1\nweight = power\n"
+                           "coeff = -1e6\n")
+    src = str(Path(scenarios.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "bel.cli", "run", cfg, "--out",
+                           str(tmp_path / "out")], capture_output=True, text=True, timeout=30, env=env)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "Traceback" not in done.stderr
+    report = json.loads((tmp_path / "out" / "custom" / "report.json").read_text())
+    solve = [c for c in report["checks"] if c["name"] == "solve"]
+    assert len(solve) == 1 and solve[0]["verdict"] is False
 
 
 @pytest.mark.parametrize("scenario,extra", [

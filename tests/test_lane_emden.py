@@ -226,6 +226,25 @@ def test_driver_ends_a_shot_whose_step_size_is_not_finite():
     assert np.array_equal(sol.t, [1e-4]) and sol.h.size == 0
 
 
+def test_driver_ends_a_shot_that_spends_its_rhs_budget(monkeypatch):
+    """A stiff problem keeps an explicit method at tiny steps; the driver
+    stops trying steps once its right-hand-side budget is spent and ends the
+    shot (status -1) with the steps it has, instead of running on."""
+    from bel import _dop853
+
+    monkeypatch.setattr(_dop853, "_MAX_NFEV", 3000)
+    calls = []
+
+    def fun(r, y):
+        calls.append(r)
+        return y[1], -1e6 * y[1] - y[0]
+
+    sol = lane_emden.solve_ivp(fun, (1e-4, 100.0), np.array([1.0, 0.0]), rtol=1e-10, atol=1e-10)
+    assert sol.status == -1
+    assert 3000 <= sol.nfev == len(calls) < 3000 + 15  # one more step tried at most
+    assert 1e-4 < sol.t[-1] < 100.0 and sol.h.size == sol.t.size - 1
+
+
 def test_decomposition_mismatch_raises_coded_error(monkeypatch):
     """Both closed-form cross-checks on recipe manifolds fail with one code:
     the slope-factor split when its curvature defect is perturbed, and the
@@ -235,7 +254,7 @@ def test_decomposition_mismatch_raises_coded_error(monkeypatch):
     r = grid.nodes[10:-10]
     pohozaev_slope_factor(build_example(3, 0.5, grid=grid), 5.0, r)  # consistent
     defect = lane_emden._curvature_defect
-    monkeypatch.setattr(lane_emden, "_curvature_defect", lambda M, s: defect(M, s) - 1.0)
+    monkeypatch.setattr(lane_emden, "_curvature_defect", lambda jet: defect(jet) - 1.0)
     with pytest.raises(CrossCheckError) as slope:
         pohozaev_slope_factor(build_example(3, 0.5, grid=grid), 5.0, r)
     monkeypatch.undo()

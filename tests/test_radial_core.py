@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bel import radial_core
+from bel.construction import build_example, default_grid
 from bel.errors import InvalidRangeError, OutOfGridError
+from bel.geometry import log_tail_weight
 from bel.radial_core import (
     RadialFunction,
     cumulative_gauss,
     differentiate,
+    gauss_antiderivative,
     grid_tolerance,
+    indefinite_gauss,
     integrate_cumulative,
     make_grid,
+    pole_refined_partition,
     sample,
 )
 
@@ -225,3 +231,74 @@ def test_gauss_cumulative_on_geometric_nodes():
     F = cumulative_gauss(lambda r: 1.0 / (1.0 + r**2), nodes)
     expect = np.arctan(nodes) - np.arctan(nodes[0])
     assert np.allclose(F, expect, atol=1e-13)
+
+
+def _blocked_integrands():
+    grid = default_grid()
+    warped = build_example(3, 0.5, grid=grid)
+    log_tail = log_tail_weight(3, grid, 2.0)
+    return {
+        "warped-f-prime": lambda s: warped.f(s, 1),
+        "log-tail-density": log_tail.area_density,
+        "stacked": lambda s: np.stack([warped.area_density(s), warped.f(s, 1)]),
+    }
+
+
+@pytest.mark.parametrize("name", ["warped-f-prime", "log-tail-density", "stacked"])
+def test_blocked_quadrature_is_bit_identical_to_one_call(monkeypatch, name):
+    """Quadratures call their integrand on blocks of points; over the
+    83_520 points of the default pole-refined partition (11 blocks) the
+    table, and for one integrand the antiderivative at 5_000 radii between
+    nodes (4 blocks), carry the bits of a single call over all points."""
+    fn = _blocked_integrands()[name]
+    pts = pole_refined_partition(default_grid().nodes)
+    r = np.random.default_rng(7).uniform(1e-9, 1e3, 5000)
+    calls = []
+
+    def counted(s):
+        calls.append(np.size(s))
+        return fn(s)
+
+    def tables():
+        table = cumulative_gauss(counted, pts)
+        between = None if table.ndim > 1 else gauss_antiderivative(counted, pts, table)(r)
+        return table, between
+
+    blocked, blocked_between = tables()
+    assert len(calls) == (11 if name == "stacked" else 15)
+    assert max(calls) == radial_core._BLOCK_POINTS
+    monkeypatch.setattr(radial_core, "_BLOCK_POINTS", 10**9)
+    del calls[:]
+    single, single_between = tables()
+    assert len(calls) == (1 if name == "stacked" else 2)
+    assert np.array_equal(blocked, single)
+    assert np.array_equal(blocked_between, single_between)
+
+
+def test_antiderivative_reads_nodal_values_at_partition_nodes():
+    """At a partition node the antiderivative is the nodal value and its
+    integrand is not called; elsewhere, r_max included (its interval is
+    clipped to the one before), it is the nodal value plus a 5-point rule
+    over the partial segment, with the bits of that formula."""
+    nodes = pole_refined_partition(make_grid(1e-3, 20.0, 64, "geometric").nodes)
+    fn = lambda s: np.cos(s) * np.exp(-s)  # noqa: E731
+    nodal = indefinite_gauss(fn, nodes).nodal_values
+    points = []
+
+    def counted(s):
+        points.append(np.size(s))
+        return fn(s)
+
+    F = gauss_antiderivative(counted, nodes, nodal)
+    assert np.array_equal(F(nodes[:-1]), nodal[:-1])
+    assert F(float(nodes[40])) == nodal[40]
+    assert points == []
+
+    r = np.sort(np.concatenate([nodes[::7], np.random.default_rng(3).uniform(0.0, 20.0, 50),
+                                nodes[-1:]]))
+    idx = np.clip(np.searchsorted(nodes, r, side="right") - 1, 0, nodes.size - 2)
+    half = 0.5 * (r - nodes[idx])
+    quad = (nodes[idx] + half)[:, None] + half[:, None] * radial_core._GAUSS_X
+    expect = nodal[idx] + half * (fn(quad.ravel()).reshape(quad.shape) @ radial_core._GAUSS_W)
+    assert np.array_equal(F(r), expect)
+    assert sum(points) == 5 * np.count_nonzero(half != 0.0) == 5 * (50 + 1)

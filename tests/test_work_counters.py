@@ -13,16 +13,26 @@ import numpy as np
 import pytest
 
 import bel.radial_core as radial_core
-from bel import _g17, lane_emden, pfunction, scenarios
+from bel import _g17, construction, lane_emden, pfunction, scenarios
 from bel.construction import build_example, verify_theorem
+from bel.radial_core import pole_refined_partition
 from bel.scenarios import execute_run, expand_runs, parse_config
 
 #: Integrand points of build_example(3, 0.5) + verify_theorem(M, 5, 1) on the
-#: default grid, recorded with the closed-form flux of the warped weight and
-#: one area-density pass shared by the volume and slope-factor tables.  The
-#: nested quadrature (f' itself an antiderivative) used 8_981_240, and two
-#: area-density passes 1_336_535.
-RECORDED_POINTS = 835_415
+#: default grid, recorded with the closed-form flux of the warped weight,
+#: one area-density pass shared by the volume and slope-factor tables, and
+#: antiderivatives that read their nodal values at partition nodes.  The
+#: nested quadrature (f' itself an antiderivative) used 8_981_240, two
+#: area-density passes 1_336_535, and evaluating the integrand at the nodes
+#: too 835_415.
+RECORDED_POINTS = 668_205
+
+#: Radii at which the same cold build and verify evaluate the warped flux
+#: F = int_0^r psi'' psi, which every f' and f'' evaluation calls (and f
+#: five times per radius off the partition nodes).  It was 1_080_962 when
+#: the slope-factor integrand evaluated f' four times per point through the
+#: drift and the curvature, and J evaluated its integrand at the nodes.
+RECORDED_FLUX_POINTS = 701_656
 
 _MODULES = ("bel.radial_core", "bel.geometry", "bel.construction", "bel.lane_emden", "bel.pfunction")
 
@@ -79,6 +89,24 @@ def test_warped_theorem_quadrature_points_gated(counter):
     assert counter.points <= RECORDED_POINTS * 1.1, counter.points
 
 
+def test_warped_flux_points_pinned(monkeypatch):
+    """The exact number of radii at which a cold warped build and verify
+    evaluate the flux behind f' and f''."""
+    points = []
+    original = construction._weight_from_flux
+
+    def counted(psi, d, f0, flux, warping):
+        def counted_flux(r):
+            points.append(np.size(r))
+            return flux(r)
+        return original(psi, d, f0, counted_flux, warping)
+
+    monkeypatch.setattr(construction, "_weight_from_flux", counted)
+    report = verify_theorem(build_example(3, 0.5), 5.0, 1.0)
+    assert report.all_ok
+    assert sum(points) == RECORDED_FLUX_POINTS, sum(points)
+
+
 def test_warped_weight_slope_needs_no_quadrature(counter):
     M = build_example(3, 0.5)
     counter.calls = counter.points = 0
@@ -88,8 +116,13 @@ def test_warped_weight_slope_needs_no_quadrature(counter):
     M.f(r, 2)
     M.drift(r)
     assert (counter.calls, counter.points) == (0, 0)
-    M.f(r)  # f itself is one quadrature level over f'
-    assert counter.points == 5 * r.size
+    # f itself is one quadrature level over f': 5 points per radius, except
+    # at a partition node, where it reads the nodal value (r_max's interval
+    # is clipped to the one before, so it is not read there)
+    on_node = np.isin(r, pole_refined_partition(M.grid.nodes)[:-1])
+    assert np.count_nonzero(on_node) == 1  # r = 1e-6
+    M.f(r)
+    assert counter.points == 5 * np.count_nonzero(~on_node)
 
 
 @pytest.mark.skipif(not _g17._FAST_PATH, reason="long double narrower than 64 bits")
@@ -113,8 +146,9 @@ SWEEP = "scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5, 6\nell = 1, 2\nnodes
 #: build with its check record (the volume and slope-factor tables from one
 #: area-density pass, the int psi'^2 antiderivative), then four runs that
 #: reuse it.  Rebuilding the manifold for every sweep point needed 1_567_580;
-#: sharing the manifold but recomputing its checks at every point, 496_860.
-RECORDED_SWEEP_POINTS = 238_935
+#: sharing the manifold but recomputing its checks at every point, 496_860;
+#: evaluating antiderivative integrands at the partition nodes, 238_935.
+RECORDED_SWEEP_POINTS = 176_705
 
 
 @pytest.fixture
@@ -206,39 +240,43 @@ def test_warm_theorem_run_reads_stored_shot_values(monkeypatch, tmp_path):
     assert len(calls) == 3, len(calls)
 
 
-#: Closed-form callback calls of one run of each closed-form scenario; they
-#: were 45, 23 and 87 when its v, P, Pohozaev and energy columns evaluated
-#: the callbacks again at the nodes whose values the profile stores, and
-#: 37, 19 and 83 when v_transform's P node values, the PDE residual's u and
-#: u' and the P-constancy check's P did.  Off the nodes, v^(k) and P^(k)
-#: evaluate each of u, ..., u^(k) once (P and v' two callbacks, P' and v''
-#: three).
-CLOSED_FORM_CALLS = {
-    "scenario = bubble\nd = 4\nb = 0.125\n": 24,
-    "scenario = log-bubble\nb = 0.125\n": 10,
-    "scenario = estimates-sweep\nd = 4\nb = 0.125\nq = 2\n": 80,
+#: Radii at which one run of each closed-form scenario calls its closed-form
+#: callbacks.  Counted in calls they were 45, 23 and 87 when its v, P,
+#: Pohozaev and energy columns evaluated the callbacks again at the nodes
+#: whose values the profile stores, 37, 19 and 83 when v_transform's P node
+#: values, the PDE residual's u and u' and the P-constancy check's P did,
+#: and 24, 10 and 80 before quadratures called their integrands in blocks
+#: (which splits one call into several, so radii are counted now).  The
+#: estimates run evaluated 129_177 radii while its antiderivatives still
+#: called their integrands at partition nodes.  Off the nodes, v^(k) and
+#: P^(k) evaluate each of u, ..., u^(k) once (P and v' two callbacks, P' and
+#: v'' three).
+CLOSED_FORM_POINTS = {
+    "scenario = bubble\nd = 4\nb = 0.125\n": 34_003,
+    "scenario = log-bubble\nb = 0.125\n": 8_002,
+    "scenario = estimates-sweep\nd = 4\nb = 0.125\nq = 2\n": 129_132,
 }
 
 
-@pytest.mark.parametrize("text", sorted(CLOSED_FORM_CALLS), ids=lambda t: t.split()[2])
+@pytest.mark.parametrize("text", sorted(CLOSED_FORM_POINTS), ids=lambda t: t.split()[2])
 def test_closed_form_run_reads_stored_node_values(monkeypatch, tmp_path, text):
     """The profile columns of a closed-form run read the node values its
     profile and v-transform store instead of calling ``u``, ``u'`` or ``u''``
     at those nodes again."""
-    calls = []
+    points = []
     original = pfunction._explicit_profile
 
     def counted(d, grid, p, ell, *callbacks):
         def count(fn):
             def evaluate(r):
-                calls.append(fn)
+                points.append(np.size(r))
                 return fn(r)
             return evaluate
         return original(d, grid, p, ell, *map(count, callbacks))
 
     monkeypatch.setattr(pfunction, "_explicit_profile", counted)
     _run(text, tmp_path)
-    assert len(calls) == CLOSED_FORM_CALLS[text], len(calls)
+    assert sum(points) == CLOSED_FORM_POINTS[text], sum(points)
 
 
 # ------------------------------------------------- closed-form sweeps
