@@ -58,7 +58,8 @@ class Dop853Result:
     """One integration: ``t`` holds ``t0`` and every accepted step's end (the
     terminal root last), ``y`` the state at ``t[-1]``; ``status`` is 0 at
     ``t_bound``, 1 at a terminal event, -1 when a step failed or the
-    right-hand-side budget was spent.  Segment ``i`` of the dense output
+    right-hand-side budget was spent, and ``message`` then says which (it is
+    empty otherwise).  Segment ``i`` of the dense output
     spans ``t[i]..t[i+1]`` with the interpolant of the step from
     ``t_old[i]`` of size ``h[i]``, which starts at ``y_old[i]`` and has the
     coefficients ``F[i]`` of shape ``(7, n)``."""
@@ -72,6 +73,7 @@ class Dop853Result:
     h: np.ndarray
     y_old: np.ndarray
     F: np.ndarray
+    message: str
 
 
 def _rms(x: np.ndarray) -> float:
@@ -162,7 +164,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events: Sequence[Cal
 
     ts, y_last = [t], y
     t_olds, hs, y_olds, Fs = [], [], [], []
-    status = None
+    status, message = None, ""
     while status is None:
         # -- one step: DOP853._step_impl (max_step = inf, direction = +1)
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -210,6 +212,12 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events: Sequence[Cal
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
             rejected = True
         if status == -1:
+            if nfev >= _MAX_NFEV:
+                message = f"the budget of {_MAX_NFEV:,} right-hand-side calls was spent"
+            elif math.isfinite(h_abs):
+                message = "the step size fell below the spacing of floats"
+            else:
+                message = "the step size was not finite"
             break
         t_old, y_old, f_old = t, y, f
         t, y, f = t_new, y_new, f_new
@@ -264,6 +272,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events: Sequence[Cal
         h=np.array(hs),
         y_old=np.array(y_olds).reshape(-1, 2),
         F=np.array(Fs).reshape(-1, _coef.INTERPOLATOR_POWER, 2),
+        message=message,
     )
 
 

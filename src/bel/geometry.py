@@ -20,10 +20,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import weakref
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     CrossCheckError,
@@ -38,6 +38,7 @@ from .radial_core import (
     RadialFunction,
     RadialGrid,
     cumulative_gauss,
+    gauss_antiderivative,
     indefinite_gauss,
     pole_refined_partition,
     sample,
@@ -138,56 +139,50 @@ class ModelManifold:
         val = np.exp(-self.f(rr)) * self.psi(rr) ** (self.d - 1)
         return _maybe_scalar(val, r)
 
-    # -- weighted volume ----------------------------------------------------
+    # -- kept antiderivatives ----------------------------------------------
 
-    def _volume_spline(self) -> CubicSpline:
-        if "volume" not in self._cache:
-            pts = pole_refined_partition(self.grid.nodes)
-            self._cache["volume"] = _volume_table(pts, cumulative_gauss(self.area_density, pts))
-        return self._cache["volume"]
+    @functools.cached_property
+    def partition(self) -> np.ndarray:
+        """The pole-refined partition of the grid, on which every
+        antiderivative kept on the manifold accumulates its nodal values."""
+        return pole_refined_partition(self.grid.nodes)
 
-    def area_integral(self, integrand: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-        """Nodal values of ``int_0^r integrand(s, S(s)) ds`` on the
-        pole-refined partition, by :func:`cumulative_gauss`.
+    def integral(self, name: str) -> Callable[[np.ndarray], np.ndarray]:
+        """``r -> int_0^r`` of the integrand ``name`` of :data:`_INTEGRANDS`,
+        a :func:`gauss_antiderivative` on :attr:`partition` built at the first
+        call and kept: the one builder of what a manifold keeps.
 
-        ``S`` is evaluated once at the quadrature points, all of them inside
-        ``r > 0``, and when the volume table is not cached yet the same
-        samples build it, so a manifold that needs both integrals evaluates
-        its area density there once.
+        The slope factor is accumulated in one pass with the volume, which
+        the pass keeps too, so the two share their evaluation of S.  A kept
+        integrand reaches the manifold only through a weak reference: a cycle
+        through the cache would keep a dead manifold until the cyclic GC.
+        Raises ``invalid-range`` naming the first partition radius at which a
+        nodal value is not finite.
         """
-        pts = pole_refined_partition(self.grid.nodes)
-
-        def density_and_integrand(s):
-            S = self.area_density(s)
-            return np.stack([S, integrand(s, S)])
-
-        volume, acc = cumulative_gauss(density_and_integrand, pts)
-        if "volume" not in self._cache:
-            self._cache["volume"] = _volume_table(pts, volume)
-        return acc
+        cache = self._cache
+        if name not in cache:
+            manifold, pts = weakref.ref(self), self.partition
+            names = ("volume", name) if name == "slope factor" else (name,)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+                sums = cumulative_gauss(_jet_integrand(manifold, names), pts)
+            for key, row in zip(names, np.reshape(sums, (len(names), -1))):
+                bad = ~np.isfinite(row)
+                if np.any(bad):
+                    raise InvalidRangeError(
+                        f"{_INTEGRANDS[key][0]} leaves the float range: "
+                        f"its {key} table is not finite from r = {pts[np.argmax(bad)]:.6g}"
+                    )
+                if key not in cache:
+                    cache[key] = gauss_antiderivative(_jet_integrand(manifold, (key,)), pts, row)
+        return cache[name]
 
     def cumulative_area(self, R):
-        """V(R) = integral_0^R e^{-f} psi^{d-1} dr (no sphere factor)."""
+        """V(R) = integral_0^R e^{-f} psi^{d-1} dr (no sphere factor), read
+        from the kept ``volume`` antiderivative (:meth:`integral`)."""
         RR = _as_radii(R, positive=False)
         if np.any(RR > self.grid.r_max * (1 + 1e-12)):
             raise OutOfGridError(f"radius beyond grid r_max={self.grid.r_max}")
-        return _maybe_scalar(self._volume_spline()(RR), R)
-
-
-def _volume_table(pts: np.ndarray, volume: np.ndarray) -> CubicSpline:
-    """The spline of ``V`` through its values on the partition ``pts``.
-
-    Raises ``invalid-range`` when a value is not finite, naming the first
-    partition radius by which ``S = e^{-f} psi^{d-1}`` (or its integral)
-    has left the float range.
-    """
-    bad = ~np.isfinite(volume)
-    if np.any(bad):
-        raise InvalidRangeError(
-            "weighted area density S = e^-f psi^(d-1) leaves the float range: "
-            f"its volume table is not finite from r = {pts[np.argmax(bad)]:.6g}"
-        )
-    return CubicSpline(pts, volume)
+        return _maybe_scalar(self.integral("volume")(RR), R)
 
 
 # --------------------------------------------------------------- curvature
@@ -227,6 +222,10 @@ class RadialJet:
     def ddf(self):
         return self._M.f(self.r, 2)
 
+    @functools.cached_property
+    def area_density(self):
+        return self._M.area_density(self.r)
+
     @property
     def drift(self):
         """L r = (d-1) psi'/psi - f'."""
@@ -242,6 +241,37 @@ class RadialJet:
         """The angular component -psi'' psi + (d-2)(1-(psi')^2) + psi psi' f'."""
         psi, dpsi = self.psi, self.dpsi
         return -self.ddpsi * psi + (self.d - 2) * (1.0 - dpsi**2) + psi * dpsi * self.df
+
+    @property
+    def curvature_defect(self):
+        """G = ric_r + 2 psi' f'/psi - (f')^2/(d-1); G <= 0 is the slope-factor sign condition."""
+        df = self.df
+        return self.ric_r + 2.0 * self.dpsi * df / self.psi - df**2 / (self.d - 1)
+
+
+#: The integrands a manifold keeps antiderivatives of (:meth:`ModelManifold.integral`),
+#: by name: what the integrand is, and its values on a :class:`RadialJet`.
+_INTEGRANDS = {
+    "volume": ("weighted area density S = e^-f psi^(d-1)", lambda jet: jet.area_density),
+    "slope energy": ("warping slope energy (psi')^2", lambda jet: jet.dpsi**2),
+    "slope factor": (
+        "slope-factor integrand S G / Lr^2",
+        lambda jet: jet.area_density * jet.curvature_defect / jet.drift**2,
+    ),
+}
+
+
+
+def _jet_integrand(manifold: weakref.ref, names) -> Callable[[np.ndarray], np.ndarray]:
+    """The integrands ``names`` of ``manifold()`` at points s > 0, on one jet
+    and stacked along a leading axis when there are several."""
+
+    def integrand(s):
+        jet = RadialJet(manifold(), s)
+        values = [_INTEGRANDS[name][1](jet) for name in names]
+        return values[0] if len(values) == 1 else np.stack(values)
+
+    return integrand
 
 
 def ric_infinity_components(M: ModelManifold, r):
@@ -277,16 +307,12 @@ def weighted_laplacian_radial(M: ModelManifold, w: RadialFunction, r):
 
 
 def warping_slope_energy(M: ModelManifold):
-    """Cached antiderivative r -> int_0^r (psi')^2 ds.
+    """The kept antiderivative r -> int_0^r (psi')^2 ds (:meth:`ModelManifold.integral`).
 
     Drives both the closed-form distance Laplacian of warping-derived weights
     and the sharp-comparison defect chi = int (psi')^2 - psi^2/r.
     """
-    if "int_dpsi_sq" not in M._cache:
-        pts = pole_refined_partition(M.grid.nodes)
-        psi = M.psi  # not M: a closure kept in M._cache must not refer back to M
-        M._cache["int_dpsi_sq"] = indefinite_gauss(lambda s: psi(s, 1) ** 2, pts)
-    return M._cache["int_dpsi_sq"]
+    return M.integral("slope energy")
 
 
 def laplacian_of_distance(M: ModelManifold, r):
@@ -428,6 +454,8 @@ def weight_from_warping(psi: RadialFunction, d: int, f0: float = 0.0) -> RadialF
         psi1: Callable = psi.derivs[0]
         psi2: Callable = psi.derivs[1]
     else:
+        from scipy.interpolate import CubicSpline  # only value-only warpings load it
+
         spl = CubicSpline(grid.nodes, psi.values)
         psi0, psi1, psi2 = spl, spl.derivative(1), spl.derivative(2)
 

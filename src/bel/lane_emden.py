@@ -26,7 +26,6 @@ scipy's ``OdeSolution``.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -44,15 +43,10 @@ from .errors import (
     WrongDimensionError,
 )
 from .geometry import ModelManifold, RadialJet
-from .radial_core import (
-    RadialFunction,
-    gauss_antiderivative,
-    grid_tolerance,
-    pole_refined_partition,
-)
+from .radial_core import RadialFunction, grid_tolerance
 
-# Unused here since the slope-factor table takes its nodal values from the
-# shared area-density pass and G its curvature from a RadialJet, but kept
+# Unused here since the manifold builds the slope-factor table
+# (ModelManifold.integral) and G takes its curvature from a RadialJet, but kept
 # bound on this module: perfbench/tracing.py instruments
 # ``bel.lane_emden.indefinite_gauss`` and ``.ric_infinity_components``.
 from .geometry import ric_infinity_components  # noqa: E402,F401
@@ -92,8 +86,9 @@ class SolutionProfile:
 
     ``p`` is the power-nonlinearity exponent, or ``None`` for the e^u problem.
     ``status`` is one of ``global-positive``, ``crossed-zero-at(r*)`` or
-    ``truncated-at(R)``; ``r_end`` is the last radius where ``u``/``u_prime``
-    may be evaluated, and ``r_star`` the located zero crossing (if any).
+    ``truncated-at(R): <why the driver stopped>``; ``r_end`` is the last
+    radius where ``u``/``u_prime`` may be evaluated, and ``r_star`` the
+    located zero crossing (if any).
     ``u.values`` and ``u_prime.values`` hold the profile at the nodes
     :attr:`in_range` and NaN beyond.
     """
@@ -216,7 +211,7 @@ def _shoot(
         r_end = r_max
     else:
         r_end = float(sol.t[-1])
-        status = f"truncated-at({r_end:.12g})"
+        status = f"truncated-at({r_end:.12g}): {sol.message}"
 
     u_fn, up_fn, upp_fn = _profile_callbacks(
         dense_output(sol), float(sol.t[-1]), ell, c2, r0, r_end, M.drift, nonlin
@@ -380,44 +375,6 @@ def pohozaev(M: ModelManifold, profile: SolutionProfile, r):
     return val if np.ndim(r) else float(val)
 
 
-def _curvature_defect(jet: RadialJet) -> np.ndarray:
-    """G = Ric_r + 2 psi' f'/psi - (f')^2/(d-1); G <= 0 is the slope-factor
-    sign condition (equivalently the existence-side curvature constraint)."""
-    df = jet.df
-    return np.asarray(jet.ric_r, dtype=float) + 2.0 * jet.dpsi * df / jet.psi - df**2 / (jet.d - 1)
-
-
-def _slope_factor_integral(M: ModelManifold) -> Callable[[np.ndarray], np.ndarray]:
-    """Antiderivative J(r) = int_0^r S G / Lr^2 ds used by the decomposition.
-
-    Its nodal values come from :meth:`ModelManifold.area_integral`, whose one
-    evaluation of S at the quadrature points also builds the volume table.
-    """
-    if "slope_factor_integral" not in M._cache:
-        # M._cache keeps the antiderivative, so its integrand holds M weakly:
-        # a cycle through M would keep a dead manifold until the cyclic GC
-        manifold = weakref.ref(M)
-
-        def weighted(s, S):
-            jet = RadialJet(manifold(), s)  # G and Lr share one evaluation of psi and f
-            return S * _curvature_defect(jet) / np.asarray(jet.drift) ** 2
-
-        def integrand(s):
-            ss = np.asarray(s, dtype=float)
-            pos = ss > 0.0
-            out = np.zeros_like(ss)
-            if np.any(pos):
-                sp = ss[pos]
-                out[pos] = weighted(sp, manifold().area_density(sp))
-            return out
-
-        pts = pole_refined_partition(M.grid.nodes)
-        M._cache["slope_factor_integral"] = gauss_antiderivative(
-            integrand, pts, M.area_integral(weighted)
-        )
-    return M._cache["slope_factor_integral"]
-
-
 @dataclass(frozen=True)
 class SlopeFactorTerms:
     """The p-independent samples behind K at some radii r > 0: the area
@@ -442,7 +399,6 @@ def slope_factor_terms(
     rr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(rr <= 0.0):
         raise SingularRadiusError("slope factor needs r > 0")
-    S = np.asarray(M.area_density(rr), dtype=float)
     Lr = np.atleast_1d(np.asarray(M.drift(rr), dtype=float))
     if np.any(Lr <= 0.0):
         raise MonotonicityError(
@@ -450,9 +406,11 @@ def slope_factor_terms(
         )
     if check_decomposition is None:
         check_decomposition = M.weight_from_psi
-    # J before V: J's table shares its area-density pass with the volume table
-    J = _slope_factor_integral(M)(rr) if check_decomposition else None
+    # J before V: J's table shares its area-density pass with the volume
+    # table; S last, so an S past the float range ends in the tables' error
+    J = M.integral("slope factor")(rr) if check_decomposition else None
     V = np.asarray(M.cumulative_area(rr), dtype=float)
+    S = np.asarray(M.area_density(rr), dtype=float)
     return SlopeFactorTerms(d=M.d, S=S, Lr=Lr, V=V, J=J)
 
 
@@ -546,7 +504,7 @@ def positivity_criterion(M: ModelManifold, tol: Optional[np.ndarray] = None) -> 
     nodes = M.grid.nodes
     pos = nodes > 0.0
     rr = nodes[pos]
-    q = _curvature_defect(RadialJet(M, rr))
+    q = RadialJet(M, rr).curvature_defect
     if tol is None:
         tol = grid_tolerance(M.grid)[pos]
     return bool(np.all(q <= tol))

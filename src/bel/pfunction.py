@@ -56,7 +56,6 @@ from .radial_core import (
     finite_difference,
     indefinite_gauss,
     make_grid,
-    pole_refined_partition,
     sample,
 )
 
@@ -417,8 +416,7 @@ def _weighted_antiderivative(data: PFunctionData, key, integrand):
     """
     cache = data._cache
     if key not in cache:
-        pts = pole_refined_partition(data.manifold.grid.nodes)
-        cache[key] = indefinite_gauss(integrand, pts)
+        cache[key] = indefinite_gauss(integrand, data.manifold.partition)
     return cache[key]
 
 

@@ -214,8 +214,8 @@ def pole_refined_partition(nodes: np.ndarray) -> np.ndarray:
 
     Contains every node of ``nodes``.  The span up to the first positive node
     is subdivided by 81 geometric points down to 1e-8 times that radius, so
-    that splines built on the partition stay accurate for integrands later
-    divided by r- or r^2-scale factors (weight slopes, curvature
+    that antiderivatives built on the partition stay accurate for integrands
+    later divided by r- or r^2-scale factors (weight slopes, curvature
     combinations).
     """
     nodes = np.asarray(nodes, dtype=float)
@@ -299,10 +299,12 @@ def gauss_antiderivative(
     ``fn`` is not called there; elsewhere ``fn`` is called on the 5 points
     of the partial segment, in blocks (:func:`_in_blocks`).
     """
+    inner = nodes[1:-1]
 
     def antiderivative(r):
         rr = np.atleast_1d(np.asarray(r, dtype=float))
-        idx = np.clip(np.searchsorted(nodes, rr, side="right") - 1, 0, nodes.size - 2)
+        # interval index in [0, nodes.size - 2]: one search, no np.clip (3x its cost)
+        idx = np.searchsorted(inner, rr, side="right")
         half = 0.5 * (rr - nodes[idx])
         mid = nodes[idx] + half
         pts = mid[:, None] + half[:, None] * _GAUSS_X
@@ -310,7 +312,7 @@ def gauss_antiderivative(
         # below runs over every row, so no row changes place in it
         vals = np.zeros(pts.shape)
         off = half != 0.0
-        if np.any(off):
+        if off.any():
             vals[off] = _in_blocks(fn, pts[off].ravel()).reshape(-1, _GAUSS_X.size)
         out = nodal_values[idx] + half * (vals @ _GAUSS_W)
         return out if np.ndim(r) else float(out[0])

@@ -527,12 +527,16 @@ def _scenario_custom(spec: RunSpec, d, p, ell, weight, coeff, power, beta, alpha
                                          lambda error: [Check("solve", error, False)])
     if prof is None:
         return checks, columns
-    checks.append(Check("solve", "-u'' - L r u' = u^p, u(0) = ell",
-                        not prof.status.startswith("truncated"), prof.r_end))
+    truncated = prof.status.startswith("truncated")
+    # a truncated shot never reached r_max, so E is not checked past r_end
+    failed = f"; failed: {prof.status}" if truncated else ""
+    checks.append(Check("solve", "-u'' - L r u' = u^p, u(0) = ell" + failed,
+                        not truncated, prof.r_end))
     E = columns["energy"]
     slack = 1e-8 * (1.0 + np.abs(E[:-1]))
-    checks.append(Check("energy-decreasing", "E' = -(L r) u'^2 <= 0",
-                        bool(np.all(np.diff(E) <= slack)), float(np.max(np.diff(E)))))
+    checks.append(Check("energy-decreasing", "E' = -(L r) u'^2 <= 0" + failed,
+                        not truncated and bool(np.all(np.diff(E) <= slack)),
+                        float(np.max(np.diff(E)))))
     return checks, columns
 
 

@@ -222,7 +222,7 @@ def test_driver_ends_a_shot_whose_step_size_is_not_finite():
         return y[1], -y[0]
 
     sol = lane_emden.solve_ivp(fun, (1e-4, 1.0), np.array([1.0, 0.0]), rtol=np.nan, atol=np.nan)
-    assert sol.status == -1
+    assert sol.status == -1 and sol.message == "the step size was not finite"
     assert np.array_equal(sol.t, [1e-4]) and sol.h.size == 0
 
 
@@ -241,6 +241,7 @@ def test_driver_ends_a_shot_that_spends_its_rhs_budget(monkeypatch):
 
     sol = lane_emden.solve_ivp(fun, (1e-4, 100.0), np.array([1.0, 0.0]), rtol=1e-10, atol=1e-10)
     assert sol.status == -1
+    assert sol.message == "the budget of 3,000 right-hand-side calls was spent"
     assert 3000 <= sol.nfev == len(calls) < 3000 + 15  # one more step tried at most
     assert 1e-4 < sol.t[-1] < 100.0 and sol.h.size == sol.t.size - 1
 
@@ -253,8 +254,9 @@ def test_decomposition_mismatch_raises_coded_error(monkeypatch):
     grid = make_grid(1e-3, 20.0, 257, "geometric")
     r = grid.nodes[10:-10]
     pohozaev_slope_factor(build_example(3, 0.5, grid=grid), 5.0, r)  # consistent
-    defect = lane_emden._curvature_defect
-    monkeypatch.setattr(lane_emden, "_curvature_defect", lambda jet: defect(jet) - 1.0)
+    defect = geometry.RadialJet.curvature_defect.fget
+    monkeypatch.setattr(geometry.RadialJet, "curvature_defect",
+                        property(lambda jet: defect(jet) - 1.0))
     with pytest.raises(CrossCheckError) as slope:
         pohozaev_slope_factor(build_example(3, 0.5, grid=grid), 5.0, r)
     monkeypatch.undo()
@@ -268,6 +270,26 @@ def test_decomposition_mismatch_raises_coded_error(monkeypatch):
     for info in (slope, laplacian):
         assert isinstance(info.value, BelError)
         assert info.value.code == "cross-check-mismatch"
+
+
+def test_slope_factor_table_past_the_float_range_is_a_coded_error():
+    """A slope-factor integrand S G / Lr^2 that is not finite ends in
+    ``invalid-range`` from the pass it shares with the volume table, without
+    a numpy warning, not in a silent NaN J that no cross-check would catch.
+    Here f = 0 but f' = -1e160, so (f')^2 in G and Lr^2 overflow while S and
+    V stay finite."""
+    grid = make_grid(1e-3, 20.0, 257, "geometric")
+    e = euclidean(3, grid)
+    steep = lambda r: np.full_like(np.asarray(r, dtype=float), -1e160)
+    zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
+    M = ModelManifold(d=3, psi=e.psi, f=sample(zero, grid, derivs=(steep, zero, None)),
+                      weight_from_psi=True)
+    r = grid.nodes[1:]
+    with pytest.raises(InvalidRangeError) as info:
+        pohozaev_slope_factor(M, 5.0, r)
+    assert str(info.value).startswith("slope-factor integrand S G / Lr^2 leaves the float range: "
+                                      "its slope factor table is not finite from r = ")
+    assert np.all(np.isfinite(M.cumulative_area(r)))
 
 
 # ------------------------------------------------------------- error paths

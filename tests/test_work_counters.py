@@ -31,8 +31,10 @@ RECORDED_POINTS = 668_205
 #: F = int_0^r psi'' psi, which every f' and f'' evaluation calls (and f
 #: five times per radius off the partition nodes).  It was 1_080_962 when
 #: the slope-factor integrand evaluated f' four times per point through the
-#: drift and the curvature, and J evaluated its integrand at the nodes.
-RECORDED_FLUX_POINTS = 701_656
+#: drift and the curvature, and J evaluated its integrand at the nodes, and
+#: 701_656 when a spline through the nodal sums gave V at r_max (the Gauss
+#: antiderivative integrates the clipped last interval there).
+RECORDED_FLUX_POINTS = 701_731
 
 _MODULES = ("bel.radial_core", "bel.geometry", "bel.construction", "bel.lane_emden", "bel.pfunction")
 
