@@ -18,7 +18,9 @@ final ``y`` and every dense-output value are bit-identical to scipy's.  What
 it leaves out is the machinery: function wrappers, event arrays, one
 ``DenseOutput`` object per step and the final ``OdeSolution``.
 
-Only the coefficient tables come from scipy.  The driver covers what the
+The coefficient tables are scipy's, kept as data in
+:mod:`bel._dop853_tables`, and :func:`brentq` is scipy's root finder ported
+to Python floats, so no scipy module is loaded.  The driver covers what the
 radial shot needs: a state of two components ``(u, u')``, a forward
 interval, scalar tolerances, every event terminal.  It differs from scipy in
 two ways, both of which end the integration with ``status = -1``: a step
@@ -35,8 +37,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _coef
-from scipy.optimize import brentq
+
+from . import _dop853_tables as _coef
 
 _STAGES = _coef.N_STAGES  # 12; the 13th row of K is the derivative at the step's end
 _A = _coef.A
@@ -129,6 +131,81 @@ def _crossed(g: float, g_new: float, direction: float) -> bool:
 def _maximum(a: float, b: float) -> float:
     """``np.maximum`` of two floats: a NaN wins."""
     return a if a >= b or a != a else b
+
+
+def _divide(a: float, b: float) -> float:
+    """``a / b`` as C divides doubles: a zero ``b`` gives an infinity or a
+    NaN where Python raises."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a != a or a == 0:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _value(f: Callable[[float], float], x: float) -> float:
+    """``f(x)`` as a float; a NaN stops the search, as in scipy's wrapper."""
+    fx = float(f(x))
+    if fx != fx:
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
+
+
+def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float, rtol: float,
+           maxiter: int = 100) -> float:
+    """A root of ``f`` in ``[xa, xb]`` by Brent's method (Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, ch. 4), bit-identical to
+    ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter)``:
+    scipy's ``Zeros/brentq.c`` statement by statement on Python floats.
+
+    Raises ``ValueError`` when ``f`` is NaN or has the same sign at both
+    ends, and ``RuntimeError`` when ``maxiter`` iterations do not converge.
+    """
+    xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre = _value(f, xpre)
+    fcur = _value(f, xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = _divide(-fcur * (xcur - xpre), fcur - fpre)
+            else:  # extrapolate
+                dpre = _divide(fpre - fcur, xpre - xcur)
+                dblk = _divide(fblk - fcur, xblk - xcur)
+                stry = _divide(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _value(f, xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events: Sequence[Callable] = ()):

@@ -453,18 +453,21 @@ def weight_from_warping(psi: RadialFunction, d: int, f0: float = 0.0) -> RadialF
         psi0: Callable = psi.value_fn
         psi1: Callable = psi.derivs[0]
         psi2: Callable = psi.derivs[1]
+        psi3 = psi.derivs[2]
+        if psi3 is None:  # read at the pole only, where psi''(0) = 0
+            psi3 = lambda _: psi2(1e-6) / 1e-6
     else:
         from scipy.interpolate import CubicSpline  # only value-only warpings load it
 
         spl = CubicSpline(grid.nodes, psi.values)
-        psi0, psi1, psi2 = spl, spl.derivative(1), spl.derivative(2)
+        psi0, psi1, psi2, psi3 = spl, spl.derivative(1), spl.derivative(2), spl.derivative(3)
 
     # The slope divides the accumulated integral by psi^2 ~ r^2, so F needs
     # quadrature-level accuracy between nodes (a fitted spline is not enough)
     # and a partition graded into the pole.
     pts = pole_refined_partition(grid.nodes)
     flux = indefinite_gauss(lambda s: psi2(s) * psi0(s), pts)
-    return _weight_from_flux(psi, d, f0, flux, (psi0, psi1, psi2))
+    return _weight_from_flux(psi, d, f0, flux, (psi0, psi1, psi2, psi3))
 
 
 def _weight_from_flux(
@@ -476,18 +479,19 @@ def _weight_from_flux(
 ) -> RadialFunction:
     """Assemble ``f``, ``f'`` and ``f''`` from the flux ``F = int_0^r psi'' psi``.
 
-    ``warping`` holds callables for psi, psi', psi''.  ``f' = (d-1) F/psi^2``
-    with ``f'(0) = 0``; ``f''`` follows from the weight ODE, with the pole
-    limit ``(d-1) psi'''(0) / 3``; ``f - f0`` is one Gauss-Legendre
-    antiderivative of ``f'`` on the pole-refined partition.
+    ``warping`` holds callables for psi, psi', psi'' and psi''', the last
+    read at the pole only.  ``f' = (d-1) F/psi^2`` with ``f'(0) = 0``;
+    ``f''`` follows from the weight ODE, with the pole limit
+    ``(d-1) psi'''(0) / 3``; ``f - f0`` is one Gauss-Legendre antiderivative
+    of ``f'`` on the pole-refined partition.
     """
-    psi0, psi1, psi2 = warping
+    psi0, psi1, psi2, psi3 = warping
     grid = psi.grid
     pts = pole_refined_partition(grid.nodes)
 
     def f_prime(r):
         rr = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             out = (d - 1) * np.atleast_1d(flux(rr)) / np.atleast_1d(psi0(rr)) ** 2
         out = np.where(np.atleast_1d(rr) == 0.0, 0.0, out)
         return out if rr.ndim else float(out[0])
@@ -501,10 +505,8 @@ def _weight_from_flux(
         rr = np.asarray(r, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (d - 1) * psi2(rr) / psi0(rr) - 2.0 * (psi1(rr) / psi0(rr)) * f_prime(rr)
-        if np.any(rr == 0.0):
-            # limit (d-1) psi'''(0)/3; estimate psi''' from the concavity data
-            p3 = psi(0.0, 3) if psi.has_analytic(3) else psi2(1e-6) / 1e-6
-            out = np.where(rr == 0.0, (d - 1) * float(p3) / 3.0, out)
+        if np.any(rr == 0.0):  # the limit (d-1) psi'''(0)/3
+            out = np.where(rr == 0.0, (d - 1) * float(psi3(0.0)) / 3.0, out)
         return out
 
     values = f_accumulated.nodal_values[np.searchsorted(pts, grid.nodes)] + f0

@@ -23,7 +23,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import cumulative_simpson
 
 from .errors import InvalidRangeError, OutOfGridError
 
@@ -204,6 +203,8 @@ def differentiate(f: RadialFunction, order: int = 1) -> RadialFunction:
 
 def integrate_cumulative(f: RadialFunction) -> RadialFunction:
     """Cumulative integral with F(r_min) = 0 (composite Simpson on nodes)."""
+    from scipy.integrate import cumulative_simpson  # no scenario calls this
+
     vals = cumulative_simpson(f.values, x=f.grid.nodes, initial=0.0)
     return RadialFunction(f.grid, vals)
 

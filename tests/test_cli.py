@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
@@ -456,10 +457,7 @@ _DENSITY_OVERFLOW = "scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1\
 
 @pytest.mark.parametrize("text,radius", [
     (_DENSITY_OVERFLOW + "f0 = -800\n", "1e-11"),
-    # the warping, its flux and the finite-difference weights overflow before
-    # the volume table is built, and their warnings are not silenced
-    pytest.param(_DENSITY_OVERFLOW + "r_max = 1e300\n", "8.73326e+103",
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    (_DENSITY_OVERFLOW + "r_max = 1e300\n", "8.73326e+103"),
     (_DENSITY_OVERFLOW.replace("alpha = 0.5", "alpha = 1e-9"), "614.095"),
     (_DENSITY_OVERFLOW.replace("d = 3", "d = 300").replace("p = 5", "p = 1.5"), "10"),
     ("scenario = example-2-parabolicity\nd = 3\nbeta = 2\np = 2\nr_max = 1e300\n",
@@ -469,9 +467,9 @@ def test_cli_density_overflow_is_a_coded_error(tmp_path, text, radius):
     """A weighted area density that leaves the float range ends in
     ``invalid-range`` naming the first radius of its volume table that is
     not finite, and nothing before it: numpy's overflow warnings are
-    silenced only in the pass whose nodal sums are checked right after.
-    Outside ``theorem-r-max`` a warning would also fail the test, since the
-    suite turns it into an error."""
+    silenced only where a non-finite result is checked afterwards (a
+    warning would also fail the test, since the suite turns it into an
+    error)."""
     cfg = _write(tmp_path, text)
     result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
@@ -537,24 +535,50 @@ _EVERY_SCENARIO = [
 ]
 
 
-def test_no_scenario_loads_scipy_interpolate(tmp_path):
-    """Every manifold integral is a Gauss antiderivative, so no scenario
-    needs scipy's splines: a fresh interpreter that runs each scenario once
-    has not imported ``scipy.interpolate``."""
-    assert {parse_config(text).scenario for text in _EVERY_SCENARIO} == set(scenarios.SCENARIOS)
-    script = (
-        "import sys\n"
-        "from bel.scenarios import parse_config, run_scenario\n"
-        f"for i, text in enumerate({_EVERY_SCENARIO!r}):\n"
-        f"    run_scenario(parse_config(text), {str(tmp_path)!r} + '/' + str(i))\n"
-        "print(sorted(name for name in sys.modules if name.startswith('scipy.interpolate')))\n"
-    )
+def _scipy_modules_after(script: str) -> list:
+    """Run ``script`` in a fresh interpreter with bel on its path; return the
+    sorted list of the ``scipy`` and ``scipy.*`` modules it has loaded at the
+    end, as printed."""
+    script += ("import sys\n"
+               "print(sorted(name for name in sys.modules"
+               " if name == 'scipy' or name.startswith('scipy.')))\n")
     src = str(Path(scenarios.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60, env=env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def test_no_scenario_loads_scipy(tmp_path):
+    """bel's runtime needs numpy and click only: the DOP853 tables and the
+    event root finder are bel's own, and every manifold integral is a Gauss
+    antiderivative.  A fresh interpreter that runs each scenario once has
+    not imported any ``scipy`` module."""
+    assert {parse_config(text).scenario for text in _EVERY_SCENARIO} == set(scenarios.SCENARIOS)
+    script = (
+        "from bel.scenarios import parse_config, run_scenario\n"
+        f"for i, text in enumerate({_EVERY_SCENARIO!r}):\n"
+        f"    run_scenario(parse_config(text), {str(tmp_path)!r} + '/' + str(i))\n"
+    )
+    assert _scipy_modules_after(script) == "[]"
+
+
+def test_no_bundled_config_loads_scipy(tmp_path):
+    """``bel run`` on each of the eight bundled configs, all in one fresh
+    interpreter, loads no ``scipy`` module either."""
+    configs = sorted(str(p) for p in (files("bel") / "configs").iterdir()
+                     if p.name.endswith(".cfg"))
+    assert len(configs) == 8
+    script = (
+        "from bel.cli import main\n"
+        f"for cfg in {configs!r}:\n"
+        "    try:\n"
+        f"        main(['run', cfg, '--out', {str(tmp_path)!r}], standalone_mode=False)\n"
+        "    except SystemExit as exit:\n"
+        "        assert exit.code == 0, (cfg, exit.code)\n"
+    )
+    assert _scipy_modules_after(script) == "[]"
 
 
 def test_cli_stiff_shot_ends_in_a_failed_solve_check(tmp_path):

@@ -279,6 +279,20 @@ def test_value_only_warping_weight_converges():
     assert errors[1] <= errors[0] / 4.0
 
 
+def test_value_only_warping_pole_limit_converges():
+    """The pole limit f''(0) = (d-1) psi'''(0)/3 of a value-only warping
+    reads the spline's own third derivative: for psi = arctan r and d = 3 it
+    tends to -4/3 as nodes are added (measured errors 1.4e-2, 3.4e-3,
+    8.5e-4 at 129, 257, 513 nodes; psi''(1e-6)/1e-6 once gave 302, 38, 4.7)."""
+    errors = []
+    for n in (129, 257, 513):
+        g = _grid(r_max=4.0, n=n)
+        weight = weight_from_warping(RadialFunction(g, np.arctan(g.nodes)), 3)
+        errors.append(abs(weight(0.0, 2) + 4.0 / 3.0))
+    assert errors[1] < 0.02
+    assert errors[0] > errors[1] > errors[2]
+
+
 def test_weight_recipe_deterministic():
     g = _grid(r_max=4.0, n=65)
     f1 = weight_from_warping(arctan_warping(g), 3, 0.0)
