@@ -32,7 +32,7 @@ def run(config_file, out_dir, tol, jobs):
     try:
         config = load_config(config_file)
     except ConfigParseError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        click.echo(f"config error [{exc.code}]: {exc}", err=True)
         sys.exit(2)
     out_root = out_dir or config.out_dir or os.environ.get("BEL_OUT_DIR") or "bel-out"
     try:

@@ -37,20 +37,17 @@ from .lane_emden import (
     SlopeFactorTerms,
     SolutionProfile,
     asymptotic_bound_check,
+    pohozaev_slope_factor,
     positivity_criterion,
-    slope_factor,
     slope_factor_terms,
     solve_radial,
 )
 from .radial_core import finite_difference, make_grid, sample
 
 # Unused here since build_example assembles its weight from a closed-form
-# flux and verify_theorem forms K from the manifold's slope-factor terms, but
-# kept bound on this module: perfbench/tracing.py instruments
-# ``bel.construction.weight_from_warping``, ``.indefinite_gauss`` and
-# ``.pohozaev_slope_factor``.
+# flux, but kept bound on this module: perfbench/tracing.py instruments
+# ``bel.construction.weight_from_warping`` and ``.indefinite_gauss``.
 from .geometry import weight_from_warping  # noqa: E402,F401
-from .lane_emden import pohozaev_slope_factor  # noqa: E402,F401
 from .radial_core import indefinite_gauss  # noqa: E402,F401
 
 __all__ = [
@@ -395,7 +392,7 @@ def verify_theorem(
         solver_error = f"{type(exc).__name__}: {exc}"
 
     # -- Pohozaev slope factor --------------------------------------------
-    slope_factor_K = np.asarray(slope_factor(record.slope_terms, p), dtype=float)
+    slope_factor_K = np.asarray(pohozaev_slope_factor(record.slope_terms, p), dtype=float)
     slope_factor_max = float(np.max(slope_factor_K))
 
     asymptotic_C = ((p - 1.0) / (2.0 * d)) * record.weight_ratio * alpha ** (d - 1)

@@ -27,7 +27,7 @@ scipy's ``OdeSolution``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -58,7 +58,6 @@ OVERFLOW_GUARD = 1e300
 __all__ = [
     "OVERFLOW_GUARD",
     "SolutionProfile",
-    "PohozaevTrace",
     "AsymptoticBoundReport",
     "solve_radial",
     "solve_liouville",
@@ -67,7 +66,6 @@ __all__ = [
     "pohozaev_slope_factor",
     "SlopeFactorTerms",
     "slope_factor_terms",
-    "slope_factor",
     "pohozaev_trace",
     "positivity_criterion",
     "asymptotic_bound_check",
@@ -334,8 +332,13 @@ def solve_liouville(
 # ------------------------------------------------------------------ monitors
 
 
-def _energy_values(p: Optional[float], u: np.ndarray, du: np.ndarray) -> np.ndarray:
-    """E from the values of u and u' at some radii (the formula of :func:`energy`)."""
+def energy(p: Optional[float], u, du):
+    """E = u'^2/2 + U(u) from the values ``u`` and ``du`` of u and u' at some
+    radii, with U(u) = u^{p+1}/(p+1), or e^u for ``p = None``.
+
+    E decreases wherever the weighted area density S is increasing, since
+    E' = -(S'/S) u'^2.
+    """
     if p is None:
         potential = np.exp(u)
     else:
@@ -343,43 +346,19 @@ def _energy_values(p: Optional[float], u: np.ndarray, du: np.ndarray) -> np.ndar
     return 0.5 * du**2 + potential
 
 
-def energy(profile: SolutionProfile, r):
-    """E(r) = u'(r)^2/2 + U(u(r)) with U(u) = u^{p+1}/(p+1) resp. e^u.
-
-    E decreases wherever the weighted area density S is increasing, since
-    E' = -(S'/S) u'^2.
-    """
-    u = np.asarray(profile.u(r), dtype=float)
-    du = np.asarray(profile.u_prime(r), dtype=float)
-    val = _energy_values(profile.p, u, du)
-    return val if np.ndim(r) else float(val)
-
-
-def _pohozaev_values(M: ModelManifold, p: float, r: np.ndarray, u: np.ndarray, du: np.ndarray):
-    """P from the values of u and u' at the radii r (the formula of :func:`pohozaev`)."""
+def pohozaev(M: ModelManifold, p: float, r, u, du):
+    """P = V E + (1/(p+1)) S u u' at the radii ``r``, from the values ``u``
+    and ``du`` of u and u' there; P vanishes at r = 0."""
     V = np.asarray(M.cumulative_area(r), dtype=float)
     S = np.asarray(M.area_density(r), dtype=float)
-    return V * _energy_values(p, u, du) + S * u * du / (p + 1)
-
-
-def pohozaev(M: ModelManifold, profile: SolutionProfile, r):
-    """P(r) = V(r) E(r) + (1/(p+1)) S(r) u(r) u'(r); vanishes at r = 0."""
-    if M.d != profile.manifold.d:
-        raise InvalidRangeError("profile was produced on a different dimension")
-    if profile.p is None:
-        raise InvalidRangeError("the Pohozaev monitor applies to the power nonlinearity")
-    rr = np.asarray(r, dtype=float)
-    u = np.asarray(profile.u(rr), dtype=float)
-    du = np.asarray(profile.u_prime(rr), dtype=float)
-    val = _pohozaev_values(M, profile.p, rr, u, du)
-    return val if np.ndim(r) else float(val)
+    return V * energy(p, u, du) + S * u * du / (p + 1)
 
 
 @dataclass(frozen=True)
 class SlopeFactorTerms:
     """The p-independent samples behind K at some radii r > 0: the area
-    density S, the drift Lr = S'/S, V = int_0^r S and, when the decomposition
-    is checked, J = int_0^r S G / Lr^2 (else ``None``)."""
+    density S, the drift Lr = S'/S, V = int_0^r S and, on a manifold whose
+    weight comes from its warping, J = int_0^r S G / Lr^2 (else ``None``)."""
 
     d: int
     S: np.ndarray
@@ -388,13 +367,12 @@ class SlopeFactorTerms:
     J: Optional[np.ndarray]
 
 
-def slope_factor_terms(
-    M: ModelManifold, r, check_decomposition: Optional[bool] = None
-) -> SlopeFactorTerms:
-    """Sample the terms of :func:`pohozaev_slope_factor` at the radii ``r``.
+def slope_factor_terms(M: ModelManifold, r) -> SlopeFactorTerms:
+    """Sample the terms of :func:`pohozaev_slope_factor` at the radii ``r``,
+    J when ``M.weight_from_psi``.
 
     Raises ``singular-radius`` for r <= 0 and ``monotonicity-violated`` where
-    S' <= 0.  ``check_decomposition`` defaults to ``M.weight_from_psi``.
+    S' <= 0.
     """
     rr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(rr <= 0.0):
@@ -404,19 +382,28 @@ def slope_factor_terms(
         raise MonotonicityError(
             "weighted area density must be increasing at the requested radii"
         )
-    if check_decomposition is None:
-        check_decomposition = M.weight_from_psi
     # J before V: J's table shares its area-density pass with the volume
     # table; S last, so an S past the float range ends in the tables' error
-    J = M.integral("slope factor")(rr) if check_decomposition else None
+    J = M.integral("slope factor")(rr) if M.weight_from_psi else None
     V = np.asarray(M.cumulative_area(rr), dtype=float)
     S = np.asarray(M.area_density(rr), dtype=float)
     return SlopeFactorTerms(d=M.d, S=S, Lr=Lr, V=V, J=J)
 
 
-def slope_factor(terms: SlopeFactorTerms, p: float) -> np.ndarray:
-    """K at the radii of ``terms``, and the decomposition cross-check when
-    ``terms.J`` is set (see :func:`pohozaev_slope_factor`)."""
+def pohozaev_slope_factor(terms: SlopeFactorTerms, p: float) -> np.ndarray:
+    """K at the radii of ``terms``, with P' = K u'^2 for any shot of exponent p.
+
+    K = (1/2 + 1/(p+1)) S - (S'/S) V.  Its derivation integrates against an
+    increasing area density, which :func:`slope_factor_terms` checks.
+
+    When ``terms.J`` is set (a weight produced from the warping recipe) the
+    equivalent decomposition
+
+        K = (1/2 + 1/(p+1) - (d-1)/d) S + ((d-1)/d) (S'/S) int_0^r S G / Lr^2
+
+    is evaluated as well and the two must agree; G <= 0 then forces K <= 0
+    at critical and supercritical exponents.
+    """
     S, Lr, V, d = terms.S, terms.Lr, terms.V, terms.d
     K = (0.5 + 1.0 / (p + 1.0)) * S - Lr * V
     if terms.J is not None:
@@ -431,70 +418,15 @@ def slope_factor(terms: SlopeFactorTerms, p: float) -> np.ndarray:
     return K
 
 
-def pohozaev_slope_factor(
-    M: ModelManifold,
-    p: float,
-    r,
-    check_decomposition: Optional[bool] = None,
-):
-    """K(r) with P'(r) = K(r) u'(r)^2, for any shot of exponent p.
-
-    K = (1/2 + 1/(p+1)) S - (S'/S) V.  Requires S' > 0 at the evaluation
-    radii (K's derivation integrates against an increasing area density);
-    otherwise ``monotonicity-violated`` is raised.
-
-    For manifolds whose weight was produced from the warping recipe the
-    equivalent decomposition
-
-        K = (1/2 + 1/(p+1) - (d-1)/d) S + ((d-1)/d) (S'/S) int_0^r S G / Lr^2
-
-    is evaluated as well and the two must agree; G <= 0 then forces K <= 0
-    at critical and supercritical exponents.
-    """
-    K = slope_factor(slope_factor_terms(M, r, check_decomposition), p)
-    return K if np.ndim(r) else float(K[0])
-
-
-@dataclass(frozen=True)
-class PohozaevTrace:
-    """Aligned samples of the monitors along one profile, plus verdicts."""
-
-    r: np.ndarray
-    energy: np.ndarray
-    pohozaev: np.ndarray
-    slope_factor: np.ndarray
-    K_nonpositive: bool
-    P_nonpositive: bool
-    E_decreasing: bool
-
-
-def pohozaev_trace(
-    profile: SolutionProfile,
-    r: Optional[np.ndarray] = None,
-    tol: float = 1e-8,
-) -> PohozaevTrace:
-    """Sample E, P and K along the profile and summarize their signs.
-
-    Default sample radii are the positive grid nodes inside the profile
-    range.  ``E_decreasing`` allows a relative slack of ``tol`` per step.
-    """
+def pohozaev_trace(profile: SolutionProfile) -> Dict[str, np.ndarray]:
+    """The ``energy`` and ``pohozaev`` columns of a power-nonlinearity shot:
+    E and P at the positive grid nodes in the shot's range, from the node
+    values of u and u' that the shot stores."""
     M = profile.manifold
-    if r is None:
-        nodes = M.grid.nodes
-        r = nodes[(nodes > 0.0) & profile.in_range]
-    r = np.asarray(r, dtype=float)
-    E = np.asarray(energy(profile, r), dtype=float)
-    P = np.asarray(pohozaev(M, profile, r), dtype=float)
-    K = np.asarray(pohozaev_slope_factor(M, profile.p, r), dtype=float)
-    return PohozaevTrace(
-        r=r,
-        energy=E,
-        pohozaev=P,
-        slope_factor=K,
-        K_nonpositive=bool(np.all(K <= tol)),
-        P_nonpositive=bool(np.all(P <= tol)),
-        E_decreasing=bool(np.all(np.diff(E) <= tol * (1.0 + np.abs(E[:-1])))),
-    )
+    nodes = M.grid.nodes
+    keep = (nodes > 0.0) & profile.in_range
+    r, u, du = nodes[keep], profile.u.values[keep], profile.u_prime.values[keep]
+    return {"energy": energy(profile.p, u, du), "pohozaev": pohozaev(M, profile.p, r, u, du)}
 
 
 def positivity_criterion(M: ModelManifold, tol: Optional[np.ndarray] = None) -> bool:

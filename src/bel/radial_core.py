@@ -163,7 +163,7 @@ class RadialFunction:
         if order not in self._samples:
             self._samples[order] = finite_difference(self.values, self.grid, order)
         out = np.interp(r_arr, self.grid.nodes, self._samples[order])
-        return float(out) if np.isscalar(r) else out
+        return float(out) if np.ndim(r) == 0 else out
 
     def has_analytic(self, order: int) -> bool:
         if order == 0:

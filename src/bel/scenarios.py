@@ -34,7 +34,7 @@ from .geometry import (
     power_weight,
     weighted_volume,
 )
-from .lane_emden import _energy_values, _nonlinearity, _pohozaev_values, solve_radial
+from .lane_emden import _nonlinearity, energy, pohozaev_trace, solve_radial
 from .pfunction import (
     bubble,
     cheng_yau_ratio,
@@ -47,11 +47,11 @@ from .pfunction import (
 )
 from .radial_core import MIN_NODES, RadialFunction, make_grid
 
-# Unused here since the columns read stored node values, but kept bound on
-# this module: perfbench/tracing.py instruments ``bel.scenarios.energy``,
-# ``.pohozaev``, ``.pohozaev_trace`` and ``.ric_infinity_components``.
+# Unused here (P comes from pohozaev_trace, curvature from curvature_report),
+# but kept bound on this module: perfbench/tracing.py instruments
+# ``bel.scenarios.pohozaev`` and ``.ric_infinity_components``.
 from .geometry import ric_infinity_components  # noqa: E402,F401
-from .lane_emden import energy, pohozaev, pohozaev_trace  # noqa: E402,F401
+from .lane_emden import pohozaev  # noqa: E402,F401
 
 SCHEMA_VERSION = 1
 
@@ -205,6 +205,9 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
             entries[key] = _parse_scalar(value)
         line_of[key] = lineno
 
+    for key in ("scenario", "out_dir", "tol"):
+        if key in sweeps:
+            raise ConfigParseError(f"{source}:{line_of[key]}: {key} takes one value, not a sweep")
     scenario = entries.pop("scenario", None)
     if scenario is None:
         raise ConfigParseError(f"{source}: missing required key 'scenario'")
@@ -247,13 +250,15 @@ def expand_runs(config: ScenarioConfig, tol: Optional[float] = None) -> List[Run
 
     Every point is checked before any run is returned: a value that is not
     of its key's kind and domain, a key set where the choice it is read with
-    is not made, or a ``tol`` (``tol`` here, else the config's) outside
-    :data:`TOL` is a ``config-parse-error``.
+    is not made, a ``tol`` (``tol`` here, else the config's) outside
+    :data:`TOL`, or two points with one slug (and so one run directory) is a
+    ``config-parse-error``.
     """
     record = SCENARIOS[config.scenario]
     keys = record.keys
     swept = list(config.sweep_keys)
     runs: List[RunSpec] = []
+    slugs = set()
     run_tol = TOL.typed("tol", tol if tol is not None else
                         config.tol if config.tol is not None else TOL.default)
     for combo in itertools.product(*(config.params[k] for k in swept)):
@@ -270,6 +275,10 @@ def expand_runs(config: ScenarioConfig, tol: Optional[float] = None) -> List[Run
             values["grid"] = (record.grid[0], *map(values.pop, ("r_max", "nodes", "spacing")))
         slug = "-".join([config.scenario] + [f"{k}{v:g}" if isinstance(v, (int, float))
                                              else f"{k}{v}" for k, v in zip(swept, combo)])
+        if slug in slugs:
+            raise ConfigParseError(f"two sweep points share the run directory {slug!r}: a value "
+                                   "is repeated, or two differ only past 6 significant digits")
+        slugs.add(slug)
         runs.append(RunSpec(config.scenario, params, slug, run_tol, values))
     return runs
 
@@ -334,7 +343,7 @@ def _radial_shot(M: ModelManifold, p, ell, tol, blowup: Callable[[str], List[Che
     except BlowupError as exc:
         return None, blowup(f"solver error: {exc}"), {}
     columns = _shot_columns(prof)
-    columns["energy"] = _energy_values(prof.p, columns["u"], columns["u_prime"])
+    columns["energy"] = energy(prof.p, columns["u"], columns["u_prime"])
     return prof, [], columns
 
 
@@ -392,9 +401,7 @@ def _scenario_bubble(spec: RunSpec, d, b):
     floor = superharmonic_floor_check(prof, float(d), 2.0)
     checks.append(Check("superharmonic-floor", "u >= A r^{2-kappa} for r >= R, kappa = d",
                         floor.all_hold, float(np.min(floor.values / floor.floor)), 1.0))
-    r, u, u_prime = columns["r"], columns["u"], columns["u_prime"]
-    columns.update(pohozaev=_pohozaev_values(prof.manifold, prof.p, r, u, u_prime),
-                   energy=_energy_values(prof.p, u, u_prime))
+    columns.update(pohozaev_trace(prof))
     return checks, columns
 
 
@@ -420,12 +427,10 @@ def _scenario_theorem(spec: RunSpec, d, alpha, p, ell, f0, grid):
         columns = _shot_columns(prof, **extra)
         if not np.all(np.isfinite(columns.get("v", 0.0))):  # u^{-(p-1)/2} overflows on a tiny u
             del columns["v"], columns["P"]
-        r, u, u_prime = columns["r"], columns["u"], columns["u_prime"]
+        n = columns["r"].size
         # verify_theorem sampled these on every positive node; r is a prefix
-        columns.update(ric_r=report.ric_r[: r.size], ric_theta=report.ric_theta[: r.size],
-                       K=report.slope_factor[: r.size],
-                       pohozaev=_pohozaev_values(M, prof.p, r, u, u_prime),
-                       energy=_energy_values(prof.p, u, u_prime))
+        columns.update(ric_r=report.ric_r[:n], ric_theta=report.ric_theta[:n],
+                       K=report.slope_factor[:n], **pohozaev_trace(prof))
     return checks, columns
 
 

@@ -166,7 +166,9 @@ def test_expand_runs_checks_every_point_against_the_table(data):
     """Each key of a scenario swept over a value inside its domain and a
     drawn one: the sweep expands, keeping the parsed values, only when the
     drawn value is of the key's kind and inside its domain; otherwise the
-    whole sweep is a config-parse-error that names the key."""
+    whole sweep is a config-parse-error that names the key.  Two values that
+    the slug spells alike would share a run directory, which is a
+    config-parse-error as well."""
     name = data.draw(st.sampled_from(sorted(SCENARIOS)))
     keys = SCENARIOS[name].keys
     required = {k: _token(data.draw(_inside(p))) for k, p in keys.items() if p.default is None}
@@ -181,11 +183,27 @@ def test_expand_runs_checks_every_point_against_the_table(data):
             with pytest.raises(ConfigParseError, match=f"^{key} must be "):
                 expand_runs(config)
             continue
+        if len({f"{v:g}" if isinstance(v, (int, float)) else v for v in sweep}) == 1:
+            with pytest.raises(ConfigParseError, match="share the run directory"):
+                expand_runs(config)
+            continue
         specs = expand_runs(config)
         assert [spec.params for spec in specs] == [{**config.params, key: v} for v in sweep]
         assert [type(spec.params[key]) for spec in specs] == [type(v) for v in sweep]
         if key in specs[0].values:  # the grid keys are folded into ``grid``
             assert [spec.values[key] for spec in specs] == [param.kind(v) for v in sweep]
+
+
+@pytest.mark.parametrize("text,slug", [
+    ("scenario = log-bubble\nb = 0.1234561, 0.1234562\n", "log-bubble-b0.123456"),
+    ("scenario = bubble\nd = 4, 4\nb = 0.125\n", "bubble-d4"),
+], ids=["past-six-digits", "repeated"])
+def test_expand_runs_rejects_points_that_share_a_run_directory(text, slug):
+    """The slug spells each swept value with ``:g``; two points spelled alike
+    would write one directory, the second report replacing the first."""
+    with pytest.raises(ConfigParseError) as err:
+        expand_runs(parse_config(text))
+    assert f"two sweep points share the run directory {slug!r}" in str(err.value)
 
 
 def test_expand_runs_tol_precedence():
@@ -348,6 +366,24 @@ def test_cli_config_error_exit_code(tmp_path):
     result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "config error" in result.output and "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("key,text", [
+    ("scenario", "scenario = bubble, log-bubble\nd = 4\nb = 0.125\n"),
+    ("out_dir", "scenario = log-bubble\nb = 0.125\nout_dir = x, y\n"),
+], ids=["scenario", "out-dir"])
+def test_cli_rejects_a_swept_scenario_or_out_dir(tmp_path, monkeypatch, key, text):
+    """A scenario or an out_dir takes one value: a sweep of either is a coded
+    config error, found before any run starts (no --out here, so out_dir is
+    the config's)."""
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, text)
+    result = CliRunner().invoke(main, ["run", cfg])
+    assert result.exit_code == 2, result.output
+    assert f"config error [config-parse-error]: {cfg}:" in result.output
+    assert f": {key} takes one value, not a sweep" in result.output
+    assert "Traceback" not in result.output
+    assert sorted(os.listdir(tmp_path)) == ["scenario.cfg"]
 
 
 def test_cli_sweep_point_out_of_domain_writes_nothing(tmp_path):

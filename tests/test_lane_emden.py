@@ -37,6 +37,7 @@ from bel.lane_emden import (
     pohozaev_slope_factor,
     pohozaev_trace,
     positivity_criterion,
+    slope_factor_terms,
     solve_liouville,
     solve_radial,
 )
@@ -253,12 +254,13 @@ def test_decomposition_mismatch_raises_coded_error(monkeypatch):
     carries f = 0."""
     grid = make_grid(1e-3, 20.0, 257, "geometric")
     r = grid.nodes[10:-10]
-    pohozaev_slope_factor(build_example(3, 0.5, grid=grid), 5.0, r)  # consistent
+    # consistent
+    pohozaev_slope_factor(slope_factor_terms(build_example(3, 0.5, grid=grid), r), 5.0)
     defect = geometry.RadialJet.curvature_defect.fget
     monkeypatch.setattr(geometry.RadialJet, "curvature_defect",
                         property(lambda jet: defect(jet) - 1.0))
     with pytest.raises(CrossCheckError) as slope:
-        pohozaev_slope_factor(build_example(3, 0.5, grid=grid), 5.0, r)
+        pohozaev_slope_factor(slope_factor_terms(build_example(3, 0.5, grid=grid), r), 5.0)
     monkeypatch.undo()
 
     real = build_example(3, 0.5, grid=grid)
@@ -286,7 +288,7 @@ def test_slope_factor_table_past_the_float_range_is_a_coded_error():
                       weight_from_psi=True)
     r = grid.nodes[1:]
     with pytest.raises(InvalidRangeError) as info:
-        pohozaev_slope_factor(M, 5.0, r)
+        pohozaev_slope_factor(slope_factor_terms(M, r), 5.0)
     assert str(info.value).startswith("slope-factor integrand S G / Lr^2 leaves the float range: "
                                       "its slope factor table is not finite from r = ")
     assert np.all(np.isfinite(M.cumulative_area(r)))
@@ -327,7 +329,7 @@ def test_profile_rejects_radii_beyond_its_range(bubble_shot):
     with pytest.raises(OutOfRangeError):
         bubble_shot.u(10.5)
     with pytest.raises(OutOfRangeError):
-        energy(bubble_shot, 12.0)
+        energy(bubble_shot.p, bubble_shot.u(12.0), bubble_shot.u_prime(12.0))
 
 
 def test_solver_validates_tolerance_and_range(flat4):
@@ -344,12 +346,13 @@ def test_solver_validates_tolerance_and_range(flat4):
 
 
 def test_energy_at_center(bubble_shot):
-    assert energy(bubble_shot, 0.0) == pytest.approx(1.0 / 4.0, abs=1e-12)
+    E = energy(bubble_shot.p, bubble_shot.u(0.0), bubble_shot.u_prime(0.0))
+    assert E == pytest.approx(1.0 / 4.0, abs=1e-12)
 
 
 def test_energy_decreases_along_the_shot(bubble_shot):
     r = bubble_shot.manifold.grid.nodes
-    E = energy(bubble_shot, r)
+    E = energy(bubble_shot.p, bubble_shot.u(r), bubble_shot.u_prime(r))
     assert np.all(np.diff(E) <= 1e-12)
 
 
@@ -360,7 +363,7 @@ def test_energy_slope_identity(warped3):
     nodes = M.grid.nodes
     keep = nodes <= shot.r_end
     r = nodes[keep]
-    E = energy(shot, r)
+    E = energy(shot.p, shot.u(r), shot.u_prime(r))
     dE = finite_difference(E, M.grid, order=1)[keep][2:-2]
     rr = r[2:-2]
     closed = -np.asarray(M.drift(rr)) * np.asarray(shot.u_prime(rr)) ** 2
@@ -369,12 +372,13 @@ def test_energy_slope_identity(warped3):
 
 
 def test_pohozaev_vanishes_at_center(flat4, bubble_shot):
-    assert pohozaev(flat4, bubble_shot, 0.0) == 0.0
+    u, du = bubble_shot.u(0.0), bubble_shot.u_prime(0.0)
+    assert pohozaev(flat4, bubble_shot.p, 0.0, u, du) == 0.0
 
 
 def test_pohozaev_nonpositive_on_flat_critical_shot(flat4, bubble_shot):
     r = flat4.grid.nodes[1:]
-    P = pohozaev(flat4, bubble_shot, r)
+    P = pohozaev(flat4, bubble_shot.p, r, bubble_shot.u(r), bubble_shot.u_prime(r))
     assert np.max(P) <= 1e-8
 
 
@@ -384,10 +388,10 @@ def test_pohozaev_slope_identity(warped3):
     nodes = warped3.grid.nodes
     keep = nodes <= shot.r_end
     r = nodes[keep]
-    P = pohozaev(warped3, shot, r)
+    P = pohozaev(warped3, 5.0, r, shot.u(r), shot.u_prime(r))
     dP = finite_difference(P, warped3.grid, order=1)[keep][2:-2]
     rr = r[2:-2]
-    K = pohozaev_slope_factor(warped3, 5.0, rr)
+    K = pohozaev_slope_factor(slope_factor_terms(warped3, rr), 5.0)
     rhs = K * np.asarray(shot.u_prime(rr)) ** 2
     scale = 1.0 + np.abs(rhs)
     h = warped3.grid.first_step
@@ -400,39 +404,45 @@ def test_slope_factor_euclidean_signs():
     r = g.nodes[1:]
     S = flat3.area_density(r)
     # critical exponent: the closed form cancels exactly
-    K_crit = pohozaev_slope_factor(flat3, 5.0, r)
+    terms = slope_factor_terms(flat3, r)
+    K_crit = pohozaev_slope_factor(terms, 5.0)
     assert np.max(np.abs(K_crit)) <= 1e-10 * (1.0 + np.max(S))
     # supercritical: strictly negative; subcritical: strictly positive
-    assert np.all(pohozaev_slope_factor(flat3, 6.0, r) < 0.0)
-    assert np.all(pohozaev_slope_factor(flat3, 3.0, r) > 0.0)
+    assert np.all(pohozaev_slope_factor(terms, 6.0) < 0.0)
+    assert np.all(pohozaev_slope_factor(terms, 3.0) > 0.0)
 
 
 def test_slope_factor_requires_increasing_area_density():
     M = power_weight(3, make_grid(0.0, 4.0, 101, "uniform"), coeff=1.0, power=2.0)
     with pytest.raises(MonotonicityError):
-        pohozaev_slope_factor(M, 3.0, 2.0)
+        pohozaev_slope_factor(slope_factor_terms(M, 2.0), 3.0)
 
 
 def test_slope_factor_rejects_the_pole(flat4):
     with pytest.raises(SingularRadiusError):
-        pohozaev_slope_factor(flat4, 3.0, 0.0)
+        pohozaev_slope_factor(slope_factor_terms(flat4, 0.0), 3.0)
 
 
 def test_slope_factor_decomposition_agrees_on_recipe_weight(warped3):
     r = np.linspace(0.2, 7.5, 40)
-    direct = pohozaev_slope_factor(warped3, 5.0, r, check_decomposition=False)
-    checked = pohozaev_slope_factor(warped3, 5.0, r, check_decomposition=True)
-    assert np.array_equal(direct, checked)  # the check must not alter values
+    checked = slope_factor_terms(warped3, r)
+    assert checked.J is not None  # a recipe weight carries the decomposition
+    direct = pohozaev_slope_factor(dataclasses.replace(checked, J=None), 5.0)
+    # the check must not alter values
+    assert np.array_equal(direct, pohozaev_slope_factor(checked, 5.0))
 
 
 def test_trace_verdicts_on_recipe_weight(warped3):
     shot = solve_radial(warped3, p=5.0, ell=1.0, tol=1e-11)
     trace = pohozaev_trace(shot)
-    assert trace.r.shape == trace.energy.shape == trace.pohozaev.shape
-    assert trace.r.shape == trace.slope_factor.shape
-    assert trace.E_decreasing
-    assert trace.K_nonpositive
-    assert trace.P_nonpositive
+    nodes = warped3.grid.nodes
+    r = nodes[(nodes > 0.0) & shot.in_range]
+    E, P = trace["energy"], trace["pohozaev"]
+    K = pohozaev_slope_factor(slope_factor_terms(warped3, r), 5.0)
+    assert r.shape == E.shape == P.shape == K.shape
+    assert np.all(np.diff(E) <= 1e-8 * (1.0 + np.abs(E[:-1])))  # E decreasing
+    assert np.all(K <= 1e-8)
+    assert np.all(P <= 1e-8)
 
 
 # ------------------------------------------------- positivity and the bound

@@ -213,6 +213,9 @@ def test_callback_evaluation_preferred():
     # interpolation of r^3 on 16 nodes would be visibly off mid-interval
     mid = 0.5 * (g.nodes[3] + g.nodes[4])
     assert abs(f(mid) - mid**3) < 1e-15
+    # a 0-d array radius gives a float on the callback and interpolation paths alike
+    for fn in (f, RadialFunction(g, g.nodes**3)):
+        assert type(fn(np.asarray(mid))) is float
 
 
 # --------------------------------------------------------- cumulative_gauss

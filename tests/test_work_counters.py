@@ -317,7 +317,8 @@ def test_every_memo_starts_cold():
 def test_benchmark_tracer_finds_every_call_site_it_patches(tmp_path):
     """perfbench/tracing.py patches bel functions by module and name; a
     refactor that unbinds one of those names must fail here, not only in the
-    benchmark's traced pass."""
+    benchmark's traced pass.  A small theorem run shows the monitors are
+    reached through the names it patches."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -325,6 +326,10 @@ def test_benchmark_tracer_finds_every_call_site_it_patches(tmp_path):
     original = scenarios.ModelManifold.drift
     with tracing.installed(tracing.Recorder()) as recorder:
         _run("scenario = log-bubble\nb = 0.125\n", tmp_path)
+        _run("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1\nnodes = 256\n",
+             tmp_path)
     assert recorder.counts["radial_core.eval.calls"] > 0
-    assert recorder.counts["scenarios.runner.calls"] == 1
+    assert recorder.counts["scenarios.runner.calls"] == 2
+    for monitor in ("pohozaev_trace", "pohozaev_slope_factor", "energy"):
+        assert recorder.counts[f"lane_emden.{monitor}.calls"] >= 1, monitor
     assert scenarios.ModelManifold.drift is original
