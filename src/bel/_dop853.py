@@ -32,7 +32,6 @@ problem can take millions of calls).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
@@ -381,17 +380,3 @@ def dense_output(sol: Dop853Result) -> Callable:
 
     return evaluate
 
-
-def scalar_dense_output(sol: Dop853Result) -> Callable[[float], List[float]]:
-    """The dense output of ``sol`` at one radius, as a list of Python floats
-    with the bits of :func:`dense_output` (same segment, same loop)."""
-    ts = sol.t.tolist()
-    last = len(sol.h) - 1
-
-    def evaluate(r) -> List[float]:
-        r = float(r)
-        seg = min(max(bisect_left(ts, r) - 1, 0), last)
-        return segment_value(float(sol.t_old[seg]), float(sol.h[seg]),
-                             sol.y_old[seg].tolist(), sol.F[seg].tolist(), r)
-
-    return evaluate

@@ -411,8 +411,12 @@ def verify_theorem(
         else:
             asymptotic_bound_holds = asymptotic_bound_check(profile, asymptotic_C).all_hold
 
+    if profile is None:
+        failed = f"; failed: {solver_error}"
+    else:
+        failed = "" if profile.global_positive else f"; failed: {profile.status}"
     checks = (
-        Check("solve", "-u'' - L r u' = u^p, u(0) = ell",
+        Check("solve", "-u'' - L r u' = u^p, u(0) = ell" + failed,
               solved, None if profile is None else profile.r_end),
         diffeomorphism,
         ricci_radial,

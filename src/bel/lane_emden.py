@@ -18,10 +18,11 @@ A shot is integrated by bel's own DOP853 driver (:mod:`bel._dop853`), which
 repeats scipy's ``solve_ivp`` arithmetic bit for bit without its per-step
 objects.  The right-hand side runs on Python floats and calls the builder's
 ``scalar_drift`` directly when there is one.  A shot's profile between the
-series region and ``r_end`` is the driver's dense output: ``u`` and ``u'`` at
-many radii go through its vectorised evaluation, the crossing bisection
-through its evaluation at one radius on Python floats; both give the bits of
-scipy's ``OdeSolution``.
+series region and ``r_end`` is the driver's dense output, which gives the
+bits of scipy's ``OdeSolution``; one vectorised evaluation yields both ``u``
+and ``u'`` at many radii.  A shot's zero crossing is the root the driver's
+terminal event finds (Brent's method to 4 eps on the step's interpolant), and
+the shot ends there.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from ._dop853 import dense_output, scalar_dense_output, solve_ivp
+from ._dop853 import dense_output, solve_ivp
 from .errors import (
     BlowupError,
     CrossCheckError,
@@ -85,8 +86,9 @@ class SolutionProfile:
     ``p`` is the power-nonlinearity exponent, or ``None`` for the e^u problem.
     ``status`` is one of ``global-positive``, ``crossed-zero-at(r*)`` or
     ``truncated-at(R): <why the driver stopped>``; ``r_end`` is the last
-    radius where ``u``/``u_prime`` may be evaluated, and ``r_star`` the
-    located zero crossing (if any).
+    radius where ``u``/``u_prime`` may be evaluated, the driver's last
+    radius, and ``r_star`` is set, to ``r_end``, exactly when the shot
+    crossed zero.
     ``u.values`` and ``u_prime.values`` hold the profile at the nodes
     :attr:`in_range` and NaN beyond.
     """
@@ -199,28 +201,24 @@ def _shoot(
             f"overflow guard {OVERFLOW_GUARD:g} tripped at r = {sol.t_events[0][0]:.6g}"
         )
 
+    r_end = float(sol.t[-1])  # after a terminal event, its root bit for bit
     r_star: Optional[float] = None
     if p is not None and len(sol.t_events[1]):
-        r_star = _refine_crossing(sol, float(sol.t_events[1][0]), tol)
+        r_star = r_end
         status = f"crossed-zero-at({r_star:.12g})"
-        r_end = r_star
     elif sol.status == 0:
         status = "global-positive"
-        r_end = r_max
     else:
-        r_end = float(sol.t[-1])
         status = f"truncated-at({r_end:.12g}): {sol.message}"
 
-    u_fn, up_fn, upp_fn = _profile_callbacks(
-        dense_output(sol), float(sol.t[-1]), ell, c2, r0, r_end, M.drift, nonlin
+    state, u_fn, up_fn, upp_fn = _profile_callbacks(
+        dense_output(sol), ell, c2, r0, r_end, M.drift, nonlin
     )
 
     nodes = grid.nodes
     in_range = _covers(r_end, nodes)
-    u_vals = np.full(nodes.shape, np.nan)
-    up_vals = np.full(nodes.shape, np.nan)
-    u_vals[in_range] = u_fn(np.minimum(nodes[in_range], r_end))
-    up_vals[in_range] = up_fn(np.minimum(nodes[in_range], r_end))
+    u_vals, up_vals = np.full((2, nodes.size), np.nan)
+    u_vals[in_range], up_vals[in_range] = state(nodes[in_range])
 
     u = RadialFunction(grid, u_vals, value_fn=u_fn, derivs=(up_fn, upp_fn, None))
     u_prime = RadialFunction(grid, up_vals, value_fn=up_fn, derivs=(upp_fn, None, None))
@@ -236,59 +234,44 @@ def _shoot(
     )
 
 
-def _refine_crossing(sol, r_event: float, tol: float) -> float:
-    """Bisect the dense output around the located event until |u| <= tol."""
-    t = sol.t
-    dense = scalar_dense_output(sol)
-    lo = t[-2] if t.size > 1 else t[0]
-    hi = r_event
-    if dense(hi)[0] > 0.0:  # event landed a hair early; nudge the bracket
-        hi = min(r_event * (1 + 1e-9), t[-1])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = dense(mid)[0]
-        if abs(val) <= tol or (hi - lo) <= 1e-15 * max(1.0, hi):
-            return mid
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _profile_callbacks(dense, ell, c2, r0, r_end, drift, nonlin):
+    """The shot's profile on ``[0, r_end]``: ``state(r)`` gives u and u' at
+    the radii ``r`` from one evaluation, of the pole series below r0 and of
+    the dense output above; ``u_fn``, ``up_fn`` and ``upp_fn`` read from it."""
 
+    def state(r):
+        rr = np.asarray(r, dtype=float)
+        if np.any(rr < 0.0) or not np.all(_covers(r_end, rr)):
+            raise OutOfRangeError(f"profile is defined on [0, {r_end:.6g}]")
+        flat = rr.reshape(-1)
+        out = np.empty((2, flat.size))
+        low = flat < r0
+        out[0, low] = ell - c2 * flat[low] ** 2
+        out[1, low] = -2.0 * c2 * flat[low]
+        if not np.all(low):
+            out[:, ~low] = dense(np.minimum(flat[~low], r_end))
+        return out.reshape(2, *rr.shape)
 
-def _profile_callbacks(dense, t_last, ell, c2, r0, r_end, drift, nonlin):
-    def component(k, series):
-        """u (k = 0) or u' (k = 1): the pole series below r0, else the shot."""
-
+    def component(k):
         def fn(r):
-            rr = np.asarray(r, dtype=float)
-            if np.any(rr < 0.0) or not np.all(_covers(r_end, rr)):
-                raise OutOfRangeError(f"profile is defined on [0, {r_end:.6g}]")
-            flat = np.atleast_1d(rr).astype(float)
-            out = np.empty_like(flat)
-            low = flat < r0
-            out[low] = series(flat[low])
-            if np.any(~low):
-                out[~low] = dense(np.minimum(flat[~low], t_last))[k]
-            return out if rr.ndim else float(out[0])
+            out = state(r)[k]
+            return out if np.ndim(r) else float(out)
 
         return fn
 
-    u_fn = component(0, lambda s: ell - c2 * s**2)
-    up_fn = component(1, lambda s: -2.0 * c2 * s)
+    u_fn, up_fn = component(0), component(1)
 
     def upp_fn(r):
         rr = np.asarray(r, dtype=float)
-        flat = np.atleast_1d(rr).astype(float)
+        flat = np.atleast_1d(rr)
         pos = flat > 0.0
         out = np.full_like(flat, -2.0 * c2)
         if np.any(pos):
-            out[pos] = -drift(flat[pos]) * np.atleast_1d(up_fn(flat[pos])) - nonlin(
-                np.atleast_1d(u_fn(flat[pos]))
-            )
+            u, du = state(flat[pos])
+            out[pos] = -drift(flat[pos]) * du - nonlin(u)
         return out if rr.ndim else float(out[0])
 
-    return u_fn, up_fn, upp_fn
+    return state, u_fn, up_fn, upp_fn
 
 
 def solve_radial(
@@ -346,12 +329,13 @@ def energy(p: Optional[float], u, du):
     return 0.5 * du**2 + potential
 
 
-def pohozaev(M: ModelManifold, p: float, r, u, du):
+def pohozaev(M: ModelManifold, p: float, r, u, du, E):
     """P = V E + (1/(p+1)) S u u' at the radii ``r``, from the values ``u``
-    and ``du`` of u and u' there; P vanishes at r = 0."""
+    and ``du`` of u and u' there and the energy ``E = energy(p, u, du)``;
+    P vanishes at r = 0."""
     V = np.asarray(M.cumulative_area(r), dtype=float)
     S = np.asarray(M.area_density(r), dtype=float)
-    return V * energy(p, u, du) + S * u * du / (p + 1)
+    return V * E + S * u * du / (p + 1)
 
 
 @dataclass(frozen=True)
@@ -426,7 +410,8 @@ def pohozaev_trace(profile: SolutionProfile) -> Dict[str, np.ndarray]:
     nodes = M.grid.nodes
     keep = (nodes > 0.0) & profile.in_range
     r, u, du = nodes[keep], profile.u.values[keep], profile.u_prime.values[keep]
-    return {"energy": energy(profile.p, u, du), "pohozaev": pohozaev(M, profile.p, r, u, du)}
+    E = energy(profile.p, u, du)
+    return {"energy": E, "pohozaev": pohozaev(M, profile.p, r, u, du, E)}
 
 
 def positivity_criterion(M: ModelManifold, tol: Optional[np.ndarray] = None) -> bool:

@@ -256,7 +256,7 @@ def _radial_pieces(data: PFunctionData, r: np.ndarray):
     return dv, ddv, P, tangential
 
 
-def k_functional(data: PFunctionData, r, check_decomposition: Optional[bool] = None):
+def k_functional(data: PFunctionData, r):
     """k[v] = |Hess v|^2 - P^2/m + Ric(v',v') at r > 0.
 
     For finite n the equivalent four-term decomposition
@@ -277,11 +277,7 @@ def k_functional(data: PFunctionData, r, check_decomposition: Optional[bool] = N
     hess_sq = ddv**2 + (d - 1) * tang**2
     k = hess_sq - P**2 / m + np.asarray(ric_r) * dv**2
 
-    if check_decomposition is None:
-        check_decomposition = not math.isinf(n)
-    if check_decomposition:
-        if math.isinf(n):
-            raise InvalidVirtualDimensionError("the decomposition check needs finite n")
+    if not math.isinf(n):
         fv = np.asarray(M.f(rr, 1), dtype=float) * dv
         t1 = ((d - 1.0) / d) * (ddv - tang) ** 2
         t2 = ((m - n) / (m * n)) * P**2
@@ -378,7 +374,7 @@ def divergence_identity_residual(data: PFunctionData) -> RadialFunction:
     v = np.asarray(data.v(r), dtype=float)
     dP = np.asarray(data.P(r, 1), dtype=float)
     div = _measured_div_f(M, v ** (2.0 - m) * dP)
-    lhs = m * v ** (1.0 - m) * np.asarray(k_functional(data, r, check_decomposition=False))
+    lhs = m * v ** (1.0 - m) * np.asarray(k_functional(data, r))
     return _without_edges(M.grid, np.abs(lhs - div))
 
 

@@ -378,7 +378,7 @@ def _bubble_common(prof, data, target_P: float, label: str):
     nonlin = _nonlinearity(prof.p)(prof.u.values[inside])
     residual = float(np.max(np.abs(u2 + drift * prof.u_prime.values[inside] + nonlin)))
     p_dev = float(np.max(np.abs(data.P.values[inside] - target_P)))
-    k_sup = float(np.max(np.abs(np.asarray(k_functional(data, window, check_decomposition=False)))))
+    k_sup = float(np.max(np.abs(np.asarray(k_functional(data, window)))))
     checks = [
         Check(f"{label}-pde-residual", "-u'' - L r u' = nonlinearity(u)",
               residual <= 1e-8, residual, 1e-8),
@@ -442,10 +442,9 @@ def _scenario_soliton(spec: RunSpec, d, p, ell, grid):
     ])
     if prof is None:
         return checks, columns
-    crossed = prof.crossed and prof.r_star is not None and math.isfinite(prof.r_star)
-    checks.append(Check("zero-crossing",
-                        "finite weighted volume forbids positive solutions",
-                        crossed, prof.r_star))
+    failed = "" if prof.crossed else f"; failed: {prof.status}"
+    checks.append(Check("zero-crossing", "finite weighted volume forbids positive solutions"
+                        + failed, prof.crossed, prof.r_star))
     vol_hi = float(weighted_volume(M, M.grid.r_max))
     vol_lo = float(weighted_volume(M, M.grid.r_max / 2.0))
     converged = abs(vol_hi - vol_lo) <= 1e-8 * vol_hi

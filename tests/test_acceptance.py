@@ -256,7 +256,7 @@ def test_acceptance_k_decomposition_agreement():
         + (n - d) / (n * d) * P**2
         + 0.0 * dv**2
     )
-    direct = np.asarray(k_functional(data, r, check_decomposition=False))
+    direct = np.asarray(k_functional(data, r))
     assert np.max(np.abs(four_terms - direct)) <= 1e-8
 
 

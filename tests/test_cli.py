@@ -660,6 +660,42 @@ def test_cli_blowup_is_a_failed_solve_check(tmp_path, scenario, extra):
     assert not report["passed"]
 
 
+def test_cli_soliton_without_a_crossing_fails_and_says_why(tmp_path):
+    """On [0, 1] the soliton shot stays positive: zero-crossing fails (exit 1)
+    and names the shot's status, a negative control for the check."""
+    cfg = _write(tmp_path, "scenario = soliton-liouville\nd = 3\np = 3\nell = 0.25\nr_max = 1\n")
+    result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    report = json.loads((tmp_path / "out" / "soliton-liouville" / "report.json").read_text())
+    crossing = [c for c in report["checks"] if c["name"] == "zero-crossing"]
+    assert len(crossing) == 1 and crossing[0]["verdict"] is False
+    assert crossing[0]["measured"] is None
+    assert crossing[0]["reference"] == ("finite weighted volume forbids positive solutions"
+                                        "; failed: global-positive")
+
+
+@pytest.mark.parametrize("ell,budget,why", [
+    ("1", 100, "; failed: truncated-at(0.0261825666361): "
+               "the budget of 100 right-hand-side calls was spent"),
+    ("1e62", None, "; failed: BlowupError: initial data exceeds the overflow guard"),
+], ids=["truncated", "blowup"])
+def test_cli_theorem_failed_shot_says_why(monkeypatch, tmp_path, ell, budget, why):
+    """theorem-2-2's solve check names why a shot is not global-positive: the
+    driver's status for a truncated shot, the solver error for a blown-up one."""
+    from bel import _dop853
+
+    if budget is not None:
+        monkeypatch.setattr(_dop853, "_MAX_NFEV", budget)
+    cfg = _write(tmp_path, f"scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = {ell}\n"
+                           "nodes = 512\n")
+    result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    report = json.loads((tmp_path / "out" / "theorem-2-2" / "report.json").read_text())
+    solve = [c for c in report["checks"] if c["name"] == "solve"]
+    assert len(solve) == 1 and solve[0]["verdict"] is False
+    assert solve[0]["reference"] == "-u'' - L r u' = u^p, u(0) = ell" + why
+
+
 def test_cli_tiny_center_value_ends_in_a_report(tmp_path):
     # ell^{1-p} = 1e1200 overflows a float; the asymptotic bound is still
     # representable and the run ends in a report, not a traceback.  u' has

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
-from bel import geometry, lane_emden
-from bel._dop853 import dense_output, scalar_dense_output
+from bel import _dop853, geometry, lane_emden, scenarios
+from bel._dop853 import dense_output
 from bel.construction import build_example
 from bel.errors import (
     BelError,
@@ -198,10 +198,11 @@ def test_driver_matches_scipy_solve_ivp_bit_for_bit(monkeypatch, case):
 
 @pytest.mark.parametrize("case", ["theorem", "soliton"])
 def test_vectorised_dense_output_is_bit_identical(monkeypatch, case):
-    """The stacked-segment evaluation and the scalar one give the bits of
-    scipy's ``OdeSolution``, at the step ends and at scalar radii too."""
+    """The stacked-segment evaluation gives the bits of scipy's
+    ``OdeSolution`` at the step ends (``t[-1]`` is where a crossed shot reads
+    u(r*)) and at scalar radii too."""
     _, sol, oracle = _driver_and_oracle(monkeypatch, case)
-    dense, scalar = dense_output(sol), scalar_dense_output(sol)
+    dense = dense_output(sol)
     assert np.array_equal(dense(sol.t), oracle.sol(sol.t))
     t0, t1 = sol.t[0], sol.t[-1]
     for r in (float(t0), 0.5 * (t0 + t1), float(sol.t[len(sol.t) // 2]), float(t1),
@@ -209,7 +210,62 @@ def test_vectorised_dense_output_is_bit_identical(monkeypatch, case):
         got = dense(r)
         assert got.shape == (2,)
         assert np.array_equal(got, oracle.sol(r))
-        assert scalar(r) == got.tolist()
+
+
+def _capture_shots(monkeypatch):
+    """Record, in call order, each driver result of ``lane_emden.solve_ivp``
+    and each profile that the scenarios' ``solve_radial`` returns."""
+    shots = []
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            shots.append(fn(*args, **kwargs))
+            return shots[-1]
+
+        return call
+
+    monkeypatch.setattr(lane_emden, "solve_ivp", recorded(lane_emden.solve_ivp))
+    monkeypatch.setattr(scenarios, "solve_radial", recorded(scenarios.solve_radial))
+    return shots
+
+
+@pytest.mark.parametrize("config", [
+    "scenario = soliton-liouville\nd = 3\np = 3\nell = 1\n",
+    "scenario = custom\nd = 3\np = 3\nell = 1\n",
+    "scenario = custom\nd = 4\np = 5\nell = 2\nweight = power\ncoeff = 0.5\npower = 1.5\n",
+])
+def test_crossing_is_the_driver_event_root(monkeypatch, tmp_path, config):
+    """A crossed shot reports the root of the driver's terminal event, where
+    |u| is at roundoff, not a second search's midpoint with |u| <= tol; the
+    report's measured radius is that root too."""
+    shots = _capture_shots(monkeypatch)
+    spec = scenarios.expand_runs(scenarios.parse_config(config))[0]
+    report = scenarios.execute_run(spec, tmp_path)
+    sol, prof = shots
+    assert prof.crossed and prof.status == f"crossed-zero-at({prof.r_star:.12g})"
+    assert prof.r_star == prof.r_end == sol.t_events[1][0]
+    assert abs(prof.u(prof.r_star)) <= 1e-14
+    measured = {c["name"]: c["measured"] for c in report["checks"]}
+    assert measured["zero-crossing" if spec.scenario == "soliton-liouville" else "solve"] == (
+        sol.t_events[1][0])
+
+
+@pytest.mark.parametrize("status", ["crossed-zero-at(", "global-positive", "truncated-at("],
+                         ids=["crossed", "global-positive", "truncated"])
+def test_shot_ends_at_the_driver_last_radius(monkeypatch, status):
+    """``r_end`` is the driver's last radius whichever way the shot ended."""
+    shots = _capture_shots(monkeypatch)
+    if status == "truncated-at(":
+        monkeypatch.setattr(_dop853, "_MAX_NFEV", 100)
+    if status == "global-positive":  # the critical bubble of flat R^4
+        M = euclidean(4, make_grid(0.0, 10.0, 201, "uniform"))
+    else:
+        M = power_weight(3, make_grid(0.0, 6.0, 301, "uniform"), 1.0, 2.0)
+    prof = solve_radial(M, p=3.0, ell=1.0)
+    (sol,) = shots
+    assert prof.status.startswith(status)
+    assert prof.r_end == sol.t[-1]
+    assert prof.crossed is (status == "crossed-zero-at(")
 
 
 def test_driver_ends_a_shot_whose_step_size_is_not_finite():
@@ -373,12 +429,13 @@ def test_energy_slope_identity(warped3):
 
 def test_pohozaev_vanishes_at_center(flat4, bubble_shot):
     u, du = bubble_shot.u(0.0), bubble_shot.u_prime(0.0)
-    assert pohozaev(flat4, bubble_shot.p, 0.0, u, du) == 0.0
+    assert pohozaev(flat4, bubble_shot.p, 0.0, u, du, energy(bubble_shot.p, u, du)) == 0.0
 
 
 def test_pohozaev_nonpositive_on_flat_critical_shot(flat4, bubble_shot):
     r = flat4.grid.nodes[1:]
-    P = pohozaev(flat4, bubble_shot.p, r, bubble_shot.u(r), bubble_shot.u_prime(r))
+    u, du = bubble_shot.u(r), bubble_shot.u_prime(r)
+    P = pohozaev(flat4, bubble_shot.p, r, u, du, energy(bubble_shot.p, u, du))
     assert np.max(P) <= 1e-8
 
 
@@ -388,7 +445,8 @@ def test_pohozaev_slope_identity(warped3):
     nodes = warped3.grid.nodes
     keep = nodes <= shot.r_end
     r = nodes[keep]
-    P = pohozaev(warped3, 5.0, r, shot.u(r), shot.u_prime(r))
+    u, du = shot.u(r), shot.u_prime(r)
+    P = pohozaev(warped3, 5.0, r, u, du, energy(5.0, u, du))
     dP = finite_difference(P, warped3.grid, order=1)[keep][2:-2]
     rr = r[2:-2]
     K = pohozaev_slope_factor(slope_factor_terms(warped3, rr), 5.0)

@@ -1,5 +1,6 @@
 """Bubble profiles, the v-transform and the P-function identity suite."""
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -216,8 +217,9 @@ def test_k_vanishes_on_bubbles(d):
 def test_k_decomposition_agrees_on_weighted_data(theorem_profile):
     data = v_transform(theorem_profile, n=5.0)
     r = data.manifold.grid.nodes[5:-5]
-    checked = np.asarray(k_functional(data, r))  # auto-check raises on mismatch
-    plain = np.asarray(k_functional(data, r, check_decomposition=False))
+    checked = np.asarray(k_functional(data, r))  # finite n: raises on a mismatch
+    # n = inf skips the decomposition, and the check leaves k's value alone
+    plain = np.asarray(k_functional(dataclasses.replace(data, n=math.inf), r))
     assert np.array_equal(checked, plain)
 
 
@@ -232,11 +234,9 @@ def test_k_decomposition_mismatch_raises_coded_error(monkeypatch, theorem_profil
     assert info.value.code == "cross-check-mismatch"
 
 
-def test_k_functional_guards(data4, data4inf):
+def test_k_functional_guards(data4):
     with pytest.raises(SingularRadiusError):
         k_functional(data4, 0.0)
-    with pytest.raises(InvalidVirtualDimensionError):
-        k_functional(data4inf, 1.0, check_decomposition=True)
 
 
 def test_k_nonnegative_when_m_dominates_n():
@@ -311,7 +311,7 @@ def test_k_minus_w_is_traceless_hessian_square(theorem_data, data4inf):
         M = data.manifold
         r = M.grid.nodes[5:-5]
         r = r[r <= 40.0]
-        k = np.asarray(k_functional(data, r, check_decomposition=False))
+        k = np.asarray(k_functional(data, r))
         w = np.asarray(w_functional(data, r))
         dv = np.asarray(data.v.derivs[0](r))
         ddv = np.asarray(data.v.derivs[1](r))

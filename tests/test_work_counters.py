@@ -219,10 +219,11 @@ def test_warm_theorem_run_matches_cold_run(builds, tmp_path, cold_memos):
 
 def test_warm_theorem_run_reads_stored_shot_values(monkeypatch, tmp_path):
     """The columns and checks of a warm theorem run read the node values the
-    shot stored, so its dense output is called 3 times: the shot's node
-    samples (2) and u(0) (1).  It was 20 when the energy, Pohozaev, v and P
-    columns evaluated it again, 10 when u'(r), the asymptotic bound's u(r)
-    and an unread v' did, and 6 when v_transform's P samples did."""
+    shot stored, so its dense output is called 2 times: the shot's node
+    samples (1, u and u' together) and u(0) (1).  It was 20 when the energy,
+    Pohozaev, v and P columns evaluated it again, 10 when u'(r), the
+    asymptotic bound's u(r) and an unread v' did, 6 when v_transform's P
+    samples did, and 3 when u and u' at the nodes took a pass each."""
     calls = []
     original = lane_emden._profile_callbacks
 
@@ -239,7 +240,7 @@ def test_warm_theorem_run_reads_stored_shot_values(monkeypatch, tmp_path):
     execute_run(specs[0], tmp_path)
     del calls[:]
     execute_run(specs[1], tmp_path)
-    assert len(calls) == 3, len(calls)
+    assert len(calls) == 2, len(calls)
 
 
 #: Radii at which one run of each closed-form scenario calls its closed-form
