@@ -102,22 +102,15 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
     return float(min(100 * h0, h1, interval_length))
 
 
-def segment_value(t_old: float, h: float, y_old: Sequence[float], F, t: float) -> List[float]:
-    """One step's interpolant at ``t`` on Python floats: the loop of scipy's
-    ``Dop853DenseOutput`` per component (elementwise, so the same bits).
-    ``F`` is the step's coefficients as nested lists ``[7][n]``."""
-    x = (t - t_old) / h
-    values = []
-    for k, base in enumerate(y_old):
-        y = 0.0
-        for i in range(len(F)):
-            y += F[-1 - i][k]
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        values.append(y + base)
-    return values
+def _interpolate(x, F, y_old):
+    """The loop of scipy's ``Dop853DenseOutput`` at the fractions ``x`` of a
+    step: ``F[..., 7, n]`` holds the coefficients and ``y_old[..., n]`` the
+    state at the step's start.  A step's events pass a float ``x`` with one
+    step's ``F``; many radii pass a column ``x`` with one ``F`` each."""
+    y = 0.0
+    for i in range(F.shape[-2]):
+        y = (y + F[..., -1 - i, :]) * (x if i % 2 == 0 else 1 - x)
+    return y + y_old
 
 
 def _crossed(g: float, g_new: float, direction: float) -> bool:
@@ -321,14 +314,16 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events: Sequence[Cal
             g_new = [event(t, y) for event in events]
             active = [i for i, dirn in enumerate(directions) if _crossed(g[i], g_new[i], dirn)]
             if active:
-                segment = (t_old, h, y_old, F.tolist())
-                roots = [brentq(lambda r, event=events[i]: event(r, segment_value(*segment, r)),
+                def state(r):
+                    return _interpolate((r - t_old) / h, F, y_old).tolist()
+
+                roots = [brentq(lambda r, event=events[i]: event(r, state(r)),
                                 t_old, t, xtol=_ROOT_TOL, rtol=_ROOT_TOL) for i in active]
                 first = min(range(len(roots)), key=roots.__getitem__)
                 t_events[active[first]].append(roots[first])
                 status = 1
                 t = roots[first]
-                y = tuple(segment_value(*segment, t))
+                y = tuple(state(t))
             g = g_new
 
         if len(ts) > 1 and ts[-1] == t:  # a root on the previous step's end
@@ -366,16 +361,7 @@ def dense_output(sol: Dop853Result) -> Callable:
         rr = np.asarray(r, dtype=float)
         flat = np.atleast_1d(rr)
         seg = np.clip(np.searchsorted(ts, flat, side="left") - 1, 0, last)
-        x = ((flat - t_old[seg]) / h[seg])[:, None]
-        coeffs = F[seg]
-        y = np.zeros((flat.size, y_old.shape[1]))
-        for i in range(F.shape[1]):
-            y += coeffs[:, -1 - i]
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += y_old[seg]
+        y = _interpolate(((flat - t_old[seg]) / h[seg])[:, None], F[seg], y_old[seg])
         return y.T if rr.ndim else y[0]
 
     return evaluate

@@ -120,12 +120,9 @@ class ModelManifold:
         """Smallest radius used in verdicts: 3 local steps from the pole."""
         return 3.0 * self.grid.first_step
 
-    def report_nodes(self, r_max: Optional[float] = None) -> np.ndarray:
+    def report_nodes(self) -> np.ndarray:
         r = self.grid.nodes
-        keep = (r >= max(self.report_start_radius, np.finfo(float).tiny)) & (r > 0)
-        if r_max is not None:
-            keep &= r <= r_max
-        return r[keep]
+        return r[(r >= max(self.report_start_radius, np.finfo(float).tiny)) & (r > 0)]
 
     # -- profile evaluation -------------------------------------------------
 
@@ -349,7 +346,6 @@ class CurvatureReport:
     r: np.ndarray
     ric_r: np.ndarray
     ric_theta: np.ndarray
-    ric_r_n: Optional[np.ndarray]
 
     @property
     def min_ric_r(self) -> float:
@@ -360,11 +356,10 @@ class CurvatureReport:
         return float(self.ric_theta.min())
 
 
-def curvature_report(M: ModelManifold, n: Optional[float] = None) -> CurvatureReport:
+def curvature_report(M: ModelManifold) -> CurvatureReport:
     r = M.report_nodes()
     ric_r, ric_th = ric_infinity_components(M, r)
-    ric_n = None if n is None else np.asarray(ric_n_radial(M, n, r))
-    return CurvatureReport(r=r, ric_r=np.asarray(ric_r), ric_theta=np.asarray(ric_th), ric_r_n=ric_n)
+    return CurvatureReport(r=r, ric_r=np.asarray(ric_r), ric_theta=np.asarray(ric_th))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -378,8 +373,8 @@ class ComparisonReport:
     parabolic: bool
 
 
-def comparison_report(M: ModelManifold, R_max: float) -> ComparisonReport:
-    """Evaluate L r and volume growth on the grid up to ``R_max``.
+def comparison_report(M: ModelManifold) -> ComparisonReport:
+    """Evaluate L r and volume growth on the report nodes of the whole grid.
 
     * sharp comparison:  L r <= (d-1)/r;
     * rough comparison:  least C with L r <= C/r, i.e. max of r * L r;
@@ -388,9 +383,7 @@ def comparison_report(M: ModelManifold, R_max: float) -> ComparisonReport:
       log(1/S) against log(r) on the top decade and calls the manifold
       non-parabolic when the fitted exponent is below -1 (integrable tail).
     """
-    if R_max > M.grid.r_max * (1 + 1e-12):
-        raise OutOfGridError(f"R_max={R_max} beyond grid r_max={M.grid.r_max}")
-    r = M.report_nodes(R_max)
+    r = M.report_nodes()
     Lr = np.asarray(M.drift(r))
     violation = Lr - (M.d - 1) / r
     sharp_max = float(violation.max())
@@ -401,7 +394,7 @@ def comparison_report(M: ModelManifold, R_max: float) -> ComparisonReport:
     vols = np.asarray(weighted_volume(M, r_vol))
     volume_constant = float((vols / r_vol**M.d).max())
 
-    tail = r[r >= R_max / 10.0]
+    tail = r[r >= M.grid.r_max / 10.0]
     dens = np.asarray(M.area_density(tail)) * unit_sphere_area(M.d)
     slope = float(np.polyfit(np.log(tail), np.log(1.0 / dens), 1)[0])
     return ComparisonReport(

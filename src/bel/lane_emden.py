@@ -44,7 +44,7 @@ from .errors import (
     WrongDimensionError,
 )
 from .geometry import ModelManifold, RadialJet
-from .radial_core import RadialFunction, grid_tolerance
+from .radial_core import RadialFunction
 
 # Unused here since the manifold builds the slope-factor table
 # (ModelManifold.integral) and G takes its curvature from a RadialJet, but kept
@@ -144,18 +144,8 @@ def _nonlinearity(p: Optional[float]) -> Callable[[np.ndarray], np.ndarray]:
     return power
 
 
-def _shoot(
-    M: ModelManifold,
-    p: Optional[float],
-    ell: float,
-    r_max: Optional[float],
-    tol: float,
-) -> SolutionProfile:
+def _shoot(M: ModelManifold, p: Optional[float], ell: float, tol: float) -> SolutionProfile:
     grid = M.grid
-    if r_max is None:
-        r_max = grid.r_max
-    if not (0.0 < r_max <= grid.r_max * (1 + 1e-12)):
-        raise InvalidRangeError(f"r_max must lie in (0, {grid.r_max}]")
     if not 0.0 < tol < np.inf:
         raise InvalidRangeError(f"tol must be a positive finite number, got {tol}")
 
@@ -164,7 +154,7 @@ def _shoot(
     with np.errstate(over="ignore"):  # inf is caught just below
         c2 = nonlin(ell) / (2.0 * d)  # u = ell - c2 r^2 + O(r^4) near the pole
     r0 = series_handoff_radius(grid)
-    if not r0 < r_max:
+    if not r0 < grid.r_max:
         raise InvalidRangeError(f"r_max must exceed the series handoff radius {r0:g}")
     y0 = np.array([ell - c2 * r0**2, -2.0 * c2 * r0])
     if not np.all(np.isfinite(y0)) or np.max(np.abs(y0)) >= OVERFLOW_GUARD:
@@ -193,7 +183,7 @@ def _shoot(
         events.append(crossing_event)
 
     with np.errstate(over="ignore"):  # inf is caught just below
-        sol = solve_ivp(rhs, (r0, r_max), y0, rtol=tol, atol=tol, events=events)
+        sol = solve_ivp(rhs, (r0, grid.r_max), y0, rtol=tol, atol=tol, events=events)
     if not np.all(np.isfinite(sol.y)):
         raise BlowupError("solution left the finite range during integration")
     if len(sol.t_events[0]):
@@ -274,42 +264,33 @@ def _profile_callbacks(dense, ell, c2, r0, r_end, drift, nonlin):
     return state, u_fn, up_fn, upp_fn
 
 
-def solve_radial(
-    M: ModelManifold,
-    p: float,
-    ell: float,
-    r_max: Optional[float] = None,
-    tol: float = 1e-10,
-) -> SolutionProfile:
-    """Shoot the power-nonlinearity problem from u(0) = ell > 0.
+def solve_radial(M: ModelManifold, p: float, ell: float, tol: float = 1e-10) -> SolutionProfile:
+    """Shoot the power-nonlinearity problem from u(0) = ell > 0 over ``M``'s grid.
 
-    Integration runs on [r0, r_max] with an adaptive high-order Runge-Kutta
-    scheme (local error <= tol); [0, r0] is covered by the series
-    u = ell - ell^p r^2 / (2d) + O(r^4).  The shot stops at the first zero of
-    u (status ``crossed-zero-at``) or at r_max (``global-positive``).
+    Integration runs on [r0, r_max], the grid's end, with an adaptive
+    high-order Runge-Kutta scheme (local error <= tol); [0, r0] is covered by
+    the series u = ell - ell^p r^2 / (2d) + O(r^4).  The shot stops at the
+    first zero of u (status ``crossed-zero-at``) or at r_max
+    (``global-positive``).
     """
     if ell <= 0.0:
         raise NonpositiveCenterValueError(f"center value must be positive, got {ell}")
     if p <= 1.0:
         raise InvalidRangeError(f"exponent must satisfy p > 1, got {p}")
-    return _shoot(M, float(p), float(ell), r_max, tol)
+    return _shoot(M, float(p), float(ell), tol)
 
 
-def solve_liouville(
-    M: ModelManifold,
-    ell: float,
-    r_max: Optional[float] = None,
-    tol: float = 1e-10,
-) -> SolutionProfile:
-    """Shoot the exponential-nonlinearity problem (surface case, d = 2).
+def solve_liouville(M: ModelManifold, ell: float, tol: float = 1e-10) -> SolutionProfile:
+    """Shoot the exponential-nonlinearity problem (surface case, d = 2) over
+    ``M``'s grid.
 
     The center value may be any real number and the solution may change sign;
-    a profile that reaches r_max is reported ``global-positive`` (the
+    a profile that reaches the grid's end is reported ``global-positive`` (the
     substitution v = e^{-u/2} > 0 is what positivity refers to here).
     """
     if M.d != 2:
         raise WrongDimensionError(f"exponential nonlinearity needs d = 2, got d = {M.d}")
-    return _shoot(M, None, float(ell), r_max, tol)
+    return _shoot(M, None, float(ell), tol)
 
 
 # ------------------------------------------------------------------ monitors
@@ -414,16 +395,13 @@ def pohozaev_trace(profile: SolutionProfile) -> Dict[str, np.ndarray]:
     return {"energy": E, "pohozaev": pohozaev(M, profile.p, r, u, du, E)}
 
 
-def positivity_criterion(M: ModelManifold, tol: Optional[np.ndarray] = None) -> bool:
+def positivity_criterion(M: ModelManifold, tol: np.ndarray) -> bool:
     """True iff -(d-1) psi''/psi + f'' + 2 psi' f'/psi - (f')^2/(d-1) <= tol
-    at every positive grid node (the curvature-side obstruction to global
-    positive solutions at large exponents)."""
+    at every positive grid node, ``tol`` holding one tolerance per positive
+    node (the curvature-side obstruction to global positive solutions at
+    large exponents)."""
     nodes = M.grid.nodes
-    pos = nodes > 0.0
-    rr = nodes[pos]
-    q = RadialJet(M, rr).curvature_defect
-    if tol is None:
-        tol = grid_tolerance(M.grid)[pos]
+    q = RadialJet(M, nodes[nodes > 0.0]).curvature_defect
     return bool(np.all(q <= tol))
 
 

@@ -78,18 +78,19 @@ __all__ = [
 
 
 def _explicit_profile(
-    d: int, grid: Optional[RadialGrid], p: Optional[float], ell: float, u, du, ddu, dddu
+    d: int, grid: Optional[RadialGrid], p: Optional[float], ell: float, u, du, ddu
 ) -> SolutionProfile:
-    """A closed-form entire solution on flat R^d, with callbacks for u and its
-    first three derivatives; the default grid is 2001 uniform nodes on [0, 200]."""
+    """A closed-form entire solution on flat R^d, with callbacks for u, u' and
+    u'' (nothing reads a higher derivative); the default grid is 2001 uniform
+    nodes on [0, 200]."""
     if grid is None:
         grid = make_grid(0.0, 200.0, 2001, "uniform")
     return SolutionProfile(
         manifold=euclidean(d, grid),
         p=p,
         ell=ell,
-        u=sample(u, grid, derivs=(du, ddu, dddu)),
-        u_prime=sample(du, grid, derivs=(ddu, dddu, None)),
+        u=sample(u, grid, derivs=(du, ddu, None)),
+        u_prime=sample(du, grid, derivs=(ddu, None, None)),
         status="global-positive",
         r_end=grid.r_max,
         r_star=None,
@@ -120,14 +121,7 @@ def bubble(d: int, b: float, grid: Optional[RadialGrid] = None) -> SolutionProfi
         w = a + b * rr**2
         return -2.0 * k * b * w ** (-k - 1) + 4.0 * k * (k + 1) * b**2 * rr**2 * w ** (-k - 2)
 
-    def dddu(r):
-        rr = np.asarray(r, dtype=float)
-        w = a + b * rr**2
-        return 12.0 * k * (k + 1) * b**2 * rr * w ** (-k - 2) - 8.0 * k * (k + 1) * (
-            k + 2
-        ) * b**3 * rr**3 * w ** (-k - 3)
-
-    return _explicit_profile(d, grid, (d + 2.0) / (d - 2.0), a ** (-k), u, du, ddu, dddu)
+    return _explicit_profile(d, grid, (d + 2.0) / (d - 2.0), a ** (-k), u, du, ddu)
 
 
 def log_bubble(b: float, grid: Optional[RadialGrid] = None) -> SolutionProfile:
@@ -150,12 +144,7 @@ def log_bubble(b: float, grid: Optional[RadialGrid] = None) -> SolutionProfile:
         w = a + b * rr**2
         return -4.0 * b * (a - b * rr**2) / w**2
 
-    def dddu(r):
-        rr = np.asarray(r, dtype=float)
-        w = a + b * rr**2
-        return 24.0 * b**2 * rr / w**2 - 32.0 * b**3 * rr**3 / w**3
-
-    return _explicit_profile(2, grid, None, -2.0 * math.log(a), u, du, ddu, dddu)
+    return _explicit_profile(2, grid, None, -2.0 * math.log(a), u, du, ddu)
 
 
 # ------------------------------------------------------------- v-transform
@@ -457,27 +446,19 @@ def integral_estimate_ratio(
     data: PFunctionData,
     q: float,
     R: Union[float, np.ndarray],
-    part: str = "auto",
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(lhs, bound_factor) for the ball estimates on v.
 
-    Part "i" integrates v^{-q}(v'^2 + 1) over B_R and needs 2 <= q < m/2+1;
-    part "ii" integrates v^{-q} and needs 0 <= q <= m/2+1.  ``part="auto"``
-    picks "i" when its range admits q, else "ii".  The bound factor is
-    mu(B_{2R}) R^{-q}; the interesting content is that lhs/bound stays
-    bounded over sweeps in R.
+    ``q`` picks the part: part "i" integrates v^{-q}(v'^2 + 1) over B_R when
+    2 <= q < m/2+1, part "ii" integrates v^{-q} for the other q in
+    [0, m/2+1], and a q outside that range raises ``q-out-of-range``.  The
+    bound factor is mu(B_{2R}) R^{-q}; the interesting content is that
+    lhs/bound stays bounded over sweeps in R.
     """
     m = data.m
-    if part == "auto":
-        part = "i" if 2.0 <= q < m / 2.0 + 1.0 else "ii"
-    if part == "i":
-        if not (2.0 <= q < m / 2.0 + 1.0):
-            raise QOutOfRangeError(f"part i needs 2 <= q < m/2+1, got q = {q}")
-    elif part == "ii":
-        if not (0.0 <= q <= m / 2.0 + 1.0):
-            raise QOutOfRangeError(f"part ii needs 0 <= q <= m/2+1, got q = {q}")
-    else:
-        raise InvalidRangeError(f"unknown part {part!r}")
+    if not 0.0 <= q <= m / 2.0 + 1.0:
+        raise QOutOfRangeError(f"part ii needs 0 <= q <= m/2+1, got q = {q}")
+    part = "i" if 2.0 <= q < m / 2.0 + 1.0 else "ii"
 
     M, v = data.manifold, data.v
     RR = np.asarray(R, dtype=float)

@@ -334,14 +334,15 @@ def _shot_columns(prof, **extra: RadialFunction) -> Dict[str, np.ndarray]:
     return {"r": nodes[keep], **{name: f.values[keep] for name, f in functions.items()}}
 
 
-def _radial_shot(M: ModelManifold, p, ell, tol, blowup: Callable[[str], List[Check]]):
+def _radial_shot(M: ModelManifold, p, ell, tol):
     """The shot over ``M``'s grid, no checks yet, and its shot columns with
-    ``energy``; if it blows up, ``None``, the checks ``blowup`` makes of the
-    solver's message, and no columns.  Any other solver error propagates."""
+    ``energy``; if it blows up, ``None``, one failed ``solve`` check whose
+    reference is the solver's message, and no columns.  Any other solver
+    error propagates."""
     try:
-        prof = solve_radial(M, p=p, ell=ell, r_max=M.grid.r_max, tol=tol)
+        prof = solve_radial(M, p=p, ell=ell, tol=tol)
     except BlowupError as exc:
-        return None, blowup(f"solver error: {exc}"), {}
+        return None, [Check("solve", f"solver error: {exc}", False)], {}
     columns = _shot_columns(prof)
     columns["energy"] = energy(prof.p, columns["u"], columns["u_prime"])
     return prof, [], columns
@@ -436,10 +437,7 @@ def _scenario_theorem(spec: RunSpec, d, alpha, p, ell, f0, grid):
 
 def _scenario_soliton(spec: RunSpec, d, p, ell, grid):
     M = power_weight(d, make_grid(*grid), 1.0, 2.0)
-    prof, checks, columns = _radial_shot(M, p, ell, spec.tol, lambda error: [
-        Check("solve", "-u'' - L r u' = u^p with f = r^2", False),
-        Check("zero-crossing", error, False),
-    ])
+    prof, checks, columns = _radial_shot(M, p, ell, spec.tol)
     if prof is None:
         return checks, columns
     failed = "" if prof.crossed else f"; failed: {prof.status}"
@@ -462,9 +460,8 @@ def _log_tail_example(d: int, beta: float, grid_args: tuple):
     """What an ``example-2-parabolicity`` run computes without ``p``, kept for
     the next run: the tail-integrability check, ``mu(B_R)`` at
     ``_VOLUME_RADII`` and the curvature columns of the log-tail manifold."""
-    grid = make_grid(*grid_args)
-    M = log_tail_weight(d, grid, beta=beta)
-    comp = comparison_report(M, grid.r_max)
+    M = log_tail_weight(d, make_grid(*grid_args), beta=beta)
+    comp = comparison_report(M)
     tail = Check("tail-integrable", "int^inf dr / (e^{-f} psi^{d-1}) < inf",
                  comp.tail_exponent < -1.0 and not comp.parabolic, comp.tail_exponent, -1.0)
     volumes = np.asarray(weighted_volume(M, _VOLUME_RADII))
@@ -527,8 +524,7 @@ def _scenario_custom(spec: RunSpec, d, p, ell, weight, coeff, power, beta, alpha
         M = log_tail_weight(d, make_grid(*grid), beta=beta)
     else:
         M = euclidean(d, make_grid(*grid))
-    prof, checks, columns = _radial_shot(M, p, ell, spec.tol,
-                                         lambda error: [Check("solve", error, False)])
+    prof, checks, columns = _radial_shot(M, p, ell, spec.tol)
     if prof is None:
         return checks, columns
     truncated = prof.status.startswith("truncated")
@@ -660,6 +656,6 @@ def execute_run(spec: RunSpec, out_root) -> dict:
     return report
 
 
-def run_scenario(config: ScenarioConfig, out_dir, tol: Optional[float] = None) -> List[dict]:
+def run_scenario(config: ScenarioConfig, out_dir) -> List[dict]:
     """Expand a config and execute every run serially; returns the reports."""
-    return [execute_run(spec, out_dir) for spec in expand_runs(config, tol)]
+    return [execute_run(spec, out_dir) for spec in expand_runs(config)]

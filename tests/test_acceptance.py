@@ -175,7 +175,7 @@ def test_acceptance_solver_order():
     ref = np.array([oracle[k] for k in pts])
     errors = []
     for tol in (1e-6, 1e-6 / 16.0):
-        prof = solve_radial(M, p=3.0, ell=1.0, r_max=10.0, tol=tol)
+        prof = solve_radial(M, p=3.0, ell=1.0, tol=tol)
         errors.append(np.max(np.abs(np.asarray(prof.u(pts)) - ref)))
     assert errors[0] / errors[1] >= 8.0
 
@@ -187,7 +187,7 @@ def test_acceptance_solver_order():
 def test_acceptance_gaussian_weight_forces_crossing(ell):
     grid = make_grid(1e-3, 12.0, 1025, "geometric")
     M = power_weight(3, grid, 1.0, 2.0)
-    prof = solve_radial(M, p=3.0, ell=ell, r_max=12.0, tol=1e-10)
+    prof = solve_radial(M, p=3.0, ell=ell, tol=1e-10)
     assert prof.status.startswith("crossed-zero-at(")
     assert prof.r_star is not None and math.isfinite(prof.r_star)
     assert prof.r_star > 0.0
@@ -199,7 +199,7 @@ def test_acceptance_gaussian_weight_forces_crossing(ell):
 def test_acceptance_log_tail_weight():
     grid = make_grid(1e-3, 1e3, 2049, "geometric")
     M = log_tail_weight(3, grid, beta=2.0)
-    comp = comparison_report(M, 1e3)
+    comp = comparison_report(M)
     assert comp.tail_exponent < -1.0
     assert not comp.parabolic
     p = 2.0
@@ -220,7 +220,7 @@ def test_acceptance_divergence_identity():
     # error source there; strongly graded grids are noise-limited at the pole)
     grid = make_grid(1e-3, 50.0, 1201, "uniform")
     M = build_example(3, grid=grid)
-    prof = solve_radial(M, p=5.0, ell=1.0, r_max=50.0, tol=1e-12)
+    prof = solve_radial(M, p=5.0, ell=1.0, tol=1e-12)
     data = v_transform(prof)
     res = divergence_identity_residual(data)
     tol = 100.0 * grid_tolerance(grid, factor=1.0)

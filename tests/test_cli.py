@@ -650,13 +650,20 @@ def test_cli_stiff_shot_ends_in_a_failed_solve_check(tmp_path):
 ])
 def test_cli_blowup_is_a_failed_solve_check(tmp_path, scenario, extra):
     # ell^p overflows, so the shot blows up before it starts: a verdict
-    # (exit 1), not a coded error
+    # (exit 1), not a coded error, whose reference gives the solver's reason
     cfg = _write(tmp_path, f"scenario = {scenario}\nd = 3\np = 5\nell = 1e62\n{extra}")
     result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
     assert result.exit_code == 1, result.output
     report = json.loads((tmp_path / "out" / scenario / "report.json").read_text())
     solve = [c for c in report["checks"] if c["name"] == "solve"]
-    assert len(solve) == 1 and solve[0]["verdict"] is False
+    why = "initial data exceeds the overflow guard"
+    if scenario == "theorem-2-2":  # its manifold checks do not read the shot
+        reference = "-u'' - L r u' = u^p, u(0) = ell; failed: BlowupError: " + why
+    else:  # a blown-up shot ends the run with solve as its only check
+        reference = "solver error: " + why
+        assert report["checks"] == solve
+    assert solve == [{"name": "solve", "reference": reference, "verdict": False,
+                      "measured": None, "tolerance": None}]
     assert not report["passed"]
 
 

@@ -305,7 +305,7 @@ def test_weight_recipe_deterministic():
 
 def test_comparison_report_euclidean_d3():
     M = euclidean(3, _grid(r_max=100.0, n=513))
-    rep = comparison_report(M, 100.0)
+    rep = comparison_report(M)
     assert rep.sharp_laplacian_holds
     assert abs(rep.rough_constant - 2.0) < 1e-9
     assert not rep.parabolic, "flat 3-space is non-parabolic"
@@ -314,7 +314,7 @@ def test_comparison_report_euclidean_d3():
 
 def test_comparison_report_euclidean_d2_is_parabolic():
     M = euclidean(2, _grid(r_max=100.0, n=513))
-    rep = comparison_report(M, 100.0)
+    rep = comparison_report(M)
     assert rep.parabolic
     assert abs(rep.tail_exponent + 1.0) < 1e-6
 
@@ -322,18 +322,18 @@ def test_comparison_report_euclidean_d2_is_parabolic():
 def test_comparison_report_soliton_weight_parabolic():
     # Gaussian-type density decays so fast the tail integral of 1/S diverges
     M = power_weight(3, make_grid(0.0, 20.0, 513, "uniform"))
-    rep = comparison_report(M, 20.0)
+    rep = comparison_report(M)
     assert rep.parabolic
     assert rep.tail_exponent > 0
 
 
 def test_curvature_report_positive_for_quadratic_weight():
     M = power_weight(3, _grid(), coeff=1.0)
-    rep = curvature_report(M, n=5)
+    rep = curvature_report(M)
     assert rep.min_ric_r > 0
     assert rep.min_ric_theta > 0
-    assert rep.ric_r_n is not None
-    assert np.all(rep.ric_r_n <= rep.ric_r + 1e-14)
+    ric_r_n = np.asarray(ric_n_radial(M, 5, rep.r))
+    assert np.all(ric_r_n <= rep.ric_r + 1e-14)
 
 
 # ------------------------------------------------------- logarithmic tail
@@ -357,7 +357,7 @@ def test_log_tail_weight_flat_near_pole():
 
 def test_log_tail_weight_not_parabolic():
     M = log_tail_weight(3, make_grid(0.0, 1000.0, 2049, "uniform"), beta=2.0)
-    rep = comparison_report(M, 1000.0)
+    rep = comparison_report(M)
     assert not rep.parabolic
     assert rep.tail_exponent < -1.0
 

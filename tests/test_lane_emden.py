@@ -392,10 +392,8 @@ def test_solver_validates_tolerance_and_range(flat4):
     for tol in (0.0, -1e-10, np.nan, np.inf):
         with pytest.raises(InvalidRangeError):
             solve_radial(flat4, p=3.0, ell=1.0, tol=tol)
-    with pytest.raises(InvalidRangeError):
-        solve_radial(flat4, p=3.0, ell=1.0, r_max=1e-5)  # below the series handoff radius
-    with pytest.raises(InvalidRangeError):
-        solve_radial(flat4, p=3.0, ell=1.0, r_max=25.0)
+    with pytest.raises(InvalidRangeError):  # the grid ends below the series handoff radius
+        solve_radial(euclidean(4, make_grid(0.0, 5e-5, 17, "uniform")), p=3.0, ell=1.0)
 
 
 # --------------------------------------------------------------- monitors
@@ -508,15 +506,17 @@ def test_trace_verdicts_on_recipe_weight(warped3):
 
 def test_positivity_criterion_flat_and_signed_weights():
     g = make_grid(0.0, 1.0, 65, "uniform")
-    assert positivity_criterion(euclidean(3, g))
-    assert positivity_criterion(power_weight(3, g, coeff=-1.0, power=2.0))
+    tol = grid_tolerance(g)[g.nodes > 0]
+    assert positivity_criterion(euclidean(3, g), tol)
+    assert positivity_criterion(power_weight(3, g, coeff=-1.0, power=2.0), tol)
     # f = +r^2 gives 6 - 2r^2 > 0 below sqrt(3): criterion fails
-    assert not positivity_criterion(power_weight(3, g, coeff=1.0, power=2.0))
+    assert not positivity_criterion(power_weight(3, g, coeff=1.0, power=2.0), tol)
 
 
 def test_positivity_criterion_recipe_weight(warped3):
     # the weight ODE makes the combination collapse to -(f')^2/(d-1) <= 0
-    assert positivity_criterion(warped3)
+    g = warped3.grid
+    assert positivity_criterion(warped3, grid_tolerance(g)[g.nodes > 0])
 
 
 def test_asymptotic_bound_on_flat_bubble(bubble_shot):

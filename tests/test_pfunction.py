@@ -68,7 +68,7 @@ def theorem_profile():
     # dominated by solver-interpolant noise amplified by the 1/r drift
     grid = make_grid(1e-3, 50.0, 1201, "uniform")
     M = build_example(3, grid=grid)
-    return solve_radial(M, p=5.0, ell=1.0, r_max=50.0, tol=1e-12)
+    return solve_radial(M, p=5.0, ell=1.0, tol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +148,7 @@ def test_log_transform_constants():
 def test_v_transform_rejects_crossed_profile():
     grid = make_grid(1e-3, 10.0, 513, "geometric")
     M = power_weight(3, grid, 1.0, 2.0)  # Gaussian-type weight kills positivity
-    prof = solve_radial(M, p=3.0, ell=1.0, r_max=10.0, tol=1e-10)
+    prof = solve_radial(M, p=3.0, ell=1.0, tol=1e-10)
     assert prof.status.startswith("crossed-zero-at(")
     with pytest.raises(NonpositiveSolutionError):
         v_transform(prof)
@@ -371,10 +371,6 @@ def test_integral_ratio_validation(data4inf):
         integral_estimate_ratio(data4inf, -0.5, 10.0)
     with pytest.raises(QOutOfRangeError):
         integral_estimate_ratio(data4inf, 3.2, 10.0)  # above m/2+1 = 3
-    with pytest.raises(QOutOfRangeError):
-        integral_estimate_ratio(data4inf, 3.0, 10.0, part="i")
-    with pytest.raises(InvalidRangeError):
-        integral_estimate_ratio(data4inf, 2.0, 10.0, part="iii")
     with pytest.raises(OutOfGridError):
         integral_estimate_ratio(data4inf, 2.0, 150.0)
 
