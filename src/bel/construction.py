@@ -17,6 +17,7 @@ Euclidean-type volume bound, and the explicit asymptotic upper bound on u.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -186,22 +187,52 @@ def build_example(
 # ------------------------------------------------------------------ report
 
 
+#: The comparison a check's ``sense`` names, ``measured <sense> tolerance``.
+_SENSES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+#: The reference of every shot's ``solve`` check.
+SOLVE = "-u'' - L r u' = u^p, u(0) = ell"
+
+
 @dataclass(frozen=True)
 class Check:
-    """One named verdict, with the fields (in order) of a report.json check."""
+    """One named check of report.json, whose verdict follows from its fields.
+
+    It passes when ``reason`` (why it failed, found other than by the
+    comparison) is empty and either it has no ``tolerance`` or ``measured``
+    is finite and ``measured <sense> tolerance`` holds.  Three checks carry
+    no tolerance, so their reason alone decides: ``solve`` and
+    ``zero-crossing`` (measuring where the shot ended or crossed) and
+    ``asymptotic-bound`` (measuring the bound's constant C).
+    """
 
     name: str
     reference: str
-    verdict: bool
     measured: Optional[float] = None
     tolerance: Optional[float] = None
+    sense: str = "<="
+    reason: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "verdict", bool(self.verdict))
         for key in ("measured", "tolerance"):
             value = getattr(self, key)
             if value is not None:
                 object.__setattr__(self, key, float(value))
+
+    @property
+    def verdict(self) -> bool:
+        if self.reason:
+            return False
+        if self.tolerance is None:
+            return True
+        return (self.measured is not None and math.isfinite(self.measured)
+                and _SENSES[self.sense](self.measured, self.tolerance))
+
+    def as_dict(self) -> dict:
+        """The schema-1 report.json entry: the reason ends the reference."""
+        failed = f"; failed: {self.reason}" if self.reason else ""
+        return {"name": self.name, "reference": self.reference + failed, "verdict": self.verdict,
+                "measured": self.measured, "tolerance": self.tolerance}
 
 
 @dataclass(frozen=True)
@@ -282,13 +313,13 @@ def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
     # -- warping invariants (the diffeomorphism-to-R^d side) ---------------
     psi_r = M.psi(r)
     dpsi_r = M.psi(r, 1)
-    diffeo_ok = (
-        abs(float(M.psi(0.0))) <= 1e-14
-        and abs(float(M.psi(0.0, 1)) - 1.0) <= 1e-12
-        and abs(float(M.psi(0.0, 2))) <= 1e-12
-        and bool(np.all(dpsi_r > 0.0))
-        and bool(np.all((alpha * r < psi_r) & (psi_r < r)))
-    )
+    if not (abs(float(M.psi(0.0))) <= 1e-14 and abs(float(M.psi(0.0, 1)) - 1.0) <= 1e-12
+            and abs(float(M.psi(0.0, 2))) <= 1e-12):
+        diffeo_reason = "psi, psi' or psi'' is off at the pole"
+    elif not np.all((alpha * r < psi_r) & (psi_r < r)):
+        diffeo_reason = "alpha r < psi < r fails"
+    else:
+        diffeo_reason = ""
 
     # -- curvature and the three pointwise conditions ----------------------
     # (i) Ric^r > 0, (ii) Ric^theta > 0, (iii) the defect inequality
@@ -298,7 +329,6 @@ def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
     # the f' samples (not the f'' callback, which satisfies the relation by
     # construction)
     ric_r, ric_th = (np.asarray(c) for c in ric_infinity_components(M, r))
-    shown = r >= M.report_start_radius  # M.report_nodes(): the measured minima
     ddpsi_r = M.psi(r, 2)
     df_r = np.asarray(M.f(r, 1))
     with np.errstate(over="ignore"):  # steps past ~1e154: checked below
@@ -307,9 +337,8 @@ def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
     rhs = (d - 1) * ddpsi_r / psi_r - 2.0 * dpsi_r * df_r / psi_r
     residual = np.abs(fd_ddf - rhs) / (1.0 + np.abs(rhs))
     inner = slice(2, -2)  # finite-difference edge stencils excluded
-    weight_ode = positivity_criterion(M, residual_tol) and bool(
-        np.all(residual[inner] <= residual_tol[inner])
-    )
+    ode_ratio = np.max(residual[inner] / residual_tol[inner])
+    ode_reason = "" if positivity_criterion(M, residual_tol) else "the positivity criterion fails"
 
     # -- the p-independent terms of the Pohozaev slope factor --------------
     slope_terms = slope_factor_terms(M, r)
@@ -325,33 +354,33 @@ def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
     chi = np.asarray(warping_slope_energy(M)(r)) - psi_r**2 / r
     psi_cap = (d - 2.0) * (1.0 - dpsi_r**2) + psi_r * dpsi_r * df_r
     comparison = comparison_report(M)
-    rough_bound = (d - 1.0) / alpha**2
 
     vols = np.asarray(weighted_volume(M, r))
     euclid_cap = (C2 / d) * unit_sphere_area(d) * r**d
 
     f_sup = float(np.max(np.abs(M.f.values - M.f0)))
-    f_bounded = bool(np.isfinite(f_sup)) and _flux_tail_exponent(M) < 0.5
+    f_finite = math.isfinite(f_sup)
 
     checks = (
         Check("diffeomorphism", "psi(0)=0, psi'(0)=1, psi''(0)=0, alpha r < psi < r",
-              diffeo_ok),
+              np.min(dpsi_r), 0.0, ">", diffeo_reason),
         Check("ricci-radial-positive", "Ric^r = -(d-1) psi''/psi + f'' > 0",
-              np.all(ric_r > 0.0), np.min(ric_r[shown]), 0.0),
-        Check("ricci-tangential-positive", "Ric^theta > 0",
-              np.all(ric_th > 0.0), np.min(ric_th[shown]), 0.0),
+              np.min(ric_r), 0.0, ">"),
+        Check("ricci-tangential-positive", "Ric^theta > 0", np.min(ric_th), 0.0, ">"),
         Check("chi-positive", "chi = int_0^r psi'^2 - psi^2/r > 0 (sharp comparison fails)",
-              chi.min() > 0.0 and not comparison.sharp_laplacian_holds, chi.min(), 0.0),
+              chi.min(), 0.0, ">",
+              "the sharp comparison holds" if comparison.sharp_laplacian_holds else ""),
         Check("psi-cap-positive", "(d-2)(1 - psi'^2) + psi psi' f' > 0",
-              psi_cap.min() > 0.0, psi_cap.min(), 0.0),
+              psi_cap.min(), 0.0, ">"),
         Check("rough-comparison", "L r <= (d-1)/(alpha^2 r)",
-              comparison.rough_constant <= rough_bound + 1e-8,
-              comparison.rough_constant, rough_bound),
+              comparison.rough_constant, (d - 1.0) / alpha**2 + 1e-8),
         Check("volume-comparison", "mu(B_R) <= (C_2/d) |S^{d-1}| R^d",
-              np.all(vols <= euclid_cap * (1 + 1e-9))),
+              np.max(vols / euclid_cap), 1 + 1e-9),
         Check("weight-ode", "f'' + 2 (psi'/psi) f' = (d-1) psi''/psi",
-              weight_ode, np.max(residual[inner]), 1.0),
-        Check("weight-bounded", "sup |f| < inf (flux integral converges)", f_bounded, f_sup),
+              ode_ratio, 1.0, reason=ode_reason),
+        Check("weight-bounded", "sup |f| < inf (flux integral converges)",
+              _flux_tail_exponent(M) if f_finite else None, 0.5, "<",
+              "" if f_finite else f"sup |f - f0| = {f_sup}"),
     )
     return _ManifoldChecks(checks=checks, df=df_r, ric_r=ric_r, ric_theta=ric_th,
                            slope_terms=slope_terms, weight_ratio=C1 / C2)
@@ -392,44 +421,38 @@ def verify_theorem(
 
     # -- Pohozaev slope factor --------------------------------------------
     slope_factor_K = np.asarray(pohozaev_slope_factor(record.slope_terms, p), dtype=float)
-    slope_factor_max = float(np.max(slope_factor_K))
 
     asymptotic_C = ((p - 1.0) / (2.0 * d)) * record.weight_ratio * alpha ** (d - 1)
 
-    solved = profile is not None and profile.global_positive
-    u_decreasing = gradient_product_positive = asymptotic_bound_holds = False
-    underflowed = ""
-    if solved:
+    # the checks that read the shot fail, saying why, unless it is global-positive
+    reason = solver_error if profile is None else "" if profile.global_positive else profile.status
+    du_max = product_min = None
+    bound_reason = reason
+    if not reason:
         du = profile.u_prime.values[M.grid.nodes > 0.0]
-        u_decreasing = bool(np.all(du < 0.0))
-        gradient_product_positive = bool(np.all(record.df * du > 0.0))
+        du_max, product_min = np.max(du), np.min(record.df * du)
         # a positive solution has u' < 0 for r > 0: an all-zero u' is an
         # underflowed profile, on which any bound on u holds trivially
         if not np.any(du):
-            underflowed = "; failed: u' = 0 at every positive node"
-        else:
-            asymptotic_bound_holds = asymptotic_bound_check(profile, asymptotic_C).all_hold
+            bound_reason = "u' = 0 at every positive node"
+        elif not asymptotic_bound_check(profile, asymptotic_C):
+            bound_reason = "u exceeds the bound at a node"
 
-    if profile is None:
-        failed = f"; failed: {solver_error}"
-    else:
-        failed = "" if profile.global_positive else f"; failed: {profile.status}"
     checks = (
-        Check("solve", "-u'' - L r u' = u^p, u(0) = ell" + failed,
-              solved, None if profile is None else profile.r_end),
+        Check("solve", SOLVE, None if profile is None else profile.r_end, reason=reason),
         diffeomorphism,
         ricci_radial,
         ricci_tangential,
         Check("slope-factor-nonpositive", "P' = K u'^2 with K = (1/2 + 1/(p+1)) S - (S'/S) V",
-              slope_factor_max <= 1e-8, slope_factor_max, 1e-8),
-        Check("u-decreasing", "u' < 0 for r > 0", u_decreasing),
-        Check("gradient-product-positive", "f' u' > 0 for r > 0", gradient_product_positive),
+              np.max(slope_factor_K), 1e-8),
+        Check("u-decreasing", "u' < 0 for r > 0", du_max, 0.0, "<", reason),
+        Check("gradient-product-positive", "f' u' > 0 for r > 0", product_min, 0.0, ">", reason),
         chi,
         psi_cap,
         rough,
         volume,
-        Check("asymptotic-bound", "u <= (C r^2 + ell^{1-p})^{-1/(p-1)}" + underflowed,
-              asymptotic_bound_holds, asymptotic_C),
+        Check("asymptotic-bound", "u <= (C r^2 + ell^{1-p})^{-1/(p-1)}", asymptotic_C,
+              reason=bound_reason),
         weight_ode,
         weight_bounded,
     )

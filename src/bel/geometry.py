@@ -347,14 +347,6 @@ class CurvatureReport:
     ric_r: np.ndarray
     ric_theta: np.ndarray
 
-    @property
-    def min_ric_r(self) -> float:
-        return float(self.ric_r.min())
-
-    @property
-    def min_ric_theta(self) -> float:
-        return float(self.ric_theta.min())
-
 
 def curvature_report(M: ModelManifold) -> CurvatureReport:
     r = M.report_nodes()
@@ -364,21 +356,19 @@ def curvature_report(M: ModelManifold) -> CurvatureReport:
 
 @dataclasses.dataclass(frozen=True)
 class ComparisonReport:
-    """Distance-Laplacian and volume comparison verdicts with fitted constants."""
+    """Distance-Laplacian comparison and parabolicity verdicts with fitted constants."""
 
     sharp_laplacian_holds: bool
     rough_constant: float
-    volume_constant: float
     tail_exponent: float
     parabolic: bool
 
 
 def comparison_report(M: ModelManifold) -> ComparisonReport:
-    """Evaluate L r and volume growth on the report nodes of the whole grid.
+    """Evaluate L r and the tail of 1/S on the report nodes of the whole grid.
 
     * sharp comparison:  L r <= (d-1)/r;
     * rough comparison:  least C with L r <= C/r, i.e. max of r * L r;
-    * volume:            least C with mu(B_R) <= C R^d over R >= 1;
     * parabolicity:      the tail integral of 1/S converges; the verdict fits
       log(1/S) against log(r) on the top decade and calls the manifold
       non-parabolic when the fitted exponent is below -1 (integrable tail).
@@ -390,17 +380,12 @@ def comparison_report(M: ModelManifold) -> ComparisonReport:
     sharp_holds = sharp_max <= 1e-12 * max(1.0, float(np.abs(Lr).max()))
     rough = float((r * Lr).max())
 
-    r_vol = r[r >= 1.0] if np.any(r >= 1.0) else r[-1:]
-    vols = np.asarray(weighted_volume(M, r_vol))
-    volume_constant = float((vols / r_vol**M.d).max())
-
     tail = r[r >= M.grid.r_max / 10.0]
     dens = np.asarray(M.area_density(tail)) * unit_sphere_area(M.d)
     slope = float(np.polyfit(np.log(tail), np.log(1.0 / dens), 1)[0])
     return ComparisonReport(
         sharp_laplacian_holds=sharp_holds,
         rough_constant=rough,
-        volume_constant=volume_constant,
         tail_exponent=slope,
         parabolic=slope >= -1.0 - 1e-9,
     )

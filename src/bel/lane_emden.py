@@ -59,7 +59,6 @@ OVERFLOW_GUARD = 1e300
 __all__ = [
     "OVERFLOW_GUARD",
     "SolutionProfile",
-    "AsymptoticBoundReport",
     "solve_radial",
     "solve_liouville",
     "energy",
@@ -405,16 +404,8 @@ def positivity_criterion(M: ModelManifold, tol: np.ndarray) -> bool:
     return bool(np.all(q <= tol))
 
 
-@dataclass(frozen=True)
-class AsymptoticBoundReport:
-    """Per-node comparison of u against (C r^2 + ell^{1-p})^{-1/(p-1)}."""
-
-    bound: np.ndarray
-    all_hold: bool
-
-
-def asymptotic_bound_check(profile: SolutionProfile, C: float) -> AsymptoticBoundReport:
-    """Check u(r) <= (C r^2 + ell^{1-p})^{-1/(p-1)} at the grid nodes.
+def asymptotic_bound_check(profile: SolutionProfile, C: float) -> bool:
+    """True iff u(r) <= (C r^2 + ell^{1-p})^{-1/(p-1)} at the grid nodes.
 
     Only meaningful for globally positive power-nonlinearity profiles; the
     bound is an equality at r = 0, so a relative slack of 1e-12 is allowed.
@@ -433,4 +424,4 @@ def asymptotic_bound_check(profile: SolutionProfile, C: float) -> AsymptoticBoun
     except OverflowError:  # ell^{1-p} is past the float range; factor it out
         bound = ell * (1.0 + C * r**2 * ell ** (p - 1.0)) ** (-1.0 / (p - 1.0))
     values = profile.u.values[keep]
-    return AsymptoticBoundReport(bound, bool(np.all(values <= bound * (1 + 1e-12))))
+    return bool(np.all(values <= bound * (1 + 1e-12)))

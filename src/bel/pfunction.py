@@ -508,7 +508,7 @@ def cheng_yau_ratio(profile: SolutionProfile, n: float, R: float) -> float:
 
 @dataclass(frozen=True)
 class SuperharmonicReport:
-    """Floor comparison u >= A r^{-(kappa-2)} on r >= R."""
+    """Floor comparison u >= A r^{-(kappa-2)} at the nodes r > R."""
 
     floor: np.ndarray
     values: np.ndarray
@@ -543,7 +543,7 @@ def superharmonic_floor_check(
     if not (0.0 < R <= r_all[-1]):
         raise OutOfRangeError(f"R must lie inside the positive range (0, {r_all[-1]:.6g}]")
     A = R ** (kappa - 2.0) * float(profile.u(R))
-    tail = r_all >= R
+    tail = r_all > R  # at r = R the floor is u(R), by the choice of A
     values = u_all[tail]
     floor = A * r_all[tail] ** (-(kappa - 2.0))
     return SuperharmonicReport(

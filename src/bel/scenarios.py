@@ -15,14 +15,14 @@ import itertools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ._g17 import format_rows
-from .construction import DEFAULT_GRID, Check, build_example, verify_theorem
+from .construction import DEFAULT_GRID, SOLVE, Check, build_example, verify_theorem
 from .errors import ArtifactIOError, BlowupError, ConfigParseError
 from .geometry import (
     ModelManifold,
@@ -289,26 +289,19 @@ def expand_runs(config: ScenarioConfig, tol: Optional[float] = None) -> List[Run
 def _cheng_yau_check(prof, n: float, radii: np.ndarray) -> Check:
     """Cheng-Yau gradient ratio over the ``radii`` R with B_2R inside the shot,
     bounded by ten times its first value (floored at 1e-3).  It fails, saying
-    why, when no B_2R fits inside the shot, when a ratio is not finite or
-    when ``u'`` vanishes at every positive node of the largest ball: a
-    positive solution has ``u' < 0`` for ``r > 0``, so a zero ratio there
-    measures an underflowed profile, not a bounded one."""
+    why, when no B_2R fits inside the shot or when ``u'`` vanishes at every
+    positive node of the largest ball: a positive solution has ``u' < 0``
+    for ``r > 0``, so a zero ratio there measures an underflowed profile,
+    not a bounded one."""
     reference = "sup |u'/u|^2 <= C (1/R^2 + sup u^{4/(n-2)})"
     radii = radii[2.0 * radii <= prof.r_end]
     if not radii.size:
-        return Check("cheng-yau-bounded", reference + "; failed: B_2R leaves the shot at every R",
-                     False)
+        return Check("cheng-yau-bounded", reference, reason="B_2R leaves the shot at every R")
     sweep = np.array([cheng_yau_ratio(prof, n, R) for R in radii])
-    bound = 10.0 * max(sweep[0], 1e-3)
     nodes = prof.manifold.grid.nodes
-    if not np.all(np.isfinite(sweep)):
-        failed = "; failed: a ratio is not finite"
-    elif not np.any(prof.u_prime.values[(nodes > 0.0) & (nodes <= radii[-1])]):
-        failed = "; failed: u' = 0 at every positive node of B_R"
-    else:
-        failed = ""
-    return Check("cheng-yau-bounded", reference + failed,
-                 not failed and np.max(sweep) <= bound, np.max(sweep), bound)
+    underflowed = not np.any(prof.u_prime.values[(nodes > 0.0) & (nodes <= radii[-1])])
+    return Check("cheng-yau-bounded", reference, np.max(sweep), 10.0 * max(sweep[0], 1e-3),
+                 reason="u' = 0 at every positive node of B_R" if underflowed else "")
 
 
 @functools.lru_cache(maxsize=1)
@@ -336,13 +329,12 @@ def _shot_columns(prof, **extra: RadialFunction) -> Dict[str, np.ndarray]:
 
 def _radial_shot(M: ModelManifold, p, ell, tol):
     """The shot over ``M``'s grid, no checks yet, and its shot columns with
-    ``energy``; if it blows up, ``None``, one failed ``solve`` check whose
-    reference is the solver's message, and no columns.  Any other solver
-    error propagates."""
+    ``energy``; if it blows up, ``None``, one ``solve`` check that fails with
+    the solver's error, and no columns.  Any other solver error propagates."""
     try:
         prof = solve_radial(M, p=p, ell=ell, tol=tol)
     except BlowupError as exc:
-        return None, [Check("solve", f"solver error: {exc}", False)], {}
+        return None, [Check("solve", SOLVE, reason=f"{type(exc).__name__}: {exc}")], {}
     columns = _shot_columns(prof)
     columns["energy"] = energy(prof.p, columns["u"], columns["u_prime"])
     return prof, [], columns
@@ -356,14 +348,13 @@ def _scenario_euclidean(spec: RunSpec, d, grid):
     lr_defect = np.max(np.abs(np.asarray(laplacian_of_distance(M, r)) * r - (d - 1)))
     checks = [
         Check("ricci-vanishes", "Ric^r = -(d-1) psi''/psi + f''; psi = r, f = 0",
-              worst_ric <= 1e-10, worst_ric, 1e-10),
-        Check("distance-laplacian", "L r = (d-1)/r on flat space",
-              lr_defect <= 1e-12, lr_defect, 1e-12),
+              worst_ric, 1e-10),
+        Check("distance-laplacian", "L r = (d-1)/r on flat space", lr_defect, 1e-12),
     ]
     if d == 3:
         vol = float(weighted_volume(M, 1.0))
         err = abs(vol - 4.0 * math.pi / 3.0)
-        checks.append(Check("unit-ball-volume", "mu(B_1) = 4 pi / 3", err <= 1e-6, err, 1e-6))
+        checks.append(Check("unit-ball-volume", "mu(B_1) = 4 pi / 3", err, 1e-6))
     columns = {"r": r, "ric_r": curv.ric_r, "ric_theta": curv.ric_theta}
     return checks, columns
 
@@ -381,12 +372,9 @@ def _bubble_common(prof, data, target_P: float, label: str):
     p_dev = float(np.max(np.abs(data.P.values[inside] - target_P)))
     k_sup = float(np.max(np.abs(np.asarray(k_functional(data, window)))))
     checks = [
-        Check(f"{label}-pde-residual", "-u'' - L r u' = nonlinearity(u)",
-              residual <= 1e-8, residual, 1e-8),
-        Check(f"{label}-p-constant", "P = ((m/2) v'^2 + c_m) / v is constant",
-              p_dev <= 1e-8, p_dev, 1e-8),
-        Check(f"{label}-k-vanishes", "k = |Hess v|^2 - P^2/m + Ric(v',v') = 0",
-              k_sup <= 1e-8, k_sup, 1e-8),
+        Check(f"{label}-pde-residual", "-u'' - L r u' = nonlinearity(u)", residual, 1e-8),
+        Check(f"{label}-p-constant", "P = ((m/2) v'^2 + c_m) / v is constant", p_dev, 1e-8),
+        Check(f"{label}-k-vanishes", "k = |Hess v|^2 - P^2/m + Ric(v',v') = 0", k_sup, 1e-8),
     ]
     return checks, _shot_columns(prof, v=data.v, P=data.P)
 
@@ -397,11 +385,10 @@ def _scenario_bubble(spec: RunSpec, d, b):
     checks, columns = _bubble_common(prof, data, 2.0 * b * d, "bubble")
     res = divergence_identity_residual(data)
     div_sup = float(np.nanmax(res.values[2:-2]))
-    checks.append(Check("divergence-identity", "m v^{1-m} k = div_f(v^{2-m} P')",
-                        div_sup <= 1e-10, div_sup, 1e-10))
+    checks.append(Check("divergence-identity", "m v^{1-m} k = div_f(v^{2-m} P')", div_sup, 1e-10))
     floor = superharmonic_floor_check(prof, float(d), 2.0)
     checks.append(Check("superharmonic-floor", "u >= A r^{2-kappa} for r >= R, kappa = d",
-                        floor.all_hold, float(np.min(floor.values / floor.floor)), 1.0))
+                        np.min(floor.values / floor.floor), 1.0 - 1e-12, ">="))
     columns.update(pohozaev_trace(prof))
     return checks, columns
 
@@ -440,14 +427,12 @@ def _scenario_soliton(spec: RunSpec, d, p, ell, grid):
     prof, checks, columns = _radial_shot(M, p, ell, spec.tol)
     if prof is None:
         return checks, columns
-    failed = "" if prof.crossed else f"; failed: {prof.status}"
-    checks.append(Check("zero-crossing", "finite weighted volume forbids positive solutions"
-                        + failed, prof.crossed, prof.r_star))
+    checks.append(Check("zero-crossing", "finite weighted volume forbids positive solutions",
+                        prof.r_star, reason="" if prof.crossed else prof.status))
     vol_hi = float(weighted_volume(M, M.grid.r_max))
     vol_lo = float(weighted_volume(M, M.grid.r_max / 2.0))
-    converged = abs(vol_hi - vol_lo) <= 1e-8 * vol_hi
     checks.append(Check("weighted-volume-finite", "mu(M) = |S^{d-1}| int e^{-r^2} r^{d-1} < inf",
-                        converged, vol_hi - vol_lo, 1e-8 * vol_hi))
+                        abs(vol_hi - vol_lo), 1e-8 * vol_hi))
     return checks, columns
 
 
@@ -461,10 +446,10 @@ def _log_tail_example(d: int, beta: float, grid_args: tuple):
     the next run: the tail-integrability check, ``mu(B_R)`` at
     ``_VOLUME_RADII`` and the curvature columns of the log-tail manifold."""
     M = log_tail_weight(d, make_grid(*grid_args), beta=beta)
-    comp = comparison_report(M)
-    tail = Check("tail-integrable", "int^inf dr / (e^{-f} psi^{d-1}) < inf",
-                 comp.tail_exponent < -1.0 and not comp.parabolic, comp.tail_exponent, -1.0)
     volumes = np.asarray(weighted_volume(M, _VOLUME_RADII))
+    comp = comparison_report(M)
+    tail = Check("tail-integrable", "int^inf dr / (e^{-f} psi^{d-1}) < inf", comp.tail_exponent,
+                 -1.0, "<", "the tail fit is parabolic" if comp.parabolic else "")
     curv = curvature_report(M)
     return tail, volumes, {"r": curv.r, "ric_r": curv.ric_r, "ric_theta": curv.ric_theta}
 
@@ -476,7 +461,7 @@ def _scenario_parabolicity(spec: RunSpec, d, beta, p, grid):
     checks = [
         tail,
         Check("volume-ratio-decreasing", "mu(B_R) / R^{2p/(p-1)} decreasing on [10, 1000]",
-              bool(np.all(increments <= 0.0)), float(np.max(increments)), 0.0),
+              np.max(increments), 0.0),
     ]
     return checks, dict(columns)
 
@@ -508,8 +493,7 @@ def _scenario_estimates(spec: RunSpec, d, b, q, n):
     ratios = np.asarray(ratios)
     checks = [
         Check(f"integral-ratio-bounded-q{q:g}", "int_{B_R} v^{-q}(...) dmu <= C mu(B_2R) R^{-q}",
-              bool(np.max(ratios) <= 10.0 * ratios[0]),
-              float(np.max(ratios)), float(10.0 * ratios[0])),
+              np.max(ratios), 10.0 * ratios[0]),
         cheng_yau,
     ]
     return checks, dict(columns)
@@ -527,16 +511,13 @@ def _scenario_custom(spec: RunSpec, d, p, ell, weight, coeff, power, beta, alpha
     prof, checks, columns = _radial_shot(M, p, ell, spec.tol)
     if prof is None:
         return checks, columns
-    truncated = prof.status.startswith("truncated")
     # a truncated shot never reached r_max, so E is not checked past r_end
-    failed = f"; failed: {prof.status}" if truncated else ""
-    checks.append(Check("solve", "-u'' - L r u' = u^p, u(0) = ell" + failed,
-                        not truncated, prof.r_end))
+    reason = prof.status if prof.status.startswith("truncated") else ""
+    checks.append(Check("solve", SOLVE, prof.r_end, reason=reason))
     E = columns["energy"]
     slack = 1e-8 * (1.0 + np.abs(E[:-1]))
-    checks.append(Check("energy-decreasing", "E' = -(L r) u'^2 <= 0" + failed,
-                        not truncated and bool(np.all(np.diff(E) <= slack)),
-                        float(np.max(np.diff(E)))))
+    checks.append(Check("energy-decreasing", "E' = -(L r) u'^2 <= 0",
+                        np.max(np.diff(E) / slack), 1.0, reason=reason))
     return checks, columns
 
 
@@ -641,7 +622,7 @@ def execute_run(spec: RunSpec, out_root) -> dict:
         "scenario": spec.scenario,
         "config": {k: _json_safe(v) for k, v in sorted(spec.params.items())},
         "tol": _json_safe(spec.tol),
-        "checks": [{k: _json_safe(v) for k, v in asdict(c).items()} for c in checks],
+        "checks": [{k: _json_safe(v) for k, v in c.as_dict().items()} for c in checks],
         "passed": all(c.verdict for c in checks),
         "timings": {"elapsed_s": elapsed},
     }

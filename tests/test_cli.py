@@ -304,7 +304,7 @@ def test_report_json_is_strict_when_a_check_measures_nan(tmp_path, monkeypatch):
     """Non-finite check values are written as strings, so report.json parses
     with a reader that rejects NaN and Infinity."""
     def nan_runner(spec, **values):
-        return [Check("nan-measured", "a check that measures NaN", False, math.nan, math.inf)], {}
+        return [Check("nan-measured", "a check that measures NaN", math.nan, math.inf)], {}
 
     monkeypatch.setitem(scenarios._RUNNERS, "bubble", nan_runner)
     (spec,) = expand_runs(parse_config("scenario = bubble\nd = 3\nb = 0.125\n"))
@@ -316,6 +316,7 @@ def test_report_json_is_strict_when_a_check_measures_nan(tmp_path, monkeypatch):
     saved = json.loads((tmp_path / spec.slug / "report.json").read_text(), parse_constant=reject)
     assert saved["checks"] == report["checks"]
     assert (saved["checks"][0]["measured"], saved["checks"][0]["tolerance"]) == ("nan", "inf")
+    assert saved["checks"][0]["verdict"] is False and saved["passed"] is False
 
 
 def test_run_scenario_expands_sweeps(tmp_path):
@@ -617,6 +618,22 @@ def test_no_bundled_config_loads_scipy(tmp_path):
     assert _scipy_modules_after(script) == "[]"
 
 
+#: The checks that compare nothing: their reason alone decides their verdict.
+_NO_TOLERANCE = {"solve", "zero-crossing", "asymptotic-bound"}
+
+
+def test_bundled_checks_without_a_tolerance_are_the_documented_ones(tmp_path):
+    """Every check of the 17 bundled runs compares its measured value with
+    a tolerance, except the three that ``Check`` documents."""
+    reports = []
+    for cfg in sorted(p for p in (files("bel") / "configs").iterdir() if p.name.endswith(".cfg")):
+        reports += run_scenario(parse_config(cfg.read_text()), tmp_path / cfg.name)
+    assert len(reports) == 17
+    bare = {c["name"] for report in reports for c in report["checks"] if c["tolerance"] is None}
+    assert bare <= _NO_TOLERANCE, bare
+    assert all(c["measured"] is not None for report in reports for c in report["checks"])
+
+
 def test_cli_stiff_shot_ends_in_a_failed_solve_check(tmp_path):
     """A weight with coeff = -1e6 makes the shot stiff: it once made 2.27M
     right-hand-side calls in 20 s and reached r = 0.98 of 100.  The driver's
@@ -650,18 +667,17 @@ def test_cli_stiff_shot_ends_in_a_failed_solve_check(tmp_path):
 ])
 def test_cli_blowup_is_a_failed_solve_check(tmp_path, scenario, extra):
     # ell^p overflows, so the shot blows up before it starts: a verdict
-    # (exit 1), not a coded error, whose reference gives the solver's reason
+    # (exit 1), not a coded error, whose reference gives the solver's reason,
+    # in one form in every scenario that shoots
     cfg = _write(tmp_path, f"scenario = {scenario}\nd = 3\np = 5\nell = 1e62\n{extra}")
     result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
     assert result.exit_code == 1, result.output
     report = json.loads((tmp_path / "out" / scenario / "report.json").read_text())
     solve = [c for c in report["checks"] if c["name"] == "solve"]
-    why = "initial data exceeds the overflow guard"
-    if scenario == "theorem-2-2":  # its manifold checks do not read the shot
-        reference = "-u'' - L r u' = u^p, u(0) = ell; failed: BlowupError: " + why
-    else:  # a blown-up shot ends the run with solve as its only check
-        reference = "solver error: " + why
-        assert report["checks"] == solve
+    if scenario != "theorem-2-2":  # its manifold checks do not read the shot
+        assert report["checks"] == solve  # elsewhere solve is the only check
+    reference = ("-u'' - L r u' = u^p, u(0) = ell"
+                 "; failed: BlowupError: initial data exceeds the overflow guard")
     assert solve == [{"name": "solve", "reference": reference, "verdict": False,
                       "measured": None, "tolerance": None}]
     assert not report["passed"]
@@ -724,6 +740,10 @@ def test_cli_tiny_center_value_ends_in_a_report(tmp_path):
     bound = [c for c in report["checks"] if c["name"] == "asymptotic-bound"]
     assert len(bound) == 1 and bound[0]["verdict"] is False
     assert bound[0]["reference"].endswith("; failed: u' = 0 at every positive node")
+    # max u' over the positive nodes is 0, not below it
+    (decreasing,) = [c for c in report["checks"] if c["name"] == "u-decreasing"]
+    assert decreasing["verdict"] is False and decreasing["measured"] == 0.0
+    assert (decreasing["tolerance"], decreasing["reference"]) == (0.0, "u' < 0 for r > 0")
 
 
 def test_cli_tiny_center_value_fails_cheng_yau(tmp_path):
@@ -746,8 +766,8 @@ def test_cheng_yau_check_fails_on_a_non_finite_ratio(theorem_reports, monkeypatc
     monkeypatch.setattr(scenarios, "cheng_yau_ratio",
                         lambda prof, n, R: math.nan if R > 50.0 else 1e-3)
     check = scenarios._cheng_yau_check(profile, 3.0, radii)
-    assert not check.verdict
-    assert check.reference.endswith("failed: a ratio is not finite")
+    # no reason is needed: the non-finite maximum fails the comparison
+    assert not check.verdict and math.isnan(check.measured) and check.reason == ""
 
 
 def test_cli_out_dir_env_fallback(tmp_path):

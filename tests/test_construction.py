@@ -1,6 +1,7 @@
 """Concave-warping construction: closed-form oracles and the property flags."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from bel import construction
-from bel.construction import build_example, critical_exponent, verify_theorem
+from bel.construction import Check, build_example, critical_exponent, verify_theorem
 from bel.errors import CrossCheckError, InvalidAlphaError, InvalidDimensionError, InvalidRangeError
 from bel.geometry import euclidean, weight_from_warping
 from bel.radial_core import make_grid, pole_refined_partition
@@ -237,3 +238,40 @@ def test_closed_form_weight_matches_quadrature_path(d, alpha):
     # the pole limit f''(0) = (d-1) psi'''(0)/3 = -(d-1)(1-alpha)
     assert float(M.f(0.0, 2)) == pytest.approx(-(d - 1) * (1.0 - alpha), rel=1e-14)
     assert float(M.f(1e-9, 2)) == pytest.approx(-(d - 1) * (1.0 - alpha), rel=1e-12)
+
+
+# ------------------------------------------------------------ the check rule
+
+
+@pytest.mark.parametrize("sense,at_equality", [("<", False), ("<=", True), (">", False),
+                                               (">=", True)])
+def test_check_compares_in_its_sense(sense, at_equality):
+    assert Check("c", "ref", 1.0, 1.0, sense).verdict is at_equality
+    assert Check("c", "ref", 0.5, 1.0, sense).verdict is (sense in ("<", "<="))
+    assert Check("c", "ref", 2.0, 1.0, sense).verdict is (sense in (">", ">="))
+
+
+@pytest.mark.parametrize("sense", ["<", "<=", ">", ">="])
+@pytest.mark.parametrize("measured", [math.nan, math.inf, -math.inf, None])
+def test_check_never_passes_on_a_non_finite_or_missing_value(sense, measured):
+    assert Check("c", "ref", measured, 0.0, sense).verdict is False
+
+
+@pytest.mark.parametrize("measured,tolerance", [(0.5, 1.0), (None, None), (7.0, None)])
+def test_check_reason_fails_it(measured, tolerance):
+    assert Check("c", "ref", measured, tolerance).verdict is True
+    assert Check("c", "ref", measured, tolerance, reason="why").verdict is False
+
+
+@pytest.mark.parametrize("measured", [None, 3.0, math.nan, -math.inf])
+def test_check_without_tolerance_passes_exactly_without_reason(measured):
+    assert Check("c", "ref", measured).verdict is True
+    assert Check("c", "ref", measured, reason="why").verdict is False
+
+
+def test_check_writes_its_reason_into_the_reference():
+    assert Check("c", "ref", 2.0, 1.0).as_dict() == {
+        "name": "c", "reference": "ref", "verdict": False, "measured": 2.0, "tolerance": 1.0}
+    assert Check("c", "ref", np.float64(0.5), 1, ">=", "why").as_dict() == {
+        "name": "c", "reference": "ref; failed: why", "verdict": False, "measured": 0.5,
+        "tolerance": 1.0}

@@ -33,8 +33,10 @@ RECORDED_POINTS = 668_205
 #: the slope-factor integrand evaluated f' four times per point through the
 #: drift and the curvature, and J evaluated its integrand at the nodes, and
 #: 701_656 when a spline through the nodal sums gave V at r_max (the Gauss
-#: antiderivative integrates the clipped last interval there).
-RECORDED_FLUX_POINTS = 701_731
+#: antiderivative integrates the clipped last interval there), and 701_731
+#: while ``comparison_report`` also swept mu(B_R) over the report nodes
+#: R >= 1 for a volume constant that no check read.
+RECORDED_FLUX_POINTS = 701_706
 
 _MODULES = ("bel.radial_core", "bel.geometry", "bel.construction", "bel.lane_emden", "bel.pfunction")
 
