@@ -13,7 +13,8 @@ interpolation coefficients ``F`` of its dense output, and the event handling
 of ``find_active_events`` and ``handle_events`` (``brentq`` with
 ``xtol = rtol = 4 eps`` on the step's interpolant, truncation at the
 earliest terminal root, and no repeated radius when a root falls on the
-previous step's end).  So ``t``, ``nfev``, ``status``, ``t_events``, the
+previous step's end), and ``validate_tol``'s floor of ``100 eps`` on
+``rtol``.  So ``t``, ``nfev``, ``status``, ``t_events``, the
 final ``y`` and every dense-output value are bit-identical to scipy's.  What
 it leaves out is the machinery: function wrappers, event arrays, one
 ``DenseOutput`` object per step and the final ``OdeSolution``.
@@ -211,6 +212,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events: Sequence[Cal
     floats wherever scipy's arithmetic is elementwise, which gives the same
     bits; the sums over stages stay ``ndarray.dot`` on the stage table ``K``.
     """
+    rtol = max(rtol, 100 * float(np.finfo(float).eps))  # scipy's validate_tol; atol has no floor
     t, t_bound = map(float, t_span)
     if not t < t_bound:
         raise ValueError("the driver integrates forward: t_span must increase")

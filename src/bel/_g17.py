@@ -209,13 +209,6 @@ def _cells(x: np.ndarray):
     return M, e, cls
 
 
-def fallback_count(table: np.ndarray) -> int:
-    """Cells of ``table`` that ``format_rows`` formats with ``'%.17g'``."""
-    if not _FAST_PATH:
-        return int(np.size(table))
-    return int(np.count_nonzero(_cells(np.ravel(table).astype(np.float64))[2] == _FALLBACK))
-
-
 def _percent_rows(table: np.ndarray) -> str:
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     return "".join(row % values for values in zip(*table.T.tolist()))

@@ -43,7 +43,7 @@ from .lane_emden import (
     slope_factor_terms,
     solve_radial,
 )
-from .radial_core import finite_difference, make_grid, sample
+from .radial_core import finite_difference, grid_tolerance, make_grid, sample
 
 # Unused here since build_example assembles its weight from a closed-form
 # flux, but kept bound on this module: perfbench/tracing.py instruments
@@ -333,7 +333,7 @@ def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
     df_r = np.asarray(M.f(r, 1))
     with np.errstate(over="ignore"):  # steps past ~1e154: checked below
         fd_ddf = finite_difference(np.asarray(M.f(grid.nodes, 1), dtype=float), grid, order=1)[pos]
-        residual_tol = 100.0 * grid.local_steps[pos] ** 2
+        residual_tol = grid_tolerance(grid, 100.0)[pos]
     rhs = (d - 1) * ddpsi_r / psi_r - 2.0 * dpsi_r * df_r / psi_r
     residual = np.abs(fd_ddf - rhs) / (1.0 + np.abs(rhs))
     inner = slice(2, -2)  # finite-difference edge stencils excluded

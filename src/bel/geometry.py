@@ -404,22 +404,29 @@ def weight_from_warping(psi: RadialFunction, d: int, f0: float = 0.0) -> RadialF
 
     This is the generic path, for any warping: the flux ``F`` is an
     antiderivative by composite Gauss-Legendre quadrature on a pole-refined
-    partition of the grid (over the analytic callbacks of ``psi`` when psi,
-    psi' and psi'' all have one, else over a cubic spline through its
-    values), and ``f`` is a second quadrature, of ``f'``, on that partition.
-    Every evaluation of ``f`` therefore nests one quadrature inside another;
-    warpings whose flux is known in closed form
-    (:func:`bel.construction.build_example`) skip the inner level.
+    partition of the grid, over the analytic callbacks of ``psi``, and ``f``
+    is a second quadrature, of ``f'``, on that partition.  Every evaluation
+    of ``f`` therefore nests one quadrature inside another; warpings whose
+    flux is known in closed form (:func:`bel.construction.build_example`)
+    skip the inner level.
     Concavity (``psi'' < 0`` for r > 0) is required; it forces ``f' < 0``
     for all r > 0.
 
     Raises
     ------
+    InvalidRangeError
+        if ``psi`` lacks a callback for psi, psi' or psi'' (a warping given
+        by node values alone), or psi' <= 0 at a grid node with r > 0.
     WarpingNotConcaveError
         if ``psi'' >= 0`` at any grid node with r > 0.
     """
     if int(d) != d or d < 2:
         raise InvalidDimensionError(f"dimension must be an integer >= 2, got {d}")
+    psi0, psi1, psi2, psi3 = psi.value_fn, *psi.derivs
+    missing = [n for n, fn in zip(("psi", "psi'", "psi''"), (psi0, psi1, psi2)) if fn is None]
+    if missing:
+        raise InvalidRangeError(f"the warping needs callbacks for psi, psi' and psi''; "
+                                f"missing: {', '.join(missing)}")
     grid = psi.grid
     r_pos = grid.nodes > 0
     if np.any(psi(grid.nodes, 2)[r_pos] >= 0):
@@ -427,19 +434,8 @@ def weight_from_warping(psi: RadialFunction, d: int, f0: float = 0.0) -> RadialF
     if np.any(psi(grid.nodes, 1)[r_pos] <= 0):
         raise InvalidRangeError("warping slope must stay positive")
 
-    if psi.has_analytic(0) and psi.has_analytic(1) and psi.has_analytic(2):
-        psi0: Callable = psi.value_fn
-        psi1: Callable = psi.derivs[0]
-        psi2: Callable = psi.derivs[1]
-        psi3 = psi.derivs[2]
-        if psi3 is None:  # read at the pole only, where psi''(0) = 0
-            psi3 = lambda _: psi2(1e-6) / 1e-6
-    else:
-        from scipy.interpolate import CubicSpline  # only value-only warpings load it
-
-        spl = CubicSpline(grid.nodes, psi.values)
-        psi0, psi1, psi2, psi3 = spl, spl.derivative(1), spl.derivative(2), spl.derivative(3)
-
+    if psi3 is None:  # read at the pole only, where psi''(0) = 0
+        psi3 = lambda _: psi2(1e-6) / 1e-6
     # The slope divides the accumulated integral by psi^2 ~ r^2, so F needs
     # quadrature-level accuracy between nodes (a fitted spline is not enough)
     # and a partition graded into the pole.

@@ -107,6 +107,10 @@ def bubble(d: int, b: float, grid: Optional[RadialGrid] = None) -> SolutionProfi
     d = int(d)
     a = 1.0 / (d * (d - 2) * b)
     k = (d - 2) / 2.0
+    # the closed form squares b (in u'') and raises a to -k (u(0)): a width
+    # that takes either past the float range would raise an OverflowError
+    if max(2.0 * math.log(b), k * math.log(d * (d - 2) * b)) >= math.log(np.finfo(float).max):
+        raise InvalidRangeError(f"bubble width b = {b} takes b^2 or u(0) past the float range")
 
     def u(r):
         rr = np.asarray(r, dtype=float)
@@ -457,7 +461,8 @@ def integral_estimate_ratio(
     """
     m = data.m
     if not 0.0 <= q <= m / 2.0 + 1.0:
-        raise QOutOfRangeError(f"part ii needs 0 <= q <= m/2+1, got q = {q}")
+        raise QOutOfRangeError(
+            f"q must satisfy 0 <= q <= m/2+1 = {m / 2.0 + 1.0:.12g}, got q = {q}")
     part = "i" if 2.0 <= q < m / 2.0 + 1.0 else "ii"
 
     M, v = data.manifold, data.v

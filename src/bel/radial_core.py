@@ -165,11 +165,6 @@ class RadialFunction:
         out = np.interp(r_arr, self.grid.nodes, self._samples[order])
         return float(out) if np.ndim(r) == 0 else out
 
-    def has_analytic(self, order: int) -> bool:
-        if order == 0:
-            return self.value_fn is not None
-        return 1 <= order <= 3 and self.derivs[order - 1] is not None
-
 
 def sample(
     fn: Callable[[np.ndarray], np.ndarray],
@@ -190,23 +185,25 @@ def finite_difference(values: np.ndarray, grid: RadialGrid, order: int) -> np.nd
     return out
 
 
-def differentiate(f: RadialFunction, order: int = 1) -> RadialFunction:
-    """Finite-difference derivative of a sampled function.
-
-    Central differences on interior nodes, second-order one-sided stencils at
-    the endpoints; exact for quadratics (order 1).  This deliberately ignores
-    analytic callbacks — it is the measurement side of invariant checks.
-    """
-    vals = finite_difference(f.values, f.grid, order)
-    return RadialFunction(f.grid, vals)
-
-
 def integrate_cumulative(f: RadialFunction) -> RadialFunction:
-    """Cumulative integral with F(r_min) = 0 (composite Simpson on nodes)."""
-    from scipy.integrate import cumulative_simpson  # no scenario calls this
+    """Cumulative integral with F(r_min) = 0: composite Simpson on the nodes,
+    with the bits of ``scipy.integrate.cumulative_simpson(y, x=nodes,
+    initial=0)``.  An even interval takes Simpson's rule on the node triple
+    it starts, an odd one and the last the rule on the triple it ends."""
 
-    vals = cumulative_simpson(f.values, x=f.grid.nodes, initial=0.0)
-    return RadialFunction(f.grid, vals)
+    def first_intervals(y, h):  # over [x_i, x_i+1] of the parabola through nodes i..i+2
+        q = h[:-1] / (h[:-1] + h[1:])
+        q2 = q * (h[:-1] / h[1:])
+        return h[:-1] / 6 * ((3 - q) * y[:-2] + (3 + q2 + q) * y[1:-1] + -q2 * y[2:])
+
+    y, h = f.values, f.grid.steps
+    ending = first_intervals(y[::-1], h[::-1])[::-1]  # piece i + 1 from the triple i..i+2
+    pieces = np.append(ending, ending[-1])
+    pieces[:-1:2] = first_intervals(y, h)[::2]
+    pieces[1::2] = ending[::2]
+    out = np.zeros(y.size)
+    np.cumsum(pieces, out=out[1:])
+    return RadialFunction(f.grid, out)
 
 
 def pole_refined_partition(nodes: np.ndarray) -> np.ndarray:

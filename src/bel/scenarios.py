@@ -515,9 +515,10 @@ def _scenario_custom(spec: RunSpec, d, p, ell, weight, coeff, power, beta, alpha
     reason = prof.status if prof.status.startswith("truncated") else ""
     checks.append(Check("solve", SOLVE, prof.r_end, reason=reason))
     E = columns["energy"]
-    slack = 1e-8 * (1.0 + np.abs(E[:-1]))
-    checks.append(Check("energy-decreasing", "E' = -(L r) u'^2 <= 0",
-                        np.max(np.diff(E) / slack), 1.0, reason=reason))
+    rise = np.max(np.diff(E) / (1e-8 * (1.0 + np.abs(E[:-1])))) if E.size > 1 else None
+    if rise is None:  # the shot ended before a second positive node
+        reason = reason or f"the shot's range [0, {prof.r_end:.12g}] holds {E.size} positive nodes"
+    checks.append(Check("energy-decreasing", "E' = -(L r) u'^2 <= 0", rise, 1.0, reason=reason))
     return checks, columns
 
 

@@ -3,9 +3,10 @@ built once per session and reused by the unit and acceptance suites."""
 
 from importlib.resources import files
 
+import numpy as np
 import pytest
 
-from bel import scenarios
+from bel import _g17, scenarios
 from bel.construction import build_example, verify_theorem
 
 # (d, alpha, p, ell) -- p is the Sobolev-critical power except the third
@@ -35,6 +36,15 @@ def bundled_theorem_run(tmp_path_factory):
     (spec,) = scenarios.expand_runs(config)
     scenarios.execute_run(spec, out)
     return out / spec.slug
+
+
+def fallback_count(table: np.ndarray) -> int:
+    """Cells of ``table`` that ``bel._g17.format_rows`` formats with
+    ``'%.17g'``, not with its proven fast path."""
+    if not _g17._FAST_PATH:
+        return int(np.size(table))
+    classes = _g17._cells(np.ravel(table).astype(np.float64))[2]
+    return int(np.count_nonzero(classes == _g17._FALLBACK))
 
 
 def _clear_memos():

@@ -351,6 +351,16 @@ def _write(tmp_path, text):
     return str(path)
 
 
+def _run_cli(tmp_path, text):
+    """``bel run`` on ``text`` in a fresh interpreter: (exit code, stderr)."""
+    cfg = _write(tmp_path, text)
+    src = str(Path(scenarios.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "bel.cli", "run", cfg, "--out",
+                           str(tmp_path / "out")], capture_output=True, text=True, timeout=30, env=env)
+    return done.returncode, done.stderr
+
+
 def test_cli_run_passes(tmp_path):
     cfg = _write(tmp_path, "scenario = log-bubble\nb = 0.125\n")
     result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
@@ -573,12 +583,15 @@ _EVERY_SCENARIO = [
 
 
 def _scipy_modules_after(script: str) -> list:
-    """Run ``script`` in a fresh interpreter with bel on its path; return the
-    sorted list of the ``scipy`` and ``scipy.*`` modules it has loaded at the
-    end, as printed."""
-    script += ("import sys\n"
-               "print(sorted(name for name in sys.modules"
-               " if name == 'scipy' or name.startswith('scipy.')))\n")
+    """Run ``script`` in a fresh interpreter with bel on its path and with
+    ``import scipy`` blocked (``sys.modules["scipy"] = None`` before bel is
+    imported, so any scipy import raises); return the sorted list of the
+    ``scipy`` and ``scipy.*`` modules it has loaded at the end, as printed."""
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              + script
+              + "print(sorted(name for name, module in sys.modules.items() if module is not None"
+                " and (name == 'scipy' or name.startswith('scipy.'))))\n")
     src = str(Path(scenarios.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -590,8 +603,8 @@ def _scipy_modules_after(script: str) -> list:
 def test_no_scenario_loads_scipy(tmp_path):
     """bel's runtime needs numpy and click only: the DOP853 tables and the
     event root finder are bel's own, and every manifold integral is a Gauss
-    antiderivative.  A fresh interpreter that runs each scenario once has
-    not imported any ``scipy`` module."""
+    antiderivative.  A fresh interpreter in which ``import scipy`` fails
+    runs each scenario once and loads no ``scipy`` module."""
     assert {parse_config(text).scenario for text in _EVERY_SCENARIO} == set(scenarios.SCENARIOS)
     script = (
         "from bel.scenarios import parse_config, run_scenario\n"
@@ -603,7 +616,8 @@ def test_no_scenario_loads_scipy(tmp_path):
 
 def test_no_bundled_config_loads_scipy(tmp_path):
     """``bel run`` on each of the eight bundled configs, all in one fresh
-    interpreter, loads no ``scipy`` module either."""
+    interpreter in which ``import scipy`` fails, passes and loads no
+    ``scipy`` module either."""
     configs = sorted(str(p) for p in (files("bel") / "configs").iterdir()
                      if p.name.endswith(".cfg"))
     assert len(configs) == 8
@@ -641,14 +655,10 @@ def test_cli_stiff_shot_ends_in_a_failed_solve_check(tmp_path):
     (exit 1) within seconds and says why; so does energy-decreasing, which
     held (-2.4e-9) on the part of the shot that was made.  A subprocess with
     a timeout keeps a regression from hanging the suite."""
-    cfg = _write(tmp_path, "scenario = custom\nd = 3\np = 5\nell = 1\nweight = power\n"
-                           "coeff = -1e6\n")
-    src = str(Path(scenarios.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-m", "bel.cli", "run", cfg, "--out",
-                           str(tmp_path / "out")], capture_output=True, text=True, timeout=30, env=env)
-    assert done.returncode == 1, done.stdout + done.stderr
-    assert "Traceback" not in done.stderr
+    code, stderr = _run_cli(tmp_path, "scenario = custom\nd = 3\np = 5\nell = 1\nweight = power\n"
+                                      "coeff = -1e6\n")
+    assert code == 1, stderr
+    assert "Traceback" not in stderr
     report = json.loads((tmp_path / "out" / "custom" / "report.json").read_text())
     checks = {c["name"]: c for c in report["checks"]}
     assert list(checks) == ["solve", "energy-decreasing"]
@@ -717,6 +727,36 @@ def test_cli_theorem_failed_shot_says_why(monkeypatch, tmp_path, ell, budget, wh
     solve = [c for c in report["checks"] if c["name"] == "solve"]
     assert len(solve) == 1 and solve[0]["verdict"] is False
     assert solve[0]["reference"] == "-u'' - L r u' = u^p, u(0) = ell" + why
+
+
+def test_cli_shot_crossing_before_the_first_node_ends_in_a_report(tmp_path):
+    """With coeff = 1e8 the shot crosses zero at r = 4.98e-4, before the
+    first positive node (1e-3): energy-decreasing has no two energies to
+    compare, so it measures nothing and fails saying why (exit 1), where
+    ``np.max`` of an empty array once ended the run in a traceback."""
+    code, stderr = _run_cli(tmp_path, "scenario = custom\nd = 3\np = 5\nell = 1\n"
+                                      "weight = power\ncoeff = 1e8\n")
+    assert code == 1, stderr
+    assert "Traceback" not in stderr and "Warning" not in stderr
+    report = json.loads((tmp_path / "out" / "custom" / "report.json").read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["solve"]["verdict"] is True
+    assert checks["solve"]["measured"] == pytest.approx(4.98447e-4, rel=1e-5)
+    energy = checks["energy-decreasing"]
+    assert (energy["verdict"], energy["measured"], energy["tolerance"]) == (False, None, 1.0)
+    assert energy["reference"] == ("E' = -(L r) u'^2 <= 0; failed: the shot's range "
+                                   "[0, 0.000498446953438] holds 0 positive nodes")
+
+
+@pytest.mark.parametrize("d,b", [(3, "1e160"), (6, "1e154"), (100, "1e3")])
+def test_cli_bubble_width_beyond_the_float_range_is_a_coded_error(tmp_path, d, b):
+    """A width that takes b^2 (in u'') or u(0) = (d(d-2) b)^((d-2)/2) past
+    the float range is rejected up front with ``invalid-range`` (exit 2);
+    ``b**2`` once ended b = 1e160 in an OverflowError traceback."""
+    code, stderr = _run_cli(tmp_path, f"scenario = bubble\nd = {d}\nb = {b}\n")
+    assert code == 2, stderr
+    assert "Traceback" not in stderr and "Warning" not in stderr
+    assert f"error [invalid-range]: bubble width b = {float(b)!r} takes b^2 or u(0)" in stderr
 
 
 def test_cli_tiny_center_value_ends_in_a_report(tmp_path):

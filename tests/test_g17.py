@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bel import _g17, scenarios
+from tests.conftest import fallback_count
 
 needs_fast_path = pytest.mark.skipif(not _g17._FAST_PATH,
                                      reason="long double narrower than 64 bits")
@@ -89,7 +90,7 @@ def test_all_fallback_path_writes_the_same_bytes(bundled_theorem_run, monkeypatc
     header, _, body = written.decode().partition("\n")
     table = np.array([[float(v) for v in line.split(",")] for line in body.splitlines()])
     monkeypatch.setattr(_g17, "_FAST_PATH", False)
-    assert _g17.fallback_count(table) == table.size
+    assert fallback_count(table) == table.size
     assert header + "\n" + _g17.format_rows(table) == written.decode()
     scenarios._profile_text.cache_clear()
     columns = dict(zip(header.split(","), table.T))

@@ -30,7 +30,7 @@ from bel.geometry import (
 )
 from bel.radial_core import (
     RadialFunction,
-    differentiate,
+    finite_difference,
     grid_tolerance,
     make_grid,
     sample,
@@ -234,12 +234,12 @@ def test_weight_recipe_satisfies_second_order_relation():
     f = weight_from_warping(psi, 3, f0=0.0)
     # residual of f'' + 2 (psi'/psi) f' - 2 psi''/psi, measured with
     # finite differences of the sampled slope
-    fp = RadialFunction(g, f.derivs[0](g.nodes))
-    fpp_fd = differentiate(fp).values
+    fp = f.derivs[0](g.nodes)
+    fpp_fd = finite_difference(fp, g, 1)
     r = g.nodes[1:-1]
     resid = (
         fpp_fd[1:-1]
-        + 2.0 * (psi.derivs[0](r) / psi(r)) * fp.values[1:-1]
+        + 2.0 * (psi.derivs[0](r) / psi(r)) * fp[1:-1]
         - 2.0 * psi.derivs[1](r) / psi(r)
     )
     tol = grid_tolerance(g)[1:-1]
@@ -263,34 +263,19 @@ def test_closed_form_distance_laplacian_agrees():
     assert np.all(np.asarray(generic) > 0)
 
 
-def test_value_only_warping_weight_converges():
-    """A warping given only by node values goes through a cubic spline of
-    them, loaded on demand: f' stays third-order accurate against the recipe
-    over the analytic callbacks (measured 7.8e-5 at 129 nodes, 9.8e-6 at
-    257), and the pole limit f''(0) is finite."""
-    errors = []
-    for n in (129, 257):
-        g = _grid(r_max=4.0, n=n)
-        exact = weight_from_warping(arctan_warping(g), 3)
-        spline = weight_from_warping(RadialFunction(g, np.arctan(g.nodes)), 3)
-        errors.append(np.max(np.abs(spline(g.nodes, 1) - exact(g.nodes, 1))))
-        assert math.isfinite(spline(0.0, 2))
-    assert errors[1] <= 1e-4
-    assert errors[1] <= errors[0] / 4.0
-
-
-def test_value_only_warping_pole_limit_converges():
-    """The pole limit f''(0) = (d-1) psi'''(0)/3 of a value-only warping
-    reads the spline's own third derivative: for psi = arctan r and d = 3 it
-    tends to -4/3 as nodes are added (measured errors 1.4e-2, 3.4e-3,
-    8.5e-4 at 129, 257, 513 nodes; psi''(1e-6)/1e-6 once gave 302, 38, 4.7)."""
-    errors = []
-    for n in (129, 257, 513):
-        g = _grid(r_max=4.0, n=n)
-        weight = weight_from_warping(RadialFunction(g, np.arctan(g.nodes)), 3)
-        errors.append(abs(weight(0.0, 2) + 4.0 / 3.0))
-    assert errors[1] < 0.02
-    assert errors[0] > errors[1] > errors[2]
+def test_value_only_warping_is_rejected():
+    """The weight integrates psi'' psi to quadrature accuracy, which node
+    values alone cannot give: a warping without callbacks for psi, psi' and
+    psi'' is an ``invalid-range`` error that names the missing ones."""
+    g = _grid(r_max=4.0, n=129)
+    slope = lambda r: 1.0 / (1.0 + r**2)  # noqa: E731
+    for derivs, missing in [((None, None, None), "psi, psi', psi''"),
+                            ((slope, None, None), "psi, psi''")]:
+        psi = RadialFunction(g, np.arctan(g.nodes), derivs=derivs)
+        with pytest.raises(InvalidRangeError) as err:
+            weight_from_warping(psi, 3)
+        assert err.value.code == "invalid-range"
+        assert str(err.value).endswith(f"missing: {missing}")
 
 
 def test_weight_recipe_deterministic():

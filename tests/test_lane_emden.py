@@ -1,6 +1,7 @@
 """Shooting solver and monitor checks against closed-form and series oracles."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -135,8 +136,10 @@ def test_gaussian_weight_crossing_for_several_center_values(ell):
 
 _ORACLE_SHOTS = {
     # a warped global-positive shot, a crossing on the soliton weight, a
-    # log-tail shot, a Liouville shot (p = None) and one that trips the
+    # log-tail shot, a Liouville shot (p = None), one that trips the
     # overflow guard (u' grows like e^{r^2} once u has plunged below zero)
+    # and the critical flat shot of the custom scenario
+    "flat": lambda: (euclidean(3, make_grid(1e-3, 100.0, 1025, "geometric")), 5.0, 1.0),
     "theorem": lambda: (build_example(3, 0.5, grid=make_grid(1e-3, 100.0, 1025, "geometric")),
                         5.0, 1.0),
     "soliton": lambda: (power_weight(3, make_grid(0.0, 6.0, 301, "uniform"), 1.0, 2.0), 3.0, 1.0),
@@ -148,10 +151,21 @@ _ORACLE_SHOTS = {
 }
 
 
+#: Shots at a tolerance below scipy's floor of 100 eps on ``rtol``, which
+#: both drivers raise ``rtol`` to (scipy warns that it does): (shot, tol).
+_TIGHT_SHOTS = {
+    "flat-tol-1e-15": ("flat", 1e-15),
+    "flat-tol-1e-20": ("flat", 1e-20),
+    "soliton-tol-1e-15": ("soliton", 1e-15),
+    "theorem-tol-1e-20": ("theorem", 1e-20),
+}
+
+
 def _driver_and_oracle(monkeypatch, case):
     """Shoot ``case`` through bel's DOP853 driver, then solve the same problem
     with scipy's ``solve_ivp``; returns (manifold, driver result, scipy result)."""
-    M, p, ell = _ORACLE_SHOTS[case]()
+    shot, tol = _TIGHT_SHOTS.get(case, (case, 1e-10))
+    M, p, ell = _ORACLE_SHOTS[shot]()
     captured = []
     driver = lane_emden.solve_ivp
 
@@ -162,25 +176,28 @@ def _driver_and_oracle(monkeypatch, case):
     monkeypatch.setattr(lane_emden, "solve_ivp", capture)
     try:
         if p is None:
-            solve_liouville(M, ell=ell)
+            solve_liouville(M, ell=ell, tol=tol)
         else:
-            solve_radial(M, p=p, ell=ell)
+            solve_radial(M, p=p, ell=ell, tol=tol)
     except BlowupError:
         assert case == "overflow-guard"
     monkeypatch.undo()
     fun, t_span, y0, kwargs, sol = captured[0]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "At least one element of `rtol` is too small",
+                                UserWarning)
         oracle = scipy_solve_ivp(fun, t_span, y0, method="DOP853", dense_output=True, **kwargs)
     return M, sol, oracle
 
 
-@pytest.mark.parametrize("case", sorted(_ORACLE_SHOTS))
+@pytest.mark.parametrize("case", sorted(_ORACLE_SHOTS) + sorted(_TIGHT_SHOTS))
 def test_driver_matches_scipy_solve_ivp_bit_for_bit(monkeypatch, case):
     """bel's driver repeats scipy's DOP853 arithmetic operation by operation:
     steps, work, status, event roots, final state and dense output agree to
-    the bit."""
+    the bit, also below scipy's floor on ``rtol``."""
     M, sol, oracle = _driver_and_oracle(monkeypatch, case)
-    expected_status = {"soliton": 1, "overflow-guard": 1}.get(case, 0)
+    shot = _TIGHT_SHOTS.get(case, (case,))[0]
+    expected_status = {"soliton": 1, "overflow-guard": 1}.get(shot, 0)
     assert sol.status == oracle.status == expected_status
     assert np.array_equal(sol.t, oracle.t)
     assert sol.nfev == oracle.nfev

@@ -367,10 +367,11 @@ def test_integral_ratio_trivial_q_zero(data4inf):
 
 
 def test_integral_ratio_validation(data4inf):
-    with pytest.raises(QOutOfRangeError):
+    # the range bounds every q, so the message names all of it
+    with pytest.raises(QOutOfRangeError, match=r"^q must satisfy 0 <= q <= m/2\+1 = 3, got q = -0.5$"):
         integral_estimate_ratio(data4inf, -0.5, 10.0)
-    with pytest.raises(QOutOfRangeError):
-        integral_estimate_ratio(data4inf, 3.2, 10.0)  # above m/2+1 = 3
+    with pytest.raises(QOutOfRangeError, match=r"^q must satisfy 0 <= q <= m/2\+1 = 3, got q = 3.2$"):
+        integral_estimate_ratio(data4inf, 3.2, 10.0)
     with pytest.raises(OutOfGridError):
         integral_estimate_ratio(data4inf, 2.0, 150.0)
 

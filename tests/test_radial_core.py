@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import cumulative_simpson
 
 from bel import radial_core
 from bel.construction import build_example, default_grid
@@ -9,7 +10,7 @@ from bel.geometry import log_tail_weight
 from bel.radial_core import (
     RadialFunction,
     cumulative_gauss,
-    differentiate,
+    finite_difference,
     gauss_antiderivative,
     grid_tolerance,
     indefinite_gauss,
@@ -73,15 +74,14 @@ def test_grid_invariants_hold(r_min, width, n, kind):
     assert g.n == n
 
 
-# ------------------------------------------------------------ differentiate
+# -------------------------------------------------------- finite_difference
 
 
 def test_derivative_exact_on_squares():
     g = make_grid(0.0, 2.0, 41, "uniform")
-    f = RadialFunction(g, g.nodes**2)
-    d = differentiate(f)
-    assert np.allclose(d.values, 2 * g.nodes, rtol=0, atol=1e-12), (
-        f"max err {np.abs(d.values - 2 * g.nodes).max():.2e}"
+    d = finite_difference(g.nodes**2, g, 1)
+    assert np.allclose(d, 2 * g.nodes, rtol=0, atol=1e-12), (
+        f"max err {np.abs(d - 2 * g.nodes).max():.2e}"
     )
 
 
@@ -94,34 +94,32 @@ def test_derivative_exact_on_squares():
 def test_derivative_exact_on_arbitrary_quadratics(coeffs):
     a, b, c = coeffs
     g = make_grid(0.0, 3.0, 33, "uniform")
-    f = RadialFunction(g, a * g.nodes**2 + b * g.nodes + c)
-    d = differentiate(f)
+    d = finite_difference(a * g.nodes**2 + b * g.nodes + c, g, 1)
     expect = 2 * a * g.nodes + b
-    assert np.allclose(d.values, expect, atol=1e-10 * (1 + abs(a) + abs(b)))
+    assert np.allclose(d, expect, atol=1e-10 * (1 + abs(a) + abs(b)))
 
 
 def test_derivative_second_order_on_sin():
     errs = []
     for n in (65, 129):
         g = make_grid(0.0, np.pi, n, "uniform")
-        d = differentiate(RadialFunction(g, np.sin(g.nodes)))
-        errs.append(np.abs(d.values[1:-1] - np.cos(g.nodes[1:-1])).max())
+        d = finite_difference(np.sin(g.nodes), g, 1)
+        errs.append(np.abs(d[1:-1] - np.cos(g.nodes[1:-1])).max())
     rate = errs[0] / errs[1]
     assert rate > 3.5, f"halving h should shrink error ~4x, got {rate:.2f}"
 
 
 def test_derivative_of_constant_vanishes():
     g = make_grid(0.5, 4.0, 20, "geometric")
-    d = differentiate(RadialFunction(g, np.full(g.n, 7.25)))
-    assert np.allclose(d.values, 0.0, atol=1e-12)
+    d = finite_difference(np.full(g.n, 7.25), g, 1)
+    assert np.allclose(d, 0.0, atol=1e-12)
 
 
 def test_third_derivative_of_cubic():
     g = make_grid(0.0, 1.0, 101, "uniform")
-    f = RadialFunction(g, g.nodes**3)
-    d3 = differentiate(f, order=3)
+    d3 = finite_difference(g.nodes**3, g, 3)
     # iterated stencils contaminate two nodes per pass at each end
-    assert np.allclose(d3.values[3:-3], 6.0, atol=1e-6)
+    assert np.allclose(d3[3:-3], 6.0, atol=1e-6)
 
 
 # ----------------------------------------------------- integrate_cumulative
@@ -159,6 +157,24 @@ def test_integral_convergence_on_transcendental():
     assert errs[0] / errs[1] > 4.0, "expected at least second-order decay"
 
 
+_SIMPSON_GRIDS = {
+    "unit-steps": lambda n: make_grid(0.0, n - 1.0, n, "uniform"),  # every step exactly 1
+    "uniform": lambda n: make_grid(0.25, 3.7, n, "uniform"),
+    "geometric": lambda n: make_grid(1e-3, 100.0, n, "geometric"),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_SIMPSON_GRIDS))
+@pytest.mark.parametrize("n", [16, 17, 33, 64, 257])
+def test_integral_has_scipys_bits(grid, n):
+    """The numpy Simpson gives ``scipy.integrate.cumulative_simpson``'s bits
+    on uniform grids, one with exactly equal steps, and on geometric ones."""
+    g = _SIMPSON_GRIDS[grid](n)
+    for y in (np.exp(g.nodes / g.r_max), np.sin(g.nodes), g.nodes**2):
+        got = integrate_cumulative(RadialFunction(g, y)).values
+        assert np.array_equal(got, cumulative_simpson(y, x=g.nodes, initial=0.0))
+
+
 @given(
     coeffs=st.lists(st.floats(-3, 3), min_size=2, max_size=5),
     n=st.integers(48, 200),
@@ -168,16 +184,16 @@ def test_differentiate_undoes_integrate(coeffs, n):
     g = make_grid(0.0, 1.5, n, "uniform")
     vals = sum(c * g.nodes**k for k, c in enumerate(coeffs))
     f = RadialFunction(g, np.asarray(vals))
-    back = differentiate(integrate_cumulative(f))
+    back = finite_difference(integrate_cumulative(f).values, g, 1)
     tol = grid_tolerance(g)[1:-1] * (1 + max(abs(c) for c in coeffs))
-    err = np.abs(back.values[1:-1] - f.values[1:-1])
+    err = np.abs(back[1:-1] - f.values[1:-1])
     assert np.all(err <= tol), f"roundtrip error {err.max():.2e} above tolerance"
 
 
 def test_operations_are_deterministic():
     g = make_grid(0.0, 5.0, 64, "uniform")
     f = RadialFunction(g, np.sin(g.nodes) + 0.3 * g.nodes)
-    a1, a2 = differentiate(f).values, differentiate(f).values
+    a1, a2 = finite_difference(f.values, g, 1), finite_difference(f.values, g, 1)
     b1, b2 = integrate_cumulative(f).values, integrate_cumulative(f).values
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
@@ -188,7 +204,7 @@ def test_operations_are_deterministic():
 def test_analytic_and_fd_derivatives_agree():
     g = make_grid(0.0, 3.0, 101, "uniform")
     f = sample(np.sin, g, derivs=(np.cos, lambda r: -np.sin(r), lambda r: -np.cos(r)))
-    fd = differentiate(f).values[1:-1]
+    fd = finite_difference(f.values, g, 1)[1:-1]
     exact = f(g.nodes, 1)[1:-1]
     tol = grid_tolerance(g)[1:-1]
     assert np.all(np.abs(fd - exact) <= tol)

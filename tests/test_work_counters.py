@@ -17,6 +17,7 @@ from bel import _g17, construction, lane_emden, pfunction, scenarios
 from bel.construction import build_example, verify_theorem
 from bel.radial_core import pole_refined_partition
 from bel.scenarios import execute_run, expand_runs, parse_config
+from tests.conftest import fallback_count
 
 #: Integrand points of build_example(3, 0.5) + verify_theorem(M, 5, 1) on the
 #: default grid, recorded with the closed-form flux of the warped weight,
@@ -138,7 +139,7 @@ def test_csv_fallback_cells_gated(bundled_theorem_run):
     body = (bundled_theorem_run / "profiles.csv").read_text().split("\n", 1)[1]
     table = np.array([[float(v) for v in line.split(",")] for line in body.splitlines()])
     assert table.shape == (4096, 10)
-    assert _g17.fallback_count(table) <= 0.05 * table.size, _g17.fallback_count(table)
+    assert fallback_count(table) <= 0.05 * table.size, fallback_count(table)
 
 
 # ------------------------------------------------------ theorem-2-2 sweeps
