@@ -177,7 +177,7 @@ def build_example(
         return (d - 1) * dpsi_r / psi_r - (d - 1) * F / (psi_r * psi_r)
 
     warping = sample(psi, grid, derivs=(dpsi, ddpsi, dddpsi))
-    weight = _weight_from_flux(warping, int(d), f0, flux, (psi, dpsi, ddpsi, dddpsi))
+    weight = _weight_from_flux(warping, int(d), f0, flux)
     return ModelManifold(
         d=int(d), psi=warping, f=weight, f0=f0, alpha=a, weight_from_psi=True,
         scalar_drift=scalar_drift,

@@ -100,10 +100,14 @@ class ModelManifold:
         object.__setattr__(self, "d", int(self.d))
         if not np.array_equal(self.psi.grid.nodes, self.f.grid.nodes):
             raise InvalidRangeError("psi and f must share one grid")
+        missing = [name + "'" * order for name, profile in (("psi", self.psi), ("f", self.f))
+                   for order, fn in enumerate((profile.value_fn, *profile.derivs[:2])) if fn is None]
+        if missing:
+            raise InvalidRangeError(f"psi and f need callbacks up to the second derivative; "
+                                    f"missing: {', '.join(missing)}")
         r = self.grid.nodes
         pos = r > 0
-        psi_vals = self.psi.values
-        if np.any(psi_vals[pos] <= 0):
+        if np.any(self.psi.values[pos] <= 0):
             raise InvalidRangeError("warping must be positive for r > 0")
         if np.any(self.psi(r, 1)[pos] <= 0):
             raise InvalidRangeError("warping slope must be positive for r > 0")
@@ -415,18 +419,13 @@ def weight_from_warping(psi: RadialFunction, d: int, f0: float = 0.0) -> RadialF
     Raises
     ------
     InvalidRangeError
-        if ``psi`` lacks a callback for psi, psi' or psi'' (a warping given
-        by node values alone), or psi' <= 0 at a grid node with r > 0.
+        if psi' <= 0 at a grid node with r > 0, or ``psi(r, order)`` finds no
+        callback for psi, psi' or psi'' (a warping given by node values alone).
     WarpingNotConcaveError
         if ``psi'' >= 0`` at any grid node with r > 0.
     """
     if int(d) != d or d < 2:
         raise InvalidDimensionError(f"dimension must be an integer >= 2, got {d}")
-    psi0, psi1, psi2, psi3 = psi.value_fn, *psi.derivs
-    missing = [n for n, fn in zip(("psi", "psi'", "psi''"), (psi0, psi1, psi2)) if fn is None]
-    if missing:
-        raise InvalidRangeError(f"the warping needs callbacks for psi, psi' and psi''; "
-                                f"missing: {', '.join(missing)}")
     grid = psi.grid
     r_pos = grid.nodes > 0
     if np.any(psi(grid.nodes, 2)[r_pos] >= 0):
@@ -434,14 +433,12 @@ def weight_from_warping(psi: RadialFunction, d: int, f0: float = 0.0) -> RadialF
     if np.any(psi(grid.nodes, 1)[r_pos] <= 0):
         raise InvalidRangeError("warping slope must stay positive")
 
-    if psi3 is None:  # read at the pole only, where psi''(0) = 0
-        psi3 = lambda _: psi2(1e-6) / 1e-6
     # The slope divides the accumulated integral by psi^2 ~ r^2, so F needs
     # quadrature-level accuracy between nodes (a fitted spline is not enough)
     # and a partition graded into the pole.
     pts = pole_refined_partition(grid.nodes)
-    flux = indefinite_gauss(lambda s: psi2(s) * psi0(s), pts)
-    return _weight_from_flux(psi, d, f0, flux, (psi0, psi1, psi2, psi3))
+    flux = indefinite_gauss(lambda s: psi(s, 2) * psi(s), pts)
+    return _weight_from_flux(psi, d, f0, flux)
 
 
 def _weight_from_flux(
@@ -449,24 +446,22 @@ def _weight_from_flux(
     d: int,
     f0: float,
     flux: Callable[[np.ndarray], np.ndarray],
-    warping: tuple,
 ) -> RadialFunction:
     """Assemble ``f``, ``f'`` and ``f''`` from the flux ``F = int_0^r psi'' psi``.
 
-    ``warping`` holds callables for psi, psi', psi'' and psi''', the last
-    read at the pole only.  ``f' = (d-1) F/psi^2`` with ``f'(0) = 0``;
-    ``f''`` follows from the weight ODE, with the pole limit
-    ``(d-1) psi'''(0) / 3``; ``f - f0`` is one Gauss-Legendre antiderivative
-    of ``f'`` on the pole-refined partition.
+    ``f' = (d-1) F/psi^2`` with ``f'(0) = 0``; ``f''`` follows from the
+    weight ODE, with the pole limit ``(d-1) psi'''(0) / 3``, where
+    ``psi'''(0)`` is ``psi''(1e-6) / 1e-6`` if ``psi`` has no psi'''
+    callback (``psi''(0) = 0``); ``f - f0`` is one Gauss-Legendre
+    antiderivative of ``f'`` on the pole-refined partition.
     """
-    psi0, psi1, psi2, psi3 = warping
     grid = psi.grid
     pts = pole_refined_partition(grid.nodes)
 
     def f_prime(r):
         rr = np.asarray(r, dtype=float)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            out = (d - 1) * np.atleast_1d(flux(rr)) / np.atleast_1d(psi0(rr)) ** 2
+            out = (d - 1) * np.atleast_1d(flux(rr)) / np.atleast_1d(psi(rr)) ** 2
         out = np.where(np.atleast_1d(rr) == 0.0, 0.0, out)
         return out if rr.ndim else float(out[0])
 
@@ -478,9 +473,11 @@ def _weight_from_flux(
     def f_second(r):
         rr = np.asarray(r, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = (d - 1) * psi2(rr) / psi0(rr) - 2.0 * (psi1(rr) / psi0(rr)) * f_prime(rr)
+            psi_r = np.asarray(psi(rr))  # an array at a 0-d radius too: r = 0 divides as numpy does
+            out = (d - 1) * psi(rr, 2) / psi_r - 2.0 * (psi(rr, 1) / psi_r) * f_prime(rr)
         if np.any(rr == 0.0):  # the limit (d-1) psi'''(0)/3
-            out = np.where(rr == 0.0, (d - 1) * float(psi3(0.0)) / 3.0, out)
+            dddpsi = psi(0.0, 3) if psi.derivs[2] is not None else psi(1e-6, 2) / 1e-6
+            out = np.where(rr == 0.0, (d - 1) * dddpsi / 3.0, out)
         return out
 
     values = f_accumulated.nodal_values[np.searchsorted(pts, grid.nodes)] + f0

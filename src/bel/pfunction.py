@@ -77,14 +77,17 @@ __all__ = [
 ]
 
 
+_EXPLICIT_GRID = (0.0, 200.0, 2001, "uniform")  # make_grid arguments of the default grid
+
+
 def _explicit_profile(
     d: int, grid: Optional[RadialGrid], p: Optional[float], ell: float, u, du, ddu
 ) -> SolutionProfile:
     """A closed-form entire solution on flat R^d, with callbacks for u, u' and
-    u'' (nothing reads a higher derivative); the default grid is 2001 uniform
-    nodes on [0, 200]."""
+    u'' (nothing reads a higher derivative); the default grid is
+    :data:`_EXPLICIT_GRID`."""
     if grid is None:
-        grid = make_grid(0.0, 200.0, 2001, "uniform")
+        grid = make_grid(*_EXPLICIT_GRID)
     return SolutionProfile(
         manifold=euclidean(d, grid),
         p=p,
@@ -134,6 +137,14 @@ def log_bubble(b: float, grid: Optional[RadialGrid] = None) -> SolutionProfile:
     if b <= 0.0:
         raise InvalidRangeError(f"bubble width must be positive, got b = {b}")
     a = 1.0 / (8.0 * b)
+    # the terms of u, u' and u'' (a, b r^2, w = a + b r^2, w^2, 4 b r, 4 b |a - b r^2|) are
+    # largest at r = 0 or r_max, and finite at r = 0 once a is: r_max decides
+    r_max = _EXPLICIT_GRID[1] if grid is None else grid.r_max
+    b_r2 = b * (r_max * r_max)
+    w = a + b_r2
+    if not all(map(math.isfinite, (a, b_r2, w, w * w, 4.0 * b * r_max, 4.0 * b * abs(a - b_r2)))):
+        raise InvalidRangeError(f"log-bubble width b = {b} takes a term of u, u' or u'' "
+                                f"past the float range on r <= {r_max:g}")
 
     def u(r):
         rr = np.asarray(r, dtype=float)

@@ -2,13 +2,12 @@
 
 Everything downstream works with scalar functions of the geodesic radius
 sampled on a :class:`RadialGrid`.  A :class:`RadialFunction` couples node
-values with optional analytic callbacks; finite differences are the fallback
-when no callback is available.
+values with analytic callbacks, and is evaluated only through the callbacks.
 
 Numerical conventions used package-wide:
 
-* finite differences are second order (central stencils inside, one-sided at
-  the endpoints), also on non-uniform grids;
+* finite differences of node values are second order (central stencils
+  inside, one-sided at the endpoints), also on non-uniform grids;
 * the default tolerance for "equals" assertions on finite-differenced
   quantities is ``10 * h**2`` with ``h`` the local step (``grid_tolerance``);
 * cumulative quadrature over node values is Simpson-based; machine-accuracy
@@ -24,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import InvalidRangeError, OutOfGridError
+from .errors import InvalidRangeError
 
 #: Minimum node count for any grid.
 MIN_NODES = 16
@@ -116,11 +115,11 @@ def make_grid(r_min: float, r_max: float, n: int, kind: str = "uniform") -> Radi
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class RadialFunction:
-    """Scalar function of the radius: node values + optional analytic callbacks.
+    """Scalar function of the radius: node values + analytic callbacks.
 
-    ``derivs`` holds callables for derivative orders 1..3 (``None`` where
-    unavailable).  When a callback exists it is the preferred derivative
-    source; finite differences are used otherwise (see ``__call__``).
+    ``value_fn`` evaluates the function and ``derivs`` its derivatives of
+    orders 1..3 (``None`` where unavailable).  ``__call__`` reads only the
+    callbacks; without any, the instance is a record of node values.
     """
 
     grid: RadialGrid
@@ -138,31 +137,21 @@ class RadialFunction:
         object.__setattr__(self, "values", values)
         d = tuple(self.derivs) + (None,) * (3 - len(self.derivs))
         object.__setattr__(self, "derivs", d[:3])
-        # node samples of each order evaluated without a callback, order 0 first
-        object.__setattr__(self, "_samples", {0: values})
 
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, r, order: int = 0):
         """The profile (``order`` 0) or its derivative of ``order`` 1..3 at ``r``.
 
-        This is the one evaluation path.  It calls the analytic callback when
-        there is one; otherwise it interpolates the node values, or their
-        finite-difference samples (computed once and kept on the instance),
-        and raises ``out-of-grid`` for radii off the grid.
+        This is the one evaluation path: it calls the callback of ``order``,
+        and raises ``invalid-range`` naming the order when there is none.
         """
         if not 0 <= order <= 3:
             raise InvalidRangeError(f"derivative order {order} not in 0..3")
         fn = self.value_fn if order == 0 else self.derivs[order - 1]
-        if fn is not None:
-            out = fn(np.asarray(r, dtype=float))
-            return float(out) if np.ndim(r) == 0 else out
-        r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr < self.grid.r_min) or np.any(r_arr > self.grid.r_max):
-            raise OutOfGridError(f"radius outside grid [{self.grid.r_min}, {self.grid.r_max}]")
-        if order not in self._samples:
-            self._samples[order] = finite_difference(self.values, self.grid, order)
-        out = np.interp(r_arr, self.grid.nodes, self._samples[order])
+        if fn is None:
+            raise InvalidRangeError(f"the radial profile has no callback for derivative order {order}")
+        out = fn(np.asarray(r, dtype=float))
         return float(out) if np.ndim(r) == 0 else out
 
 

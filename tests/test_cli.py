@@ -759,6 +759,19 @@ def test_cli_bubble_width_beyond_the_float_range_is_a_coded_error(tmp_path, d, b
     assert f"error [invalid-range]: bubble width b = {float(b)!r} takes b^2 or u(0)" in stderr
 
 
+@pytest.mark.parametrize("b", ["1e300", "1e-300"])
+def test_cli_log_bubble_width_beyond_the_float_range_is_a_coded_error(tmp_path, b):
+    """A log-bubble width whose closed form leaves the float range on the
+    grid (here (a + b r^2)^2 with a = 1/(8b), at r = 200) is rejected up
+    front with ``invalid-range`` (exit 2); b = 1e300 once printed numpy
+    overflow warnings, and b = 1e-300 passed every check on an underflowed
+    profile."""
+    code, stderr = _run_cli(tmp_path, f"scenario = log-bubble\nb = {b}\n")
+    assert code == 2, stderr
+    assert "Traceback" not in stderr and "Warning" not in stderr
+    assert f"error [invalid-range]: log-bubble width b = {float(b)!r} takes a term" in stderr
+
+
 def test_cli_tiny_center_value_ends_in_a_report(tmp_path):
     # ell^{1-p} = 1e1200 overflows a float; the asymptotic bound is still
     # representable and the run ends in a report, not a traceback.  u' has

@@ -122,21 +122,11 @@ def test_weighted_laplacian_matches_euclidean_laplacian():
     assert abs(weighted_laplacian_radial(M, w, 1.7) - 6.0) < 1e-12
 
 
-def test_weighted_laplacian_keeps_each_profiles_own_derivatives():
-    """Finite-difference derivatives of value-only profiles belong to each
-    profile: a table built for one temporary profile is never read for the
-    next one, even when the first is freed and its id reused."""
-    g = _grid()
-    M = euclidean(3, g)
-    r = 1.7
-    got = [weighted_laplacian_radial(M, RadialFunction(g, g.nodes**k), r) for k in (2, 3)]
-    assert got == [pytest.approx(6.0, abs=1e-9), pytest.approx(12.0 * r, rel=1e-3)]
-
-
 def test_weighted_laplacian_of_constant_vanishes():
     g = _grid()
     M = power_weight(3, g, coeff=0.5)
-    w = RadialFunction(g, np.full(g.n, 3.0))
+    zero = euclidean(3, g).f  # 0, with callbacks for its three derivatives, all 0
+    w = sample(lambda r: zero(r) + 3.0, g, derivs=zero.derivs)
     assert abs(weighted_laplacian_radial(M, w, 2.0)) < 1e-10
 
 
@@ -170,21 +160,20 @@ def test_volume_beyond_grid_rejected():
         weighted_volume(M, 6.0)
 
 
-def test_value_only_profiles_reject_radii_beyond_grid():
-    """Profile evaluation without a callback interpolates node values (or
-    their finite differences) inside the grid and raises out-of-grid beyond
-    it, instead of clamping to the end value."""
+def test_value_only_profiles_are_rejected_at_manifold_construction():
+    """A profile is evaluated only through its callbacks, so a manifold
+    whose psi or f lacks one up to the second derivative is an
+    ``invalid-range`` error when it is built, naming what is missing."""
     grid = _grid()
-    r = grid.nodes
-    M = ModelManifold(
-        d=3,
-        psi=RadialFunction(grid, r + r**2 / 2.0),
-        f=RadialFunction(grid, np.zeros(grid.n)),
-    )
-    for order, exact in enumerate((2.5 + 2.5**2 / 2.0, 1.0 + 2.5, 1.0, 0.0)):
-        assert M.psi(2.5, order) == pytest.approx(exact, abs=1e-14 if order == 0 else 1e-9)
-        with pytest.raises(OutOfGridError):
-            M.psi(2.0 * grid.r_max, order)
+    e = euclidean(3, grid)
+    value_only = RadialFunction(grid, grid.nodes + grid.nodes**2 / 2.0)
+    slope_only = RadialFunction(grid, np.zeros(grid.n), derivs=e.f.derivs[:1])
+    for psi, f, missing in [(value_only, e.f, "psi, psi', psi''"),
+                            (e.psi, slope_only, "f, f''")]:
+        with pytest.raises(InvalidRangeError) as err:
+            ModelManifold(d=3, psi=psi, f=f)
+        assert err.value.code == "invalid-range"
+        assert str(err.value).endswith(f"missing: {missing}")
 
 
 def test_sphere_areas():
@@ -264,18 +253,17 @@ def test_closed_form_distance_laplacian_agrees():
 
 
 def test_value_only_warping_is_rejected():
-    """The weight integrates psi'' psi to quadrature accuracy, which node
-    values alone cannot give: a warping without callbacks for psi, psi' and
-    psi'' is an ``invalid-range`` error that names the missing ones."""
+    """The weight reads the warping only through ``psi(r, order)``: a
+    warping without callbacks for psi, psi' and psi'' is an
+    ``invalid-range`` error that names the first order it lacks."""
     g = _grid(r_max=4.0, n=129)
-    slope = lambda r: 1.0 / (1.0 + r**2)  # noqa: E731
-    for derivs, missing in [((None, None, None), "psi, psi', psi''"),
-                            ((slope, None, None), "psi, psi''")]:
-        psi = RadialFunction(g, np.arctan(g.nodes), derivs=derivs)
+    derivs = arctan_warping(g).derivs
+    for known, order in [(0, 2), (1, 2), (2, 0)]:
+        psi = RadialFunction(g, np.arctan(g.nodes), derivs=derivs[:known])
         with pytest.raises(InvalidRangeError) as err:
             weight_from_warping(psi, 3)
         assert err.value.code == "invalid-range"
-        assert str(err.value).endswith(f"missing: {missing}")
+        assert str(err.value).endswith(f"no callback for derivative order {order}")
 
 
 def test_weight_recipe_deterministic():

@@ -5,7 +5,7 @@ from scipy.integrate import cumulative_simpson
 
 from bel import radial_core
 from bel.construction import build_example, default_grid
-from bel.errors import InvalidRangeError, OutOfGridError
+from bel.errors import InvalidRangeError
 from bel.geometry import log_tail_weight
 from bel.radial_core import (
     RadialFunction,
@@ -216,22 +216,28 @@ def test_value_length_checked():
         RadialFunction(g, np.zeros(10))
 
 
-def test_interpolated_call_rejects_out_of_grid():
-    g = make_grid(1.0, 2.0, 16, "uniform")
-    f = RadialFunction(g, g.nodes.copy())
-    with pytest.raises(OutOfGridError):
-        f(2.5)
-
-
 def test_callback_evaluation_preferred():
     g = make_grid(0.0, 1.0, 16, "uniform")
-    f = sample(lambda r: r**3, g)
+    f = sample(lambda r: r**3, g, derivs=(lambda r: 3 * r**2, lambda r: 6 * r, None))
     # interpolation of r^3 on 16 nodes would be visibly off mid-interval
     mid = 0.5 * (g.nodes[3] + g.nodes[4])
-    assert abs(f(mid) - mid**3) < 1e-15
-    # a 0-d array radius gives a float on the callback and interpolation paths alike
-    for fn in (f, RadialFunction(g, g.nodes**3)):
-        assert type(fn(np.asarray(mid))) is float
+    got = [f(mid, order) for order in range(3)]
+    assert np.allclose(got, [mid**3, 3 * mid**2, 6 * mid], rtol=0.0, atol=1e-15)
+    # a 0-d array radius gives a float at every order
+    assert all(type(f(np.asarray(mid), order)) is float for order in range(3))
+
+
+def test_profile_is_evaluated_only_through_its_callbacks():
+    """Node values alone are a record: calling them, or asking a profile for
+    an order it has no callback for, is an ``invalid-range`` error naming
+    the order, not an interpolation or a finite difference."""
+    g = make_grid(0.0, 10.0, 65, "uniform")
+    for profile, order in [(RadialFunction(g, g.nodes**3), 0),
+                           (build_example(3, 0.5, grid=g).f, 3)]:
+        with pytest.raises(InvalidRangeError) as err:
+            profile(g.nodes, order)
+        assert err.value.code == "invalid-range"
+        assert str(err.value).endswith(f"no callback for derivative order {order}")
 
 
 # --------------------------------------------------------- cumulative_gauss

@@ -100,11 +100,11 @@ def test_warped_flux_points_pinned(monkeypatch):
     points = []
     original = construction._weight_from_flux
 
-    def counted(psi, d, f0, flux, warping):
+    def counted(psi, d, f0, flux):
         def counted_flux(r):
             points.append(np.size(r))
             return flux(r)
-        return original(psi, d, f0, counted_flux, warping)
+        return original(psi, d, f0, counted_flux)
 
     monkeypatch.setattr(construction, "_weight_from_flux", counted)
     report = verify_theorem(build_example(3, 0.5), 5.0, 1.0)
