@@ -8,57 +8,9 @@ global-positivity arguments, and the P-function identities and estimates.
 
 __version__ = "0.1.0"
 
-from bel.construction import build_example, critical_exponent, verify_theorem
+from bel.construction import build_example, verify_theorem
 from bel.errors import BelError
-from bel.geometry import (
-    ModelManifold,
-    comparison_report,
-    curvature_report,
-    euclidean,
-    log_tail_weight,
-    power_weight,
-    weight_from_warping,
-)
-from bel.lane_emden import SolutionProfile, solve_liouville, solve_radial
-from bel.pfunction import (
-    bubble,
-    cheng_yau_ratio,
-    divergence_identity_residual,
-    integral_estimate_ratio,
-    k_functional,
-    log_bubble,
-    superharmonic_floor_check,
-    v_transform,
-    w_functional,
-)
-from bel.radial_core import RadialFunction, RadialGrid, make_grid, sample
+from bel.pfunction import bubble, k_functional, v_transform
 
-__all__ = [
-    "BelError",
-    "ModelManifold",
-    "RadialFunction",
-    "RadialGrid",
-    "SolutionProfile",
-    "bubble",
-    "build_example",
-    "cheng_yau_ratio",
-    "comparison_report",
-    "critical_exponent",
-    "curvature_report",
-    "divergence_identity_residual",
-    "euclidean",
-    "integral_estimate_ratio",
-    "k_functional",
-    "log_bubble",
-    "log_tail_weight",
-    "make_grid",
-    "power_weight",
-    "sample",
-    "solve_liouville",
-    "solve_radial",
-    "superharmonic_floor_check",
-    "v_transform",
-    "verify_theorem",
-    "w_functional",
-    "weight_from_warping",
-]
+#: The README quick start's names, and the root of every coded error.
+__all__ = ["BelError", "bubble", "build_example", "k_functional", "v_transform", "verify_theorem"]

@@ -51,15 +51,6 @@ from .radial_core import finite_difference, grid_tolerance, make_grid, sample
 from .geometry import weight_from_warping  # noqa: E402,F401
 from .radial_core import indefinite_gauss  # noqa: E402,F401
 
-__all__ = [
-    "DEFAULT_ALPHA",
-    "Check",
-    "TheoremReport",
-    "build_example",
-    "verify_theorem",
-    "critical_exponent",
-]
-
 DEFAULT_ALPHA = 0.5
 DEFAULT_GRID = (1e-3, 1e3, 4096, "geometric")  # make_grid arguments of default_grid
 
@@ -72,13 +63,6 @@ _FLUX_SERIES = np.array([(-1) ** k * (k + 2) * (k + 1) / (2.0 * (2 * k + 3)) for
 _FLUX_SERIES_HORNER = tuple(float(c) for c in _FLUX_SERIES[::-1])
 
 
-def critical_exponent(d: int) -> float:
-    """Sobolev-critical power (d+2)/(d-2) for d >= 3."""
-    if d <= 2:
-        raise InvalidDimensionError(f"critical exponent needs d >= 3, got {d}")
-    return (d + 2.0) / (d - 2.0)
-
-
 def default_grid() -> RadialGrid:
     """Geometric grid reaching r = 10^3, resolving both pole and tail."""
     return make_grid(*DEFAULT_GRID)
@@ -87,18 +71,16 @@ def default_grid() -> RadialGrid:
 def build_example(
     d: int,
     alpha: float = DEFAULT_ALPHA,
-    f0: float = 0.0,
     grid: Optional[RadialGrid] = None,
 ) -> ModelManifold:
     """Assemble the concave-warping manifold with its recipe weight.
 
     The warping derivatives are supplied in closed form:
 
-        psi'   = alpha + (1-alpha) (r^2+1)^{-3/2}
-        psi''  = -3 (1-alpha) r (r^2+1)^{-5/2}
-        psi''' = -3 (1-alpha) (1 - 4 r^2) (r^2+1)^{-7/2}
+        psi'  = alpha + (1-alpha) (r^2+1)^{-3/2}
+        psi'' = -3 (1-alpha) r (r^2+1)^{-5/2}
 
-    so psi'''(0) = -3(1-alpha) < 0 and alpha r < psi < r for r > 0.
+    so psi'' < 0 and alpha r < psi < r for r > 0.
 
     The weight is the one :func:`bel.geometry.weight_from_warping` defines,
     but its flux is elementary too (a = alpha, b = 1 - alpha):
@@ -141,11 +123,6 @@ def build_example(
         with np.errstate(over="ignore"):
             return -3.0 * b * rr * (rr**2 + 1.0) ** (-2.5)
 
-    def dddpsi(r):
-        rr = np.asarray(r, dtype=float)
-        with np.errstate(over="ignore"):
-            return -3.0 * b * (1.0 - 4.0 * rr**2) * (rr**2 + 1.0) ** (-3.5)
-
     def flux(r):
         rr = np.atleast_1d(np.asarray(r, dtype=float))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -176,11 +153,10 @@ def build_example(
         F = -a * b * r3 / np.power(q, 1.5) - 0.375 * b**2 * bracket
         return (d - 1) * dpsi_r / psi_r - (d - 1) * F / (psi_r * psi_r)
 
-    warping = sample(psi, grid, derivs=(dpsi, ddpsi, dddpsi))
-    weight = _weight_from_flux(warping, int(d), f0, flux)
+    warping = sample(psi, grid, derivs=(dpsi, ddpsi))
+    weight = _weight_from_flux(warping, int(d), flux)
     return ModelManifold(
-        d=int(d), psi=warping, f=weight, f0=f0, alpha=a, weight_from_psi=True,
-        scalar_drift=scalar_drift,
+        d=int(d), psi=warping, f=weight, alpha=a, weight_from_psi=True, scalar_drift=scalar_drift
     )
 
 
@@ -332,7 +308,7 @@ def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
     ddpsi_r = M.psi(r, 2)
     df_r = np.asarray(M.f(r, 1))
     with np.errstate(over="ignore"):  # steps past ~1e154: checked below
-        fd_ddf = finite_difference(np.asarray(M.f(grid.nodes, 1), dtype=float), grid, order=1)[pos]
+        fd_ddf = finite_difference(np.asarray(M.f(grid.nodes, 1), dtype=float), grid)[pos]
         residual_tol = grid_tolerance(grid, 100.0)[pos]
     rhs = (d - 1) * ddpsi_r / psi_r - 2.0 * dpsi_r * df_r / psi_r
     residual = np.abs(fd_ddf - rhs) / (1.0 + np.abs(rhs))
@@ -343,12 +319,9 @@ def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
     # -- the p-independent terms of the Pohozaev slope factor --------------
     slope_terms = slope_factor_terms(M, r)
 
+    # f decreases from f(0) = 0, so C2 = e^(-min f) >= 1 never underflows
     C1 = float(np.exp(-np.max(M.f.values)))
     C2 = float(np.exp(-np.min(M.f.values)))
-    if C2 == 0.0:
-        raise InvalidRangeError(
-            f"the weight e^(-f) underflows to 0 on the whole grid "
-            f"(min f = {float(np.min(M.f.values)):.6g}); lower f0")
 
     # -- comparison geometry ----------------------------------------------
     chi = np.asarray(warping_slope_energy(M)(r)) - psi_r**2 / r
@@ -358,7 +331,7 @@ def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
     vols = np.asarray(weighted_volume(M, r))
     euclid_cap = (C2 / d) * unit_sphere_area(d) * r**d
 
-    f_sup = float(np.max(np.abs(M.f.values - M.f0)))
+    f_sup = float(np.max(np.abs(M.f.values)))
     f_finite = math.isfinite(f_sup)
 
     checks = (
@@ -380,7 +353,7 @@ def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
               ode_ratio, 1.0, reason=ode_reason),
         Check("weight-bounded", "sup |f| < inf (flux integral converges)",
               _flux_tail_exponent(M) if f_finite else None, 0.5, "<",
-              "" if f_finite else f"sup |f - f0| = {f_sup}"),
+              "" if f_finite else f"sup |f| = {f_sup}"),
     )
     return _ManifoldChecks(checks=checks, df=df_r, ric_r=ric_r, ric_theta=ric_th,
                            slope_terms=slope_terms, weight_ratio=C1 / C2)

@@ -26,7 +26,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    CrossCheckError,
     InvalidDimensionError,
     InvalidRangeError,
     InvalidVirtualDimensionError,
@@ -69,7 +68,7 @@ class ModelManifold:
 
     ``alpha`` records the linear slope of ``psi`` at infinity when known;
     ``weight_from_psi`` marks weights obtained from the concave-warping
-    recipe (it enables closed-form cross-checks downstream).
+    recipe (the slope factor is then cross-checked against its decomposition).
 
     ``scalar_drift``, when set, evaluates the drift at one Python float
     radius ``r > 0`` without the array machinery; the radial shot calls it
@@ -89,7 +88,6 @@ class ModelManifold:
     d: int
     psi: RadialFunction
     f: RadialFunction
-    f0: float = 0.0
     alpha: Optional[float] = None
     weight_from_psi: bool = False
     scalar_drift: Optional[Callable[[float], float]] = None
@@ -101,7 +99,7 @@ class ModelManifold:
         if not np.array_equal(self.psi.grid.nodes, self.f.grid.nodes):
             raise InvalidRangeError("psi and f must share one grid")
         missing = [name + "'" * order for name, profile in (("psi", self.psi), ("f", self.f))
-                   for order, fn in enumerate((profile.value_fn, *profile.derivs[:2])) if fn is None]
+                   for order, fn in enumerate((profile.value_fn, *profile.derivs)) if fn is None]
         if missing:
             raise InvalidRangeError(f"psi and f need callbacks up to the second derivative; "
                                     f"missing: {', '.join(missing)}")
@@ -308,31 +306,14 @@ def weighted_laplacian_radial(M: ModelManifold, w: RadialFunction, r):
 
 
 def warping_slope_energy(M: ModelManifold):
-    """The kept antiderivative r -> int_0^r (psi')^2 ds (:meth:`ModelManifold.integral`).
-
-    Drives both the closed-form distance Laplacian of warping-derived weights
-    and the sharp-comparison defect chi = int (psi')^2 - psi^2/r.
-    """
+    """The kept antiderivative r -> int_0^r (psi')^2 ds (:meth:`ModelManifold.integral`),
+    behind the sharp-comparison defect chi = int (psi')^2 - psi^2/r."""
     return M.integral("slope energy")
 
 
 def laplacian_of_distance(M: ModelManifold, r):
-    """L r, the drift Laplacian of the distance from the pole.
-
-    For weights produced by :func:`weight_from_warping` the closed form
-    ``(d-1) * int_0^r (psi')^2 / psi^2`` must agree with the generic value;
-    the agreement is verified (to 1e-8 relative).
-    """
-    generic = M.drift(r)
-    if M.weight_from_psi:
-        rr = _as_radii(r)
-        closed = (M.d - 1) * warping_slope_energy(M)(rr) / M.psi(rr) ** 2
-        err = np.max(np.abs(closed - np.asarray(generic)) / (1.0 + np.abs(generic)))
-        if err > 1e-8:
-            raise CrossCheckError(
-                f"closed-form distance Laplacian disagrees with generic value ({err:.2e})"
-            )
-    return generic
+    """L r, the drift Laplacian of the distance from the pole: the drift."""
+    return M.drift(r)
 
 
 def weighted_volume(M: ModelManifold, R):
@@ -398,10 +379,10 @@ def comparison_report(M: ModelManifold) -> ComparisonReport:
 # ----------------------------------------------------- weight construction
 
 
-def weight_from_warping(psi: RadialFunction, d: int, f0: float = 0.0) -> RadialFunction:
+def weight_from_warping(psi: RadialFunction, d: int) -> RadialFunction:
     """Weight profile determined by a strictly concave warping.
 
-    Solves ``f'' + 2 (psi'/psi) f' = (d-1) psi''/psi`` with ``f(0) = f0`` and
+    Solves ``f'' + 2 (psi'/psi) f' = (d-1) psi''/psi`` with ``f(0) = 0`` and
     ``f'(0) = 0`` through its first-order reduction
 
         f'(r) = (d-1) * F(r) / psi(r)^2 ,      F(r) = int_0^r psi'' psi ds .
@@ -438,22 +419,20 @@ def weight_from_warping(psi: RadialFunction, d: int, f0: float = 0.0) -> RadialF
     # and a partition graded into the pole.
     pts = pole_refined_partition(grid.nodes)
     flux = indefinite_gauss(lambda s: psi(s, 2) * psi(s), pts)
-    return _weight_from_flux(psi, d, f0, flux)
+    return _weight_from_flux(psi, d, flux)
 
 
 def _weight_from_flux(
     psi: RadialFunction,
     d: int,
-    f0: float,
     flux: Callable[[np.ndarray], np.ndarray],
 ) -> RadialFunction:
     """Assemble ``f``, ``f'`` and ``f''`` from the flux ``F = int_0^r psi'' psi``.
 
     ``f' = (d-1) F/psi^2`` with ``f'(0) = 0``; ``f''`` follows from the
-    weight ODE, with the pole limit ``(d-1) psi'''(0) / 3``, where
-    ``psi'''(0)`` is ``psi''(1e-6) / 1e-6`` if ``psi`` has no psi'''
-    callback (``psi''(0) = 0``); ``f - f0`` is one Gauss-Legendre
-    antiderivative of ``f'`` on the pole-refined partition.
+    weight ODE at r > 0 (``singular-radius`` at r <= 0); ``f`` is one
+    Gauss-Legendre antiderivative of ``f'`` on the pole-refined partition,
+    so ``f(0) = 0``.
     """
     grid = psi.grid
     pts = pole_refined_partition(grid.nodes)
@@ -465,23 +444,15 @@ def _weight_from_flux(
         out = np.where(np.atleast_1d(rr) == 0.0, 0.0, out)
         return out if rr.ndim else float(out[0])
 
-    f_accumulated = indefinite_gauss(f_prime, pts)
-
-    def f_value(r):
-        return f_accumulated(r) + f0
+    f_value = indefinite_gauss(f_prime, pts)
 
     def f_second(r):
-        rr = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            psi_r = np.asarray(psi(rr))  # an array at a 0-d radius too: r = 0 divides as numpy does
-            out = (d - 1) * psi(rr, 2) / psi_r - 2.0 * (psi(rr, 1) / psi_r) * f_prime(rr)
-        if np.any(rr == 0.0):  # the limit (d-1) psi'''(0)/3
-            dddpsi = psi(0.0, 3) if psi.derivs[2] is not None else psi(1e-6, 2) / 1e-6
-            out = np.where(rr == 0.0, (d - 1) * dddpsi / 3.0, out)
-        return out
+        rr = _as_radii(r)
+        psi_r = psi(rr)
+        return (d - 1) * psi(rr, 2) / psi_r - 2.0 * (psi(rr, 1) / psi_r) * f_prime(rr)
 
-    values = f_accumulated.nodal_values[np.searchsorted(pts, grid.nodes)] + f0
-    return RadialFunction(grid, values, value_fn=f_value, derivs=(f_prime, f_second, None))
+    values = f_value.nodal_values[np.searchsorted(pts, grid.nodes)]
+    return RadialFunction(grid, values, value_fn=f_value, derivs=(f_prime, f_second))
 
 
 # ---------------------------------------------------- stock model builders
@@ -491,9 +462,9 @@ def euclidean(d: int, grid: RadialGrid) -> ModelManifold:
     """Flat R^d as a model manifold: psi = r, f = 0 (analytic callbacks)."""
     zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
     one = lambda r: np.ones_like(np.asarray(r, dtype=float))
-    psi = sample(lambda r: np.asarray(r, dtype=float), grid, derivs=(one, zero, zero))
-    f = sample(zero, grid, derivs=(zero, zero, zero))
-    return ModelManifold(d=d, psi=psi, f=f, f0=0.0, alpha=1.0, scalar_drift=lambda r: (d - 1) / r)
+    psi = sample(lambda r: np.asarray(r, dtype=float), grid, derivs=(one, zero))
+    f = sample(zero, grid, derivs=(zero, zero))
+    return ModelManifold(d=d, psi=psi, f=f, alpha=1.0, scalar_drift=lambda r: (d - 1) / r)
 
 
 def power_weight(d: int, grid: RadialGrid, coeff: float = 1.0, power: float = 2.0) -> ModelManifold:
@@ -512,7 +483,6 @@ def power_weight(d: int, grid: RadialGrid, coeff: float = 1.0, power: float = 2.
         derivs=(
             lambda r: coeff * power * np.asarray(r, dtype=float) ** (power - 1),
             lambda r: coeff * power * (power - 1) * np.asarray(r, dtype=float) ** (power - 2),
-            None,
         ),
     )
     c1, e1 = coeff * power, power - 1
@@ -520,7 +490,7 @@ def power_weight(d: int, grid: RadialGrid, coeff: float = 1.0, power: float = 2.
     def scalar_drift(r):
         return (d - 1) / r - c1 * np.power(r, e1)
 
-    return ModelManifold(d=d, psi=e.psi, f=f, f0=0.0, alpha=1.0, scalar_drift=scalar_drift)
+    return ModelManifold(d=d, psi=e.psi, f=f, alpha=1.0, scalar_drift=scalar_drift)
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -605,5 +575,5 @@ def log_tail_weight(d: int, grid: RadialGrid, beta: float = 2.0) -> ModelManifol
         return (d - 1) / r - -h1_r / h_r
 
     e = euclidean(d, grid)
-    f = sample(f_fn, grid, derivs=(f_d1, f_d2, None))
-    return ModelManifold(d=d, psi=e.psi, f=f, f0=0.0, alpha=1.0, scalar_drift=scalar_drift)
+    f = sample(f_fn, grid, derivs=(f_d1, f_d2))
+    return ModelManifold(d=d, psi=e.psi, f=f, alpha=1.0, scalar_drift=scalar_drift)

@@ -56,22 +56,6 @@ from .radial_core import indefinite_gauss  # noqa: E402,F401
 #: Magnitudes beyond this are treated as numerical blowup of the shot.
 OVERFLOW_GUARD = 1e300
 
-__all__ = [
-    "OVERFLOW_GUARD",
-    "SolutionProfile",
-    "solve_radial",
-    "solve_liouville",
-    "energy",
-    "pohozaev",
-    "pohozaev_slope_factor",
-    "SlopeFactorTerms",
-    "slope_factor_terms",
-    "pohozaev_trace",
-    "positivity_criterion",
-    "asymptotic_bound_check",
-    "series_handoff_radius",
-]
-
 
 def series_handoff_radius(grid) -> float:
     """Radius where integration takes over from the O(r^2) series at the pole."""
@@ -209,8 +193,8 @@ def _shoot(M: ModelManifold, p: Optional[float], ell: float, tol: float) -> Solu
     u_vals, up_vals = np.full((2, nodes.size), np.nan)
     u_vals[in_range], up_vals[in_range] = state(nodes[in_range])
 
-    u = RadialFunction(grid, u_vals, value_fn=u_fn, derivs=(up_fn, upp_fn, None))
-    u_prime = RadialFunction(grid, up_vals, value_fn=up_fn, derivs=(upp_fn, None, None))
+    u = RadialFunction(grid, u_vals, value_fn=u_fn, derivs=(up_fn, upp_fn))
+    u_prime = RadialFunction(grid, up_vals, value_fn=up_fn, derivs=(upp_fn,))
     return SolutionProfile(
         manifold=M,
         p=p,

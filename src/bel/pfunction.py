@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -59,23 +59,6 @@ from .radial_core import (
     sample,
 )
 
-__all__ = [
-    "PFunctionData",
-    "SuperharmonicReport",
-    "bubble",
-    "log_bubble",
-    "v_transform",
-    "k_functional",
-    "w_functional",
-    "divergence_identity_residual",
-    "fundamental_gap",
-    "ibp_residual",
-    "integral_estimate_ratio",
-    "cheng_yau_ratio",
-    "superharmonic_floor_check",
-    "radial_cutoff",
-]
-
 
 _EXPLICIT_GRID = (0.0, 200.0, 2001, "uniform")  # make_grid arguments of the default grid
 
@@ -92,8 +75,8 @@ def _explicit_profile(
         manifold=euclidean(d, grid),
         p=p,
         ell=ell,
-        u=sample(u, grid, derivs=(du, ddu, None)),
-        u_prime=sample(du, grid, derivs=(ddu, None, None)),
+        u=sample(u, grid, derivs=(du, ddu)),
+        u_prime=sample(du, grid, derivs=(ddu,)),
         status="global-positive",
         r_end=grid.r_max,
         r_star=None,
@@ -242,9 +225,9 @@ def v_transform(profile: SolutionProfile, n: float = math.inf) -> PFunctionData:
         v_vals, dv_vals = itertools.islice(chain(u.values, du.values), 2)
         P_vals = np.where(np.isfinite(v_vals), P_of(v_vals, dv_vals), np.nan)
     v = RadialFunction(M.grid, v_vals, value_fn=lambda r: jet(r, 0)[0],
-                       derivs=(lambda r: jet(r, 1)[1], lambda r: jet(r, 2)[2], None))
+                       derivs=(lambda r: jet(r, 1)[1], lambda r: jet(r, 2)[2]))
     P = RadialFunction(M.grid, P_vals, value_fn=lambda r: P_of(*jet(r, 1)),
-                       derivs=(lambda r: dP_of(*jet(r, 2)), None, None))
+                       derivs=(lambda r: dP_of(*jet(r, 2)),))
     return PFunctionData(manifold=M, m=m, n=float(n), v=v, P=P, c_m=c_m)
 
 
@@ -349,7 +332,7 @@ def _measured_div_f(M: ModelManifold, flux: np.ndarray) -> np.ndarray:
     pos = grid.nodes > 0.0
     full = np.zeros(grid.n)
     full[pos] = flux
-    dflux = finite_difference(full, grid, order=1)
+    dflux = finite_difference(full, grid)
     return dflux[pos] + np.asarray(M.drift(grid.nodes[pos])) * flux
 
 
@@ -457,12 +440,8 @@ def ibp_residual(data: PFunctionData, q: float, R: float) -> Tuple[float, float]
     return float(lhs), float(rhs)
 
 
-def integral_estimate_ratio(
-    data: PFunctionData,
-    q: float,
-    R: Union[float, np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(lhs, bound_factor) for the ball estimates on v.
+def integral_estimate_ratio(data: PFunctionData, q: float, R: float) -> Tuple[float, float]:
+    """(lhs, bound_factor) for the ball estimates on v at the radius R.
 
     ``q`` picks the part: part "i" integrates v^{-q}(v'^2 + 1) over B_R when
     2 <= q < m/2+1, part "ii" integrates v^{-q} for the other q in
@@ -477,8 +456,7 @@ def integral_estimate_ratio(
     part = "i" if 2.0 <= q < m / 2.0 + 1.0 else "ii"
 
     M, v = data.manifold, data.v
-    RR = np.asarray(R, dtype=float)
-    if np.any(2.0 * RR > M.grid.r_max * (1 + 1e-12)):
+    if 2.0 * R > M.grid.r_max * (1 + 1e-12):
         raise OutOfGridError("the bound factor needs 2R inside the grid")
 
     def integrand(s):
@@ -491,10 +469,8 @@ def integral_estimate_ratio(
         return vv ** (-q) * S
 
     acc = _weighted_antiderivative(data, ("est", part, q), integrand)
-    lhs = unit_sphere_area(M.d) * np.asarray(acc(RR), dtype=float)
-    bound = np.asarray(weighted_volume(M, 2.0 * RR), dtype=float) * RR ** (-q)
-    if np.ndim(R):
-        return lhs, bound
+    lhs = unit_sphere_area(M.d) * acc(R)
+    bound = weighted_volume(M, 2.0 * R) * np.asarray(R, dtype=float) ** (-q)
     return float(lhs), float(bound)
 
 
@@ -594,4 +570,4 @@ def radial_cutoff(R: float, M: ModelManifold) -> RadialFunction:
     def ddphi(r):
         return -_smoothstep_d2(t_of(r)) / R**2
 
-    return sample(phi, M.grid, derivs=(dphi, ddphi, None))
+    return sample(phi, M.grid, derivs=(dphi, ddphi))

@@ -118,14 +118,14 @@ class RadialFunction:
     """Scalar function of the radius: node values + analytic callbacks.
 
     ``value_fn`` evaluates the function and ``derivs`` its derivatives of
-    orders 1..3 (``None`` where unavailable).  ``__call__`` reads only the
+    orders 1 and 2 (``None`` where unavailable).  ``__call__`` reads only the
     callbacks; without any, the instance is a record of node values.
     """
 
     grid: RadialGrid
     values: np.ndarray
     value_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    derivs: Sequence[Optional[Callable[[np.ndarray], np.ndarray]]] = (None, None, None)
+    derivs: Sequence[Optional[Callable[[np.ndarray], np.ndarray]]] = (None, None)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -135,19 +135,20 @@ class RadialFunction:
             )
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        d = tuple(self.derivs) + (None,) * (3 - len(self.derivs))
-        object.__setattr__(self, "derivs", d[:3])
+        if len(self.derivs) > 2:
+            raise InvalidRangeError(f"derivs holds orders 1 and 2, got {len(self.derivs)} callbacks")
+        object.__setattr__(self, "derivs", tuple(self.derivs) + (None,) * (2 - len(self.derivs)))
 
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, r, order: int = 0):
-        """The profile (``order`` 0) or its derivative of ``order`` 1..3 at ``r``.
+        """The profile (``order`` 0) or its derivative of ``order`` 1 or 2 at ``r``.
 
         This is the one evaluation path: it calls the callback of ``order``,
         and raises ``invalid-range`` naming the order when there is none.
         """
-        if not 0 <= order <= 3:
-            raise InvalidRangeError(f"derivative order {order} not in 0..3")
+        if not 0 <= order <= 2:
+            raise InvalidRangeError(f"derivative order {order} not in 0..2")
         fn = self.value_fn if order == 0 else self.derivs[order - 1]
         if fn is None:
             raise InvalidRangeError(f"the radial profile has no callback for derivative order {order}")
@@ -158,20 +159,16 @@ class RadialFunction:
 def sample(
     fn: Callable[[np.ndarray], np.ndarray],
     grid: RadialGrid,
-    derivs: Sequence[Optional[Callable]] = (None, None, None),
+    derivs: Sequence[Optional[Callable]] = (None, None),
 ) -> RadialFunction:
     """Sample an analytic callback onto a grid, keeping it for evaluation."""
     return RadialFunction(grid, np.asarray(fn(grid.nodes), dtype=float), value_fn=fn, derivs=derivs)
 
 
-def finite_difference(values: np.ndarray, grid: RadialGrid, order: int) -> np.ndarray:
-    """Second-order finite differences on (possibly non-uniform) nodes."""
-    if not 1 <= order <= 3:
-        raise InvalidRangeError(f"derivative order {order} not in 1..3")
-    out = np.asarray(values, dtype=float)
-    for _ in range(order):
-        out = np.gradient(out, grid.nodes, edge_order=2)
-    return out
+def finite_difference(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """The first derivative of node values by second-order finite differences
+    on (possibly non-uniform) nodes."""
+    return np.gradient(np.asarray(values, dtype=float), grid.nodes, edge_order=2)
 
 
 def integrate_cumulative(f: RadialFunction) -> RadialFunction:

@@ -305,7 +305,7 @@ def _cheng_yau_check(prof, n: float, radii: np.ndarray) -> Check:
 
 
 @functools.lru_cache(maxsize=1)
-def _warped_example(d: int, alpha: float, f0: float, grid_args: tuple) -> ModelManifold:
+def _warped_example(d: int, alpha: float, grid_args: tuple) -> ModelManifold:
     """``build_example`` on ``make_grid(*grid_args)``, kept for the next run.
 
     ``expand_runs`` makes the sweep points of one config consecutive, so one
@@ -314,7 +314,7 @@ def _warped_example(d: int, alpha: float, f0: float, grid_args: tuple) -> ModelM
     compares by identity.  ``build_example`` is looked up as a module global
     at each miss, so a patched name is what gets called.
     """
-    return build_example(d, alpha, f0=f0, grid=make_grid(*grid_args))
+    return build_example(d, alpha, grid=make_grid(*grid_args))
 
 
 def _shot_columns(prof, **extra: RadialFunction) -> Dict[str, np.ndarray]:
@@ -399,8 +399,8 @@ def _scenario_log_bubble(spec: RunSpec, b):
     return _bubble_common(prof, data, 4.0 * b, "log-bubble")
 
 
-def _scenario_theorem(spec: RunSpec, d, alpha, p, ell, f0, grid):
-    M = _warped_example(d, alpha, f0, grid)
+def _scenario_theorem(spec: RunSpec, d, alpha, p, ell, grid):
+    M = _warped_example(d, alpha, grid)
     report = verify_theorem(M, p, ell, tol=spec.tol)
     checks = list(report.checks)
     if report.profile is not None and report.profile.global_positive:
@@ -472,20 +472,20 @@ _ESTIMATE_RADII = np.geomspace(1.0, 100.0, 25)
 
 
 @functools.lru_cache(maxsize=1)
-def _bubble_estimate_data(d: int, b: float, n: float):
+def _bubble_estimate_data(d: int, b: float):
     """What an ``estimates-sweep`` run computes without ``q``, kept for the
     next run: the bubble's v-transform, its Cheng-Yau check and the ``r``,
     ``v`` and ``P`` columns."""
     prof = bubble(d, b)
-    data = v_transform(prof, n=n)
+    data = v_transform(prof)
     nodes = data.manifold.grid.nodes
     keep = nodes > 0.0
     columns = {"r": nodes[keep], "v": data.v.values[keep], "P": data.P.values[keep]}
     return data, _cheng_yau_check(prof, float(d), _ESTIMATE_RADII), columns
 
 
-def _scenario_estimates(spec: RunSpec, d, b, q, n):
-    data, cheng_yau, columns = _bubble_estimate_data(d, b, n)
+def _scenario_estimates(spec: RunSpec, d, b, q):
+    data, cheng_yau, columns = _bubble_estimate_data(d, b)
     ratios = []
     for R in _ESTIMATE_RADII:  # one radius per call: an array R moves lhs by an ulp
         lhs, bound = integral_estimate_ratio(data, q, R)
@@ -499,10 +499,8 @@ def _scenario_estimates(spec: RunSpec, d, b, q, n):
     return checks, dict(columns)
 
 
-def _scenario_custom(spec: RunSpec, d, p, ell, weight, coeff, power, beta, alpha, grid):
-    if weight == "warped":
-        M = _warped_example(d, alpha, 0.0, grid)
-    elif weight == "power":
+def _scenario_custom(spec: RunSpec, d, p, ell, weight, coeff, power, beta, grid):
+    if weight == "power":
         M = power_weight(d, make_grid(*grid), coeff, power)
     elif weight == "log-tail":
         M = log_tail_weight(d, make_grid(*grid), beta=beta)
@@ -524,7 +522,6 @@ def _scenario_custom(spec: RunSpec, d, p, ell, weight, coeff, power, beta, alpha
 
 _DIM2, _DIM3 = Param(int, Interval(2, ends="[)")), Param(int, Interval(3, ends="[)"))
 _POSITIVE, _P = Param(float, Interval(0.0)), Param(float, Interval(1.0))
-_ALPHA = Interval(0.0, 1.0)
 
 SCENARIOS: Dict[str, Scenario] = {
     "euclidean-sanity": Scenario("flat-space curvature, distance Laplacian and ball volume",
@@ -535,8 +532,8 @@ SCENARIOS: Dict[str, Scenario] = {
                            _scenario_log_bubble, None, {"b": _POSITIVE}),
     "theorem-2-2": Scenario(
         "warped example with decreasing weight: full rigidity-failure property suite",
-        _scenario_theorem, DEFAULT_GRID, {"d": _DIM3, "alpha": Param(float, _ALPHA), "p": _P,
-                                          "ell": _POSITIVE, "f0": Param(float, Interval(), 0.0)}),
+        _scenario_theorem, DEFAULT_GRID,
+        {"d": _DIM3, "alpha": Param(float, Interval(0.0, 1.0)), "p": _P, "ell": _POSITIVE}),
     "soliton-liouville": Scenario(
         "Gaussian-type weight: every radial shot crosses zero (non-existence witness)",
         _scenario_soliton, (1e-3, 12.0, 1025, "geometric"), {"d": _DIM2, "p": _P, "ell": _POSITIVE}),
@@ -546,17 +543,15 @@ SCENARIOS: Dict[str, Scenario] = {
         {"d": _DIM2, "beta": Param(float, Interval()), "p": _P}),
     "estimates-sweep": Scenario(
         "weighted ball estimates stay bounded over R", _scenario_estimates, None,
-        {"d": _DIM3, "b": _POSITIVE, "q": Param(float, Interval(0.0, ends="[)")),
-         "n": Param(float, Interval(0.0, ends="(]"), math.inf)}),
+        {"d": _DIM3, "b": _POSITIVE, "q": Param(float, Interval(0.0, ends="[)"))}),
     "custom": Scenario(
         "free-form radial solve with generic sanity checks", _scenario_custom,
         (1e-3, 100.0, 1025, "geometric"),
         {"d": _DIM2, "p": _P, "ell": _POSITIVE,
-         "weight": Param(str, {"none", "power", "log-tail", "warped"}, "none"),
+         "weight": Param(str, {"none", "power", "log-tail"}, "none"),
          "coeff": Param(float, Interval(), 1.0, ("weight", "power")),
          "power": Param(float, Interval(1.0), 2.0, ("weight", "power")),
-         "beta": Param(float, Interval(), 2.0, ("weight", "log-tail")),
-         "alpha": Param(float, _ALPHA, 0.5, ("weight", "warped"))}),
+         "beta": Param(float, Interval(), 2.0, ("weight", "log-tail"))}),
 }
 
 #: What ``execute_run`` calls: a dict of its own, whose runners perfbench/tracing.py wraps.

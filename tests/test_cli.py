@@ -55,8 +55,8 @@ def test_parse_sweeps_preserve_order():
 
 
 def test_parse_infinity_token():
-    cfg = parse_config("scenario = estimates-sweep\nd = 4\nb = 0.125\nq = 2\nn = inf\n")
-    assert math.isinf(cfg.params["n"])
+    cfg = parse_config("scenario = euclidean-sanity\nd = 3\nr_max = inf\n")
+    assert math.isinf(cfg.params["r_max"])
 
 
 @pytest.mark.parametrize(
@@ -342,6 +342,67 @@ def test_every_scenario_is_registered():
     }
 
 
+#: A small run of each scenario: its required keys and a coarse grid.
+_SMALL_RUN = {
+    "euclidean-sanity": {"d": 3, "nodes": 64},
+    "bubble": {"d": 4, "b": 0.125},
+    "log-bubble": {"b": 0.125},
+    "theorem-2-2": {"d": 3, "alpha": 0.5, "p": 5, "ell": 1, "r_max": 20, "nodes": 256},
+    "soliton-liouville": {"d": 3, "p": 3, "ell": 1, "nodes": 129},
+    "example-2-parabolicity": {"d": 3, "beta": 2, "p": 2, "nodes": 257},
+    "estimates-sweep": {"d": 4, "b": 0.125, "q": 2},
+    "custom": {"d": 3, "p": 5, "ell": 1, "nodes": 129},
+}
+
+#: Another value inside the domain of every key of each scenario.
+_SECOND_VALUE = {
+    "euclidean-sanity": {"d": 4, "r_max": 5, "nodes": 65, "spacing": "geometric"},
+    "bubble": {"d": 5, "b": 0.2},
+    "log-bubble": {"b": 0.2},
+    "theorem-2-2": {"d": 4, "alpha": 0.6, "p": 6, "ell": 2, "r_max": 30, "nodes": 257,
+                    "spacing": "uniform"},
+    "soliton-liouville": {"d": 4, "p": 2, "ell": 2, "r_max": 8, "nodes": 130, "spacing": "uniform"},
+    "example-2-parabolicity": {"d": 4, "beta": 3, "p": 3, "r_max": 2000, "nodes": 258,
+                               "spacing": "uniform"},
+    "estimates-sweep": {"d": 5, "b": 0.2, "q": 3},
+    "custom": {"d": 4, "p": 4, "ell": 2, "weight": "power", "coeff": 2, "power": 1.5, "beta": 3,
+               "r_max": 50, "nodes": 130, "spacing": "uniform"},
+}
+
+
+def _artifacts(name, values, out_dir):
+    """``report.json`` without its timings and config echo, and the bytes of
+    ``profiles.csv``, of the one run of ``name`` with ``values``."""
+    text = f"scenario = {name}\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+    (spec,) = expand_runs(parse_config(text))
+    report = execute_run(spec, out_dir)
+    del report["timings"], report["config"]
+    csv = out_dir / spec.slug / "profiles.csv"
+    return report, csv.read_bytes() if csv.exists() else None
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_config_key_changes_an_artifact(tmp_path, name):
+    """A key whose value moves nothing in ``report.json`` (the config echo
+    aside) or ``profiles.csv`` is a key no check reads.  Every key of every
+    scenario, set to a second value inside its domain, changes the artifacts
+    of a small run; a key read only with one choice of another key is
+    compared on a run that makes that choice.  ``tol`` is left out: no
+    closed-form scenario reads it."""
+    keys = SCENARIOS[name].keys
+    assert set(_SECOND_VALUE[name]) == set(keys)
+    dead = []
+    for index, (key, value) in enumerate(_SECOND_VALUE[name].items()):
+        base = dict(_SMALL_RUN[name])
+        if keys[key].read_with is not None:
+            base.update([keys[key].read_with])
+        assert base.get(key, keys[key].default) != value
+        default = _artifacts(name, base, tmp_path / f"default-{index}")
+        if _artifacts(name, {**base, key: value}, tmp_path / f"second-{index}") == default:
+            dead.append(key)
+    assert dead == []
+
+
 # ------------------------------------------------------------------ the CLI
 
 
@@ -477,8 +538,6 @@ def test_cli_check_failure_exit_code(tmp_path):
          "config-parse-error"),
         ("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = -1\nnodes = 512\n",
          "config-parse-error"),
-        ("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1\nf0 = 800\nnodes = 256\n",
-         "invalid-range"),
         ("scenario = soliton-liouville\nd = 3\np = 1" + "0" * 400 + "\nell = 1\n",
          "config-parse-error"),
     ],
@@ -486,8 +545,7 @@ def test_cli_check_failure_exit_code(tmp_path):
          "fractional-nodes", "text-in-sweep", "infinite-b", "nan-p",
          "parabolicity-p-one", "custom-power-negative",
          "custom-power-one", "soliton-p-one", "custom-ell-negative", "theorem-p-one",
-         "theorem-p-minus-one", "theorem-ell-negative", "theorem-weight-underflow",
-         "p-beyond-float-range"],
+         "theorem-p-minus-one", "theorem-ell-negative", "p-beyond-float-range"],
 )
 def test_cli_run_error_exit_code(tmp_path, text, code):
     cfg = _write(tmp_path, text)
@@ -503,13 +561,12 @@ _DENSITY_OVERFLOW = "scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1\
 
 
 @pytest.mark.parametrize("text,radius", [
-    (_DENSITY_OVERFLOW + "f0 = -800\n", "1e-11"),
     (_DENSITY_OVERFLOW + "r_max = 1e300\n", "8.73326e+103"),
     (_DENSITY_OVERFLOW.replace("alpha = 0.5", "alpha = 1e-9"), "614.095"),
     (_DENSITY_OVERFLOW.replace("d = 3", "d = 300").replace("p = 5", "p = 1.5"), "10"),
     ("scenario = example-2-parabolicity\nd = 3\nbeta = 2\np = 2\nr_max = 1e300\n",
      "4.04514e+151"),
-], ids=["theorem-f0", "theorem-r-max", "theorem-alpha", "theorem-d", "parabolicity-r-max"])
+], ids=["theorem-r-max", "theorem-alpha", "theorem-d", "parabolicity-r-max"])
 def test_cli_density_overflow_is_a_coded_error(tmp_path, text, radius):
     """A weighted area density that leaves the float range ends in
     ``invalid-range`` naming the first radius of its volume table that is
@@ -536,13 +593,10 @@ def test_cli_density_overflow_is_a_coded_error(tmp_path, text, radius):
      "coeff is read only with weight = power, not with weight = none"),
     ("scenario = custom\nd = 3\np = 3\nell = 1\nweight = power\nbeta = 1\n", [],
      "beta is read only with weight = log-tail, not with weight = power"),
-    ("scenario = custom\nd = 3\np = 3\nell = 1\nweight = log-tail\nalpha = 0.3\n", [],
-     "alpha is read only with weight = warped, not with weight = log-tail"),
     ("scenario = custom\nd = 3\np = 3\nell = 1\nweight = power, none\npower = 3\n", [],
      "power is read only with weight = power, not with weight = none"),
 ], ids=["negative-tol", "infinite-tol", "nan-tol-option", "power-without-power-weight",
-        "coeff-without-power-weight", "beta-without-log-tail", "alpha-without-warped",
-        "power-on-a-swept-weight"])
+        "coeff-without-power-weight", "beta-without-log-tail", "power-on-a-swept-weight"])
 def test_cli_rejects_tol_and_unread_weight_keys(tmp_path, text, args, message):
     """tol is checked against the table, for the config value and --tol
     alike; a custom weight key set without its weight is never silently
@@ -551,6 +605,28 @@ def test_cli_rejects_tol_and_unread_weight_keys(tmp_path, text, args, message):
     result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out"), *args])
     assert result.exit_code == 2, result.output
     assert f"error [config-parse-error]: {message}" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("scenario = estimates-sweep\nd = 4\nb = 0.125\nq = 2\nn = 5\n",
+     "unknown key 'n' for scenario estimates-sweep"),
+    ("scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1\nf0 = 1\n",
+     "unknown key 'f0' for scenario theorem-2-2"),
+    ("scenario = custom\nd = 3\np = 3\nell = 1\nweight = log-tail\nalpha = 0.3\n",
+     "unknown key 'alpha' for scenario custom"),
+    ("scenario = custom\nd = 3\np = 3\nell = 1\nweight = warped\n",
+     "weight must be one of log-tail, none, power, got 'warped'"),
+], ids=["estimates-n", "theorem-f0", "custom-alpha", "custom-warped"])
+def test_cli_rejects_removed_keys(tmp_path, text, message):
+    """Keys and choices that changed no verdict are gone (estimates ``n``,
+    theorem ``f0``, custom ``weight = warped`` with its ``alpha``): a config
+    that sets one is a config-parse-error naming it, and nothing is written."""
+    cfg = _write(tmp_path, text)
+    result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "error [config-parse-error]: " in result.output
+    assert message in result.output
     assert not (tmp_path / "out").exists()
 
 
@@ -577,8 +653,7 @@ _EVERY_SCENARIO = [
     "scenario = example-2-parabolicity\nd = 3\nbeta = 2\np = 2\nnodes = 513\n",
     "scenario = soliton-liouville\nd = 3\np = 3\nell = 1\n",
     "scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1\nnodes = 512\n",
-    "scenario = custom\nd = 3\np = 5\nell = 1\nweight = none, power, log-tail, warped\n"
-    "nodes = 513\n",
+    "scenario = custom\nd = 3\np = 5\nell = 1\nweight = none, power, log-tail\nnodes = 513\n",
 ]
 
 

@@ -9,8 +9,14 @@ import pytest
 from scipy.integrate import quad
 
 from bel import construction
-from bel.construction import Check, build_example, critical_exponent, verify_theorem
-from bel.errors import CrossCheckError, InvalidAlphaError, InvalidDimensionError, InvalidRangeError
+from bel.construction import Check, build_example, verify_theorem
+from bel.errors import (
+    CrossCheckError,
+    InvalidAlphaError,
+    InvalidDimensionError,
+    InvalidRangeError,
+    SingularRadiusError,
+)
 from bel.geometry import euclidean, weight_from_warping
 from bel.radial_core import make_grid, pole_refined_partition
 
@@ -40,8 +46,7 @@ def test_warping_closed_form_values(example3):
     M = example3
     assert M.psi(1.0) == pytest.approx(0.5 + 0.5 / np.sqrt(2.0), abs=1e-15)
     assert M.psi(0.0, 1) == pytest.approx(1.0, abs=1e-15)
-    # third derivative at the pole: -3 (1 - alpha)
-    assert M.psi.derivs[2](0.0) == pytest.approx(-1.5, abs=1e-14)
+    assert M.psi(0.0, 2) == 0.0
     r = M.grid.nodes
     psi = M.psi(r)
     assert np.all(0.5 * r < psi)
@@ -115,14 +120,6 @@ def test_condition_checks_reject_foreign_manifolds():
     flat = euclidean(3, make_grid(0.0, 5.0, 65, "uniform"))
     with pytest.raises(InvalidRangeError):
         verify_theorem(flat, 5.0, 1.0)
-
-
-def test_critical_exponent_values():
-    assert critical_exponent(3) == 5.0
-    assert critical_exponent(4) == 3.0
-    assert critical_exponent(5) == pytest.approx(7.0 / 3.0)
-    with pytest.raises(InvalidDimensionError):
-        critical_exponent(2)
 
 
 def test_full_report_critical_case(theorem_reports):
@@ -235,9 +232,11 @@ def test_closed_form_weight_matches_quadrature_path(d, alpha):
     )
     assert np.max(np.abs(ddf - ddf_ref) / terms) <= 1e-12
     assert np.max(np.abs(M.f.values - generic.values)) <= 1e-12
-    # the pole limit f''(0) = (d-1) psi'''(0)/3 = -(d-1)(1-alpha)
-    assert float(M.f(0.0, 2)) == pytest.approx(-(d - 1) * (1.0 - alpha), rel=1e-14)
+    # f'' tends to (d-1) psi'''(0)/3 = -(d-1)(1-alpha) at the pole, a
+    # singular radius of the weight ODE it is read from
     assert float(M.f(1e-9, 2)) == pytest.approx(-(d - 1) * (1.0 - alpha), rel=1e-12)
+    with pytest.raises(SingularRadiusError):
+        M.f(0.0, 2)
 
 
 # ------------------------------------------------------------ the check rule

@@ -24,6 +24,7 @@ from bel.geometry import (
     ric_infinity_components,
     ric_n_radial,
     unit_sphere_area,
+    warping_slope_energy,
     weight_from_warping,
     weighted_laplacian_radial,
     weighted_volume,
@@ -43,15 +44,11 @@ def _grid(r_max=10.0, n=257):
 
 def arctan_warping(grid):
     """A concave warping for tests: psi = arctan r, smooth at the pole
-    (psi''(0) = 0, psi'''(0) = -2)."""
+    (psi''(0) = 0)."""
     return sample(
         np.arctan,
         grid,
-        derivs=(
-            lambda r: 1.0 / (1.0 + r**2),
-            lambda r: -2.0 * r / (1.0 + r**2) ** 2,
-            lambda r: (6.0 * r**2 - 2.0) / (1.0 + r**2) ** 3,
-        ),
+        derivs=(lambda r: 1.0 / (1.0 + r**2), lambda r: -2.0 * r / (1.0 + r**2) ** 2),
     )
 
 
@@ -117,7 +114,7 @@ def test_weighted_laplacian_matches_euclidean_laplacian():
     w = sample(
         lambda r: r**2,
         g,
-        derivs=(lambda r: 2 * r, lambda r: np.full_like(np.asarray(r, float), 2.0), None),
+        derivs=(lambda r: 2 * r, lambda r: np.full_like(np.asarray(r, float), 2.0)),
     )
     assert abs(weighted_laplacian_radial(M, w, 1.7) - 6.0) < 1e-12
 
@@ -125,7 +122,7 @@ def test_weighted_laplacian_matches_euclidean_laplacian():
 def test_weighted_laplacian_of_constant_vanishes():
     g = _grid()
     M = power_weight(3, g, coeff=0.5)
-    zero = euclidean(3, g).f  # 0, with callbacks for its three derivatives, all 0
+    zero = euclidean(3, g).f  # 0, with callbacks for its two derivatives, both 0
     w = sample(lambda r: zero(r) + 3.0, g, derivs=zero.derivs)
     assert abs(weighted_laplacian_radial(M, w, 2.0)) < 1e-10
 
@@ -193,7 +190,7 @@ def test_weight_recipe_matches_nested_quadrature_oracle():
     def dd_times_psi(t):
         return -2.0 * t * np.arctan(t) / (1.0 + t**2) ** 2
 
-    f = weight_from_warping(psi, d, f0=0.0)
+    f = weight_from_warping(psi, d)
     # independent oracle: nested adaptive quadrature of the first-order form
     inner = quad(dd_times_psi, 0.0, 1.0, epsabs=1e-13)[0]
     oracle_fp = (d - 1) * inner / np.arctan(1.0) ** 2
@@ -211,8 +208,8 @@ def test_weight_recipe_matches_nested_quadrature_oracle():
 
 def test_weight_recipe_negative_slope_and_anchor():
     g = _grid(r_max=6.0, n=129)
-    f = weight_from_warping(arctan_warping(g), 4, f0=1.25)
-    assert abs(f(0.0) - 1.25) < 1e-12
+    f = weight_from_warping(arctan_warping(g), 4)
+    assert f(0.0) == 0.0
     r = g.nodes[1:]
     assert np.all(f.derivs[0](r) < 0), "weight slope must be negative for r > 0"
 
@@ -220,11 +217,11 @@ def test_weight_recipe_negative_slope_and_anchor():
 def test_weight_recipe_satisfies_second_order_relation():
     g = _grid(r_max=4.0, n=257)
     psi = arctan_warping(g)
-    f = weight_from_warping(psi, 3, f0=0.0)
+    f = weight_from_warping(psi, 3)
     # residual of f'' + 2 (psi'/psi) f' - 2 psi''/psi, measured with
     # finite differences of the sampled slope
     fp = f.derivs[0](g.nodes)
-    fpp_fd = finite_difference(fp, g, 1)
+    fpp_fd = finite_difference(fp, g)
     r = g.nodes[1:-1]
     resid = (
         fpp_fd[1:-1]
@@ -239,17 +236,19 @@ def test_weight_recipe_rejects_straight_warping():
     g = _grid()
     psi = euclidean(3, g).psi
     with pytest.raises(WarpingNotConcaveError):
-        weight_from_warping(psi, 3, 0.0)
+        weight_from_warping(psi, 3)
 
 
 def test_closed_form_distance_laplacian_agrees():
+    """On a weight made from its warping, L r = (d-1) int_0^r psi'^2 / psi^2."""
     g = _grid(r_max=4.0, n=129)
     psi = arctan_warping(g)
-    f = weight_from_warping(psi, 3, f0=0.0)
-    M = ModelManifold(d=3, psi=psi, f=f, weight_from_psi=True)
+    M = ModelManifold(d=3, psi=psi, f=weight_from_warping(psi, 3), weight_from_psi=True)
     r = M.report_nodes()
-    generic = laplacian_of_distance(M, r)  # raises internally on mismatch
-    assert np.all(np.asarray(generic) > 0)
+    generic = np.asarray(laplacian_of_distance(M, r))
+    closed = 2.0 * warping_slope_energy(M)(r) / psi(r) ** 2
+    assert np.max(np.abs(closed - generic) / (1.0 + np.abs(generic))) <= 1e-8
+    assert np.all(generic > 0)
 
 
 def test_value_only_warping_is_rejected():
@@ -268,8 +267,8 @@ def test_value_only_warping_is_rejected():
 
 def test_weight_recipe_deterministic():
     g = _grid(r_max=4.0, n=65)
-    f1 = weight_from_warping(arctan_warping(g), 3, 0.0)
-    f2 = weight_from_warping(arctan_warping(g), 3, 0.0)
+    f1 = weight_from_warping(arctan_warping(g), 3)
+    f2 = weight_from_warping(arctan_warping(g), 3)
     assert np.array_equal(f1.values, f2.values)
 
 

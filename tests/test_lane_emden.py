@@ -26,7 +26,6 @@ from bel.errors import (
 from bel.geometry import (
     ModelManifold,
     euclidean,
-    laplacian_of_distance,
     log_tail_weight,
     power_weight,
     weight_from_warping,
@@ -65,7 +64,6 @@ def warped3():
         derivs=(
             lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float) ** 2),
             lambda r: -2.0 * np.asarray(r, dtype=float) / (1.0 + np.asarray(r, dtype=float) ** 2) ** 2,
-            lambda r: (6.0 * np.asarray(r, dtype=float) ** 2 - 2.0) / (1.0 + np.asarray(r, dtype=float) ** 2) ** 3,
         ),
     )
     f = weight_from_warping(psi, 3)
@@ -321,10 +319,8 @@ def test_driver_ends_a_shot_that_spends_its_rhs_budget(monkeypatch):
 
 
 def test_decomposition_mismatch_raises_coded_error(monkeypatch):
-    """Both closed-form cross-checks on recipe manifolds fail with one code:
-    the slope-factor split when its curvature defect is perturbed, and the
-    distance Laplacian when a manifold claims a warping-derived weight but
-    carries f = 0."""
+    """The slope-factor split on a recipe manifold fails with a coded error
+    when its curvature defect is perturbed."""
     grid = make_grid(1e-3, 20.0, 257, "geometric")
     r = grid.nodes[10:-10]
     # consistent
@@ -334,17 +330,8 @@ def test_decomposition_mismatch_raises_coded_error(monkeypatch):
                         property(lambda jet: defect(jet) - 1.0))
     with pytest.raises(CrossCheckError) as slope:
         pohozaev_slope_factor(slope_factor_terms(build_example(3, 0.5, grid=grid), r), 5.0)
-    monkeypatch.undo()
-
-    real = build_example(3, 0.5, grid=grid)
-    fake = ModelManifold(d=3, psi=real.psi, f=euclidean(3, grid).f, alpha=0.5,
-                         weight_from_psi=True)
-    laplacian_of_distance(real, r)  # consistent
-    with pytest.raises(CrossCheckError) as laplacian:
-        laplacian_of_distance(fake, r)
-    for info in (slope, laplacian):
-        assert isinstance(info.value, BelError)
-        assert info.value.code == "cross-check-mismatch"
+    assert isinstance(slope.value, BelError)
+    assert slope.value.code == "cross-check-mismatch"
 
 
 def test_slope_factor_table_past_the_float_range_is_a_coded_error():
@@ -357,7 +344,7 @@ def test_slope_factor_table_past_the_float_range_is_a_coded_error():
     e = euclidean(3, grid)
     steep = lambda r: np.full_like(np.asarray(r, dtype=float), -1e160)
     zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-    M = ModelManifold(d=3, psi=e.psi, f=sample(zero, grid, derivs=(steep, zero, None)),
+    M = ModelManifold(d=3, psi=e.psi, f=sample(zero, grid, derivs=(steep, zero)),
                       weight_from_psi=True)
     r = grid.nodes[1:]
     with pytest.raises(InvalidRangeError) as info:
@@ -435,7 +422,7 @@ def test_energy_slope_identity(warped3):
     keep = nodes <= shot.r_end
     r = nodes[keep]
     E = energy(shot.p, shot.u(r), shot.u_prime(r))
-    dE = finite_difference(E, M.grid, order=1)[keep][2:-2]
+    dE = finite_difference(E, M.grid)[keep][2:-2]
     rr = r[2:-2]
     closed = -np.asarray(M.drift(rr)) * np.asarray(shot.u_prime(rr)) ** 2
     tol = 100.0 * grid_tolerance(M.grid, factor=1.0)[keep][2:-2]
@@ -462,7 +449,7 @@ def test_pohozaev_slope_identity(warped3):
     r = nodes[keep]
     u, du = shot.u(r), shot.u_prime(r)
     P = pohozaev(warped3, 5.0, r, u, du, energy(5.0, u, du))
-    dP = finite_difference(P, warped3.grid, order=1)[keep][2:-2]
+    dP = finite_difference(P, warped3.grid)[keep][2:-2]
     rr = r[2:-2]
     K = pohozaev_slope_factor(slope_factor_terms(warped3, rr), 5.0)
     rhs = K * np.asarray(shot.u_prime(rr)) ** 2
@@ -559,7 +546,7 @@ def test_divergence_form_of_the_equation(bubble_shot):
     r = M.grid.nodes
     S = M.area_density(r)
     flux = S * bubble_shot.u_prime.values
-    dflux = finite_difference(flux, M.grid, order=1)[2:-2]
+    dflux = finite_difference(flux, M.grid)[2:-2]
     target = -S[2:-2] * bubble_shot.u.values[2:-2] ** 3
     scale = 1.0 + np.abs(target)
     h = M.grid.first_step

@@ -298,8 +298,8 @@ def test_w_finite_branch_matches_limit_branch():
     def dP(s):
         return (dv(s) / v(s)) * (m * ddv(s) - P(s))
 
-    v_fn = sample(v, grid, derivs=(dv, ddv, None))
-    P_fn = sample(P, grid, derivs=(dP, None, None))
+    v_fn = sample(v, grid, derivs=(dv, ddv))
+    P_fn = sample(P, grid, derivs=(dP,))
     r = grid.nodes[1:]
     w_fin = np.asarray(w_functional(PFunctionData(M, m, 8.0, v_fn, P_fn, c_m), r))
     w_inf = np.asarray(w_functional(PFunctionData(M, m, math.inf, v_fn, P_fn, c_m), r))
@@ -455,10 +455,10 @@ def test_superharmonic_constant_profile_trivial():
     M = build_example(3, grid=grid)
     one = sample(lambda r: np.ones_like(np.asarray(r, dtype=float)), grid,
                  derivs=(lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                         lambda r: np.zeros_like(np.asarray(r, dtype=float)), None))
+                         lambda r: np.zeros_like(np.asarray(r, dtype=float))))
     zero = sample(lambda r: np.zeros_like(np.asarray(r, dtype=float)), grid,
                   derivs=(lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                          lambda r: np.zeros_like(np.asarray(r, dtype=float)), None))
+                          lambda r: np.zeros_like(np.asarray(r, dtype=float))))
     const = SolutionProfile(manifold=M, p=3.0, ell=1.0, u=one, u_prime=zero,
                             status="global-positive", r_end=grid.r_max,
                             r_star=None)
@@ -472,10 +472,9 @@ def test_superharmonic_floor_guards(bubble4):
     M = bubble(4, 0.125, grid=make_grid(0.0, 10.0, 129, "uniform")).manifold
     grow = sample(lambda r: 1.0 + np.asarray(r, dtype=float) ** 2, M.grid,
                   derivs=(lambda r: 2.0 * np.asarray(r, dtype=float),
-                          lambda r: np.full_like(np.asarray(r, dtype=float), 2.0), None))
+                          lambda r: np.full_like(np.asarray(r, dtype=float), 2.0)))
     dgrow = sample(lambda r: 2.0 * np.asarray(r, dtype=float), M.grid,
-                   derivs=(lambda r: np.full_like(np.asarray(r, dtype=float), 2.0),
-                           None, None))
+                   derivs=(lambda r: np.full_like(np.asarray(r, dtype=float), 2.0),))
     subharmonic = SolutionProfile(manifold=M, p=3.0, ell=1.0, u=grow, u_prime=dgrow,
                                   status="global-positive", r_end=M.grid.r_max,
                                   r_star=None)

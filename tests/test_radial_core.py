@@ -79,7 +79,7 @@ def test_grid_invariants_hold(r_min, width, n, kind):
 
 def test_derivative_exact_on_squares():
     g = make_grid(0.0, 2.0, 41, "uniform")
-    d = finite_difference(g.nodes**2, g, 1)
+    d = finite_difference(g.nodes**2, g)
     assert np.allclose(d, 2 * g.nodes, rtol=0, atol=1e-12), (
         f"max err {np.abs(d - 2 * g.nodes).max():.2e}"
     )
@@ -94,7 +94,7 @@ def test_derivative_exact_on_squares():
 def test_derivative_exact_on_arbitrary_quadratics(coeffs):
     a, b, c = coeffs
     g = make_grid(0.0, 3.0, 33, "uniform")
-    d = finite_difference(a * g.nodes**2 + b * g.nodes + c, g, 1)
+    d = finite_difference(a * g.nodes**2 + b * g.nodes + c, g)
     expect = 2 * a * g.nodes + b
     assert np.allclose(d, expect, atol=1e-10 * (1 + abs(a) + abs(b)))
 
@@ -103,7 +103,7 @@ def test_derivative_second_order_on_sin():
     errs = []
     for n in (65, 129):
         g = make_grid(0.0, np.pi, n, "uniform")
-        d = finite_difference(np.sin(g.nodes), g, 1)
+        d = finite_difference(np.sin(g.nodes), g)
         errs.append(np.abs(d[1:-1] - np.cos(g.nodes[1:-1])).max())
     rate = errs[0] / errs[1]
     assert rate > 3.5, f"halving h should shrink error ~4x, got {rate:.2f}"
@@ -111,13 +111,13 @@ def test_derivative_second_order_on_sin():
 
 def test_derivative_of_constant_vanishes():
     g = make_grid(0.5, 4.0, 20, "geometric")
-    d = finite_difference(np.full(g.n, 7.25), g, 1)
+    d = finite_difference(np.full(g.n, 7.25), g)
     assert np.allclose(d, 0.0, atol=1e-12)
 
 
 def test_third_derivative_of_cubic():
     g = make_grid(0.0, 1.0, 101, "uniform")
-    d3 = finite_difference(g.nodes**3, g, 3)
+    d3 = finite_difference(finite_difference(finite_difference(g.nodes**3, g), g), g)
     # iterated stencils contaminate two nodes per pass at each end
     assert np.allclose(d3[3:-3], 6.0, atol=1e-6)
 
@@ -184,7 +184,7 @@ def test_differentiate_undoes_integrate(coeffs, n):
     g = make_grid(0.0, 1.5, n, "uniform")
     vals = sum(c * g.nodes**k for k, c in enumerate(coeffs))
     f = RadialFunction(g, np.asarray(vals))
-    back = finite_difference(integrate_cumulative(f).values, g, 1)
+    back = finite_difference(integrate_cumulative(f).values, g)
     tol = grid_tolerance(g)[1:-1] * (1 + max(abs(c) for c in coeffs))
     err = np.abs(back[1:-1] - f.values[1:-1])
     assert np.all(err <= tol), f"roundtrip error {err.max():.2e} above tolerance"
@@ -193,7 +193,7 @@ def test_differentiate_undoes_integrate(coeffs, n):
 def test_operations_are_deterministic():
     g = make_grid(0.0, 5.0, 64, "uniform")
     f = RadialFunction(g, np.sin(g.nodes) + 0.3 * g.nodes)
-    a1, a2 = finite_difference(f.values, g, 1), finite_difference(f.values, g, 1)
+    a1, a2 = finite_difference(f.values, g), finite_difference(f.values, g)
     b1, b2 = integrate_cumulative(f).values, integrate_cumulative(f).values
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
@@ -203,8 +203,8 @@ def test_operations_are_deterministic():
 
 def test_analytic_and_fd_derivatives_agree():
     g = make_grid(0.0, 3.0, 101, "uniform")
-    f = sample(np.sin, g, derivs=(np.cos, lambda r: -np.sin(r), lambda r: -np.cos(r)))
-    fd = finite_difference(f.values, g, 1)[1:-1]
+    f = sample(np.sin, g, derivs=(np.cos, lambda r: -np.sin(r)))
+    fd = finite_difference(f.values, g)[1:-1]
     exact = f(g.nodes, 1)[1:-1]
     tol = grid_tolerance(g)[1:-1]
     assert np.all(np.abs(fd - exact) <= tol)
@@ -218,7 +218,7 @@ def test_value_length_checked():
 
 def test_callback_evaluation_preferred():
     g = make_grid(0.0, 1.0, 16, "uniform")
-    f = sample(lambda r: r**3, g, derivs=(lambda r: 3 * r**2, lambda r: 6 * r, None))
+    f = sample(lambda r: r**3, g, derivs=(lambda r: 3 * r**2, lambda r: 6 * r))
     # interpolation of r^3 on 16 nodes would be visibly off mid-interval
     mid = 0.5 * (g.nodes[3] + g.nodes[4])
     got = [f(mid, order) for order in range(3)]
@@ -230,14 +230,19 @@ def test_callback_evaluation_preferred():
 def test_profile_is_evaluated_only_through_its_callbacks():
     """Node values alone are a record: calling them, or asking a profile for
     an order it has no callback for, is an ``invalid-range`` error naming
-    the order, not an interpolation or a finite difference."""
+    the order, not an interpolation or a finite difference.  No profile has
+    a callback past the second derivative."""
     g = make_grid(0.0, 10.0, 65, "uniform")
     for profile, order in [(RadialFunction(g, g.nodes**3), 0),
-                           (build_example(3, 0.5, grid=g).f, 3)]:
+                           (sample(np.sin, g, derivs=(np.cos,)), 2)]:
         with pytest.raises(InvalidRangeError) as err:
             profile(g.nodes, order)
         assert err.value.code == "invalid-range"
         assert str(err.value).endswith(f"no callback for derivative order {order}")
+    with pytest.raises(InvalidRangeError, match="derivative order 3 not in 0..2"):
+        build_example(3, 0.5, grid=g).f(g.nodes, 3)
+    with pytest.raises(InvalidRangeError, match="derivs holds orders 1 and 2, got 3 callbacks"):
+        sample(np.sin, g, derivs=(np.cos, np.sin, np.cos))
 
 
 # --------------------------------------------------------- cumulative_gauss

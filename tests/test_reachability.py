@@ -9,7 +9,9 @@ methods are called by Python itself and are not checked.
 What counts as read, anywhere in the package, matched by name alone:
 
 * a module-level definition: an ``ast.Name`` load, an ``ast.Attribute`` load
-  (``module.name``) or an import;
+  (``module.name``) or an import, except that an import in ``__init__``
+  counts only for a name in the package's ``__all__``: re-exporting a name
+  from the package root does not keep a dead definition alive;
 * a class member: an ``ast.Attribute`` load (``obj.name``), since a bare name
   inside a function is a local, not the member.
 
@@ -20,7 +22,11 @@ exempt, and so is every entry of ``ALLOWED``, each with the reason it stays.
 """
 
 import ast
+import re
 from importlib.resources import files
+from pathlib import Path
+
+import bel
 
 #: Definitions that no module of ``bel`` reads and that stay anyway.
 ALLOWED = {
@@ -33,6 +39,11 @@ ALLOWED = {
     "_dop853.Dop853Result.nfev": "perfbench/tracing.py counts the shot's RHS calls from it",
     "radial_core.integrate_cumulative": "Simpson integration of node values, kept with the paper's "
                                         "integration-by-parts machinery that no scenario calls yet",
+    "pfunction.ibp_residual": "tests/test_acceptance.py checks the integration-by-parts identity "
+                              "with it",
+    "pfunction.fundamental_gap": "ROADMAP item 10 decides whether a scenario checks the "
+                                 "fundamental inequality; it keeps w_functional alive",
+    "lane_emden.solve_liouville": "ROADMAP item 9 decides whether a scenario shoots the e^u problem",
 }
 
 _PASSIVE_DECORATORS = {"property", "staticmethod", "classmethod"}
@@ -75,18 +86,21 @@ def _definitions(module: str, tree: ast.Module):
             yield f"{module}.{node.name}.{name}", name, True, item.lineno
 
 
-def _reads(trees) -> tuple:
+def _reads(trees: dict) -> tuple:
     """The names loaded or imported, and the attribute names loaded, over
-    all ``trees``."""
+    all ``trees`` (module name -> tree); ``__init__``'s imports count only
+    for the names in its ``__all__``."""
     names, attributes = set(), set()
-    for tree in trees:
+    for module, tree in trees.items():
+        exported = _exported(tree) if module == "__init__" else None
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                names.update(alias.name for alias in node.names)
+                names.update(alias.name for alias in node.names
+                             if exported is None or alias.name in exported)
     return names | attributes, attributes
 
 
@@ -94,7 +108,7 @@ def _unread(sources: dict) -> dict:
     """Qualified name -> line of each definition in ``sources`` (module name
     -> source text) that no source reads."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    any_read, attributes = _reads(trees.values())
+    any_read, attributes = _reads(trees)
     return {qualified: line for module, tree in trees.items()
             for qualified, name, is_member, line in _definitions(module, tree)
             if name not in (attributes if is_member else any_read)}
@@ -148,3 +162,20 @@ def test_gate_flags_dead_definitions_and_honours_its_exemptions():
     allowed = "def run_scenario():\n    pass\n"
     found = unreached({"m": source, "scenarios": allowed})
     assert found == [("m.Record.unread", 17), ("m.Record.unread_property", 21), ("m.dead", 4)]
+
+
+def test_a_root_re_export_keeps_only_the_names_of_the_root_all_alive():
+    sources = {
+        "__init__": "from bel.m import exported, re_exported\n__all__ = ['exported']\n",
+        "m": "def exported():\n    pass\ndef re_exported():\n    pass\n",
+    }
+    assert unreached(sources) == [("m.re_exported", 3)]
+
+
+def test_the_package_root_exports_the_readme_quick_start():
+    """``bel.__all__`` is the API that README.md documents: the names its
+    quick start calls as ``bel.<name>``, and ``BelError``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quick_start = readme.split("## Quick start (library)", 1)[1].split("```python", 1)[1]
+    used = set(re.findall(r"\bbel\.(\w+)", quick_start.split("```", 1)[0]))
+    assert set(bel.__all__) == used | {"BelError"}

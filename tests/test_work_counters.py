@@ -100,11 +100,11 @@ def test_warped_flux_points_pinned(monkeypatch):
     points = []
     original = construction._weight_from_flux
 
-    def counted(psi, d, f0, flux):
+    def counted(psi, d, flux):
         def counted_flux(r):
             points.append(np.size(r))
             return flux(r)
-        return original(psi, d, f0, counted_flux)
+        return original(psi, d, counted_flux)
 
     monkeypatch.setattr(construction, "_weight_from_flux", counted)
     report = verify_theorem(build_example(3, 0.5), 5.0, 1.0)
@@ -181,12 +181,7 @@ def test_theorem_sweep_builds_one_manifold(counter, builds, tmp_path):
     assert counter.points <= RECORDED_SWEEP_POINTS * 1.1, counter.points
 
 
-def test_custom_warped_sweep_builds_one_manifold(builds, tmp_path):
-    _run("scenario = custom\nweight = warped\nd = 3\np = 5\nell = 1, 2\n", tmp_path)
-    assert len(builds) == 1
-
-
-@pytest.mark.parametrize("other", ["nodes = 1024\nf0 = 0.25\n", "nodes = 1025\n"])
+@pytest.mark.parametrize("other", ["nodes = 1024\nspacing = uniform\n", "nodes = 1025\n"])
 def test_theorem_run_rebuilds_for_another_manifold(builds, tmp_path, other):
     one = "scenario = theorem-2-2\nd = 3\nalpha = 0.5\np = 5\nell = 1\n"
     _run(one + "nodes = 1024\n", tmp_path)
