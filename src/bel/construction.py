@@ -136,10 +136,10 @@ def build_example(
         return out if np.ndim(r) else float(out[0])
 
     def scalar_drift(r):
-        # (d-1) psi'/psi - f' at one radius, repeating psi, dpsi, flux and
-        # the f' of _weight_from_flux: ndarray powers become np.power (a
-        # square is exact either way), numpy scalar arithmetic stays Python
-        r2, r3 = r * r, np.power(r, 3)
+        # (d-1) psi'/psi - f' at one radius, the operations of psi, dpsi,
+        # flux and the f' of _weight_from_flux on Python floats (** and math
+        # for the ufuncs); a power past the float range raises here
+        r2, r3 = r * r, r**3
         q = r2 + 1.0
         psi_r = a * r + b * r / math.sqrt(q)
         dpsi_r = a + b * q ** (-1.5)
@@ -149,8 +149,8 @@ def build_example(
                 series = c + series * r2
             bracket = 8.0 * r3 * series
         else:
-            bracket = np.arctan(r) + r * (r2 - 1.0) / (q * q)
-        F = -a * b * r3 / np.power(q, 1.5) - 0.375 * b**2 * bracket
+            bracket = math.atan(r) + r * (r2 - 1.0) / (q * q)
+        F = -a * b * r3 / q**1.5 - 0.375 * b**2 * bracket
         return (d - 1) * dpsi_r / psi_r - (d - 1) * F / (psi_r * psi_r)
 
     warping = sample(psi, grid, derivs=(dpsi, ddpsi))

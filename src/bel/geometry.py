@@ -72,12 +72,17 @@ class ModelManifold:
 
     ``scalar_drift``, when set, evaluates the drift at one Python float
     radius ``r > 0`` without the array machinery; the radial shot calls it
-    directly, once per right-hand-side stage.  It must return the same bits
-    as :meth:`drift` at every radius, so it repeats that path operation by
-    operation: a ufunc where :meth:`drift` applies a ufunc to an array
-    (``ndarray ** e`` is ``np.power``), plain Python arithmetic where it
-    does numpy scalar arithmetic.  :meth:`drift` never calls it and stays
-    the reference.  The stock builders (:func:`euclidean`,
+    directly, once per right-hand-side stage.  It repeats the operations of
+    :meth:`drift` on Python floats, with ``**`` and ``math`` where that path
+    applies a ufunc, and returns a ``float``: it makes no numpy call (a
+    ufunc on one float costs about twenty libm calls, and the ``np.float64``
+    it returns carries numpy's scalar arithmetic into the rest of the
+    stage).  It agrees with :meth:`drift`
+    within a few ulps (libm and numpy's ufunc loops round the elementary
+    functions differently), not bit for bit.  A power past the float range
+    may raise ``OverflowError`` where numpy gives inf; the shot then
+    evaluates that stage with :meth:`drift`.  :meth:`drift` never calls it
+    and stays the reference.  The stock builders (:func:`euclidean`,
     :func:`power_weight`, :func:`log_tail_weight` and
     :func:`bel.construction.build_example`) supply one; other manifolds
     leave it ``None``.  It describes ``d``, ``psi`` and ``f``, so a copy
@@ -488,7 +493,11 @@ def power_weight(d: int, grid: RadialGrid, coeff: float = 1.0, power: float = 2.
     c1, e1 = coeff * power, power - 1
 
     def scalar_drift(r):
-        return (d - 1) / r - c1 * np.power(r, e1)
+        try:
+            grow = r**e1
+        except OverflowError:  # numpy's r^e1 is inf there
+            grow = math.inf
+        return (d - 1) / r - c1 * grow
 
     return ModelManifold(d=d, psi=e.psi, f=f, alpha=1.0, scalar_drift=scalar_drift)
 
@@ -560,14 +569,14 @@ def log_tail_weight(d: int, grid: RadialGrid, beta: float = 2.0) -> ModelManifol
     f_d2 = lambda r: -h2(r) / h(r) + (h1(r) / h(r)) ** 2
 
     def scalar_drift(r):
-        # h1 / h at one radius: past the first subtraction the array path
-        # computes with numpy scalars, so only the logarithm stays a ufunc
+        # h1 / h at one radius, the array path's operations on Python floats
+        # (math.log for np.log); a power past the float range raises here
         t = (r - lo) / w
         tc = min(max(t, 0.0), 1.0)
         eta = tc**3 * (10.0 + tc * (-15.0 + 6.0 * tc))
         deta = (30.0 * tc**2 * (1.0 - tc) ** 2 if 0.0 < t < 1.0 else 0.0) / w
         safe = max(r, lo)
-        lg = np.log(safe)
+        lg = math.log(safe)
         tail_r = C * safe ** (2.0 - d) * lg**beta
         tail_r1 = C * safe ** (1.0 - d) * lg ** (beta - 1) * ((2.0 - d) * lg + beta)
         h_r = (1.0 - eta) + eta * tail_r

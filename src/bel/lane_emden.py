@@ -16,17 +16,18 @@ decomposition of K used as an internal cross-check.
 
 A shot is integrated by bel's own DOP853 driver (:mod:`bel._dop853`), which
 repeats scipy's ``solve_ivp`` arithmetic bit for bit without its per-step
-objects.  The right-hand side runs on Python floats and calls the builder's
-``scalar_drift`` directly when there is one.  A shot's profile between the
-series region and ``r_end`` is the driver's dense output, which gives the
-bits of scipy's ``OdeSolution``; one vectorised evaluation yields both ``u``
-and ``u'`` at many radii.  A shot's zero crossing is the root the driver's
+objects.  The right-hand side runs on Python floats and ``math``, with no
+numpy call per stage, and calls the builder's ``scalar_drift`` directly when
+there is one.  A shot's profile between the series region and ``r_end`` is
+the driver's dense output, which gives the bits of scipy's ``OdeSolution``;
+one vectorised evaluation yields both ``u`` and ``u'`` at many radii.  A shot's zero crossing is the root the driver's
 terminal event finds (Brent's method to 4 eps on the step's interpolant), and
 the shot ends there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -108,23 +109,34 @@ def _covers(r_end: float, r):
 def _nonlinearity(p: Optional[float]) -> Callable[[np.ndarray], np.ndarray]:
     """N(u): e^u, or the positive part of u to the power p.
 
-    A float ``u`` (one right-hand-side stage of the shot) takes ``np.power``,
-    the ufunc that ``ndarray ** p`` runs, so it returns the bits of the array
-    path.  Overflow to inf is caught by the shot's overflow guard, so its
-    warning is silenced: around the whole integration for floats, here for
-    arrays.
+    A float ``u`` (one right-hand-side stage of the shot) stays a Python
+    float: ``u ** p`` or ``math.exp(u)``, within an ulp of the array path's
+    ``np.power`` and ``np.exp`` (a ufunc call on one float costs twenty times
+    the libm call).  Overflow gives inf on both paths, as numpy does, and is
+    caught by the shot's overflow guard; the array path silences its warning.
     """
-    if p is None:
-        return np.exp
 
     def power(u):
         if isinstance(u, float):
-            return np.power(u, p) if u > 0.0 else 0.0
+            if not u > 0.0:
+                return 0.0
+            try:
+                return u**p
+            except OverflowError:
+                return math.inf
         uu = np.asarray(u, dtype=float)
         with np.errstate(over="ignore"):
             return np.where(uu > 0.0, uu, 0.0) ** p
 
-    return power
+    def exponential(u):
+        if isinstance(u, float):
+            try:
+                return math.exp(u)
+            except OverflowError:
+                return math.inf
+        return np.exp(u)
+
+    return exponential if p is None else power
 
 
 def _shoot(M: ModelManifold, p: Optional[float], ell: float, tol: float) -> SolutionProfile:
@@ -134,8 +146,7 @@ def _shoot(M: ModelManifold, p: Optional[float], ell: float, tol: float) -> Solu
 
     d = M.d
     nonlin = _nonlinearity(p)
-    with np.errstate(over="ignore"):  # inf is caught just below
-        c2 = nonlin(ell) / (2.0 * d)  # u = ell - c2 r^2 + O(r^4) near the pole
+    c2 = nonlin(ell) / (2.0 * d)  # u = ell - c2 r^2 + O(r^4) near the pole
     r0 = series_handoff_radius(grid)
     if not r0 < grid.r_max:
         raise InvalidRangeError(f"r_max must exceed the series handoff radius {r0:g}")
@@ -147,7 +158,10 @@ def _shoot(M: ModelManifold, p: Optional[float], ell: float, tol: float) -> Solu
 
     def rhs(r, y):
         u, du = y
-        return du, -drift(r) * du - nonlin(u)
+        try:
+            return du, -drift(r) * du - nonlin(u)
+        except ArithmeticError:  # float arithmetic raises where numpy gives inf or NaN
+            return du, float(-M.drift(r) * du - nonlin(np.asarray(u)))
 
     def guard_event(r, y):
         return OVERFLOW_GUARD - max(abs(y[0]), abs(y[1]))

@@ -737,12 +737,45 @@ def test_cli_stiff_shot_ends_in_a_failed_solve_check(tmp_path):
     report = json.loads((tmp_path / "out" / "custom" / "report.json").read_text())
     checks = {c["name"]: c for c in report["checks"]}
     assert list(checks) == ["solve", "energy-decreasing"]
-    why = ("; failed: truncated-at(0.290613755836): "
+    why = ("; failed: truncated-at(0.290612748147): "
            "the budget of 200,000 right-hand-side calls was spent")
     assert checks["solve"]["reference"] == "-u'' - L r u' = u^p, u(0) = ell" + why
     assert checks["energy-decreasing"]["reference"] == "E' = -(L r) u'^2 <= 0" + why
     assert checks["solve"]["verdict"] is checks["energy-decreasing"]["verdict"] is False
     assert checks["energy-decreasing"]["measured"] < 0.0  # E did decrease on [0, r_end]
+
+
+#: Custom shots (d = 3, p = 5, ell = 1 unless set) whose float right-hand
+#: side overflows, with the checks that fail and why.  Python's ``**``
+#: raises where numpy gives inf: u^p returns inf and the power drift -inf as
+#: numpy does, and a stage whose log-tail drift raises is evaluated on the
+#: generic path, so each run ends as it did when the right-hand side called
+#: numpy.
+_OVERFLOWING_SHOTS = {
+    "log-tail-beta-neg": ({"weight": "log-tail", "beta": "-1e3"}, {
+        "solve": "; failed: truncated-at(0.0001): the step size was not finite",
+        "energy-decreasing": "; failed: truncated-at(0.0001): the step size was not finite"}),
+    "log-tail-beta-pos": ({"weight": "log-tail", "beta": "1e3"}, {"energy-decreasing": ""}),
+    "power-1e3": ({"weight": "power", "power": "1e3", "r_max": "1e4"}, {"energy-decreasing": ""}),
+    "p-1e3": ({"p": "1e3", "ell": "2"}, {"energy-decreasing": ""}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING_SHOTS))
+def test_cli_overflowing_shot_ends_in_a_report(tmp_path, case):
+    """A shot whose right-hand side leaves the float range ends in a report
+    whose failed checks say why (exit 1), not in an OverflowError traceback."""
+    keys, failed = _OVERFLOWING_SHOTS[case]
+    keys = {"scenario": "custom", "d": "3", "p": "5", "ell": "1", **keys}
+    code, stderr = _run_cli(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert code == 1, stderr
+    assert "Traceback" not in stderr
+    report = json.loads((tmp_path / "out" / "custom" / "report.json").read_text())
+    references = {"solve": "-u'' - L r u' = u^p, u(0) = ell",
+                  "energy-decreasing": "E' = -(L r) u'^2 <= 0"}
+    assert [(c["name"], c["verdict"], c["reference"]) for c in report["checks"]] == [
+        (name, name not in failed, reference + failed.get(name, ""))
+        for name, reference in references.items()]
 
 
 @pytest.mark.parametrize("scenario,extra", [
@@ -783,7 +816,7 @@ def test_cli_soliton_without_a_crossing_fails_and_says_why(tmp_path):
 
 
 @pytest.mark.parametrize("ell,budget,why", [
-    ("1", 100, "; failed: truncated-at(0.0261825666361): "
+    ("1", 100, "; failed: truncated-at(0.0261824965041): "
                "the budget of 100 right-hand-side calls was spent"),
     ("1e62", None, "; failed: BlowupError: initial data exceeds the overflow guard"),
 ], ids=["truncated", "blowup"])

@@ -344,7 +344,7 @@ def test_log_tail_volume_ratio_decreasing():
 
 # ------------------------------------------------------ scalar drift path
 
-# Radii for the scalar-drift identity: a log sweep over both grid ends, dense
+# Radii for the scalar-drift checks: a log sweep over both grid ends, dense
 # below r = 0.1 (build_example's flux series), the log-tail blend edges 1.5
 # and 3.0, and the neighbours of every edge.
 _EDGES = np.array([1e-4, 1e-3, 0.1, 1.5, 3.0, 12.0, 100.0, 1e3])
@@ -355,6 +355,14 @@ _SCALAR_RADII = np.unique(np.concatenate([
     np.linspace(2.99, 3.01, 1001),
     _EDGES, np.nextafter(_EDGES, 0.0), np.nextafter(_EDGES, np.inf),
 ]))
+
+#: Roundoff allowance of a scalar drift against the array path, in units of
+#: eps times the size of the drift's two terms, (d-1) psi'/psi and |f'|.
+#: The two paths make the same operations except the elementary functions
+#: (pow, log, atan: libm on floats, numpy's ufunc loops on arrays), each of
+#: which rounds within an ulp on either path, so a term may differ by about
+#: two ulps; c = 4 leaves one more on each side for the roundings after it.
+_DRIFT_ROUNDOFF = 4.0
 
 
 def _scalar_drift_family(kind):
@@ -371,17 +379,42 @@ def _scalar_drift_family(kind):
 
 @pytest.mark.parametrize("kind", ["warped", "power", "log-tail", "euclidean"])
 def test_scalar_drift_bit_identical_to_generic(kind):
-    """A float radius gives the bits of the 0-d array path, the one the shot
-    took before the scalar path existed.  The 0-d path costs 20-60 us a call,
-    so the members of a family split the radii between them; the edges go to
-    every member."""
-    family = _scalar_drift_family(kind)
+    """A float radius gives the array path's drift within the roundoff
+    allowance ``_DRIFT_ROUNDOFF * eps * T``, T = (d-1) psi'/psi + |f'|; the
+    flat drift (d-1)/r is one division on both paths, so its bits agree."""
+    eps = np.finfo(float).eps
     assert _SCALAR_RADII.size >= 8000
-    for i, M in enumerate(family):
+    for M in _scalar_drift_family(kind):
         assert M.scalar_drift is not None
-        radii = np.union1d(_SCALAR_RADII[i :: len(family)], _EDGES)
-        for r in radii:
-            assert M.scalar_drift(float(r)) == M.drift(np.asarray(r)), (M.d, r)
+        r = _SCALAR_RADII
+        scalar = np.array([M.scalar_drift(float(x)) for x in r])
+        generic = M.drift(r)
+        if kind == "euclidean":
+            assert np.array_equal(scalar, generic), M.d
+            continue
+        T = (M.d - 1) * M.psi(r, 1) / M.psi(r) + np.abs(M.f(r, 1))
+        gap = np.abs(scalar - generic)
+        worst = np.argmax(gap / T)
+        assert np.all(gap <= _DRIFT_ROUNDOFF * eps * T), (M.d, r[worst], gap[worst] / T[worst])
+
+
+@pytest.mark.parametrize("kind", ["warped", "power", "log-tail", "euclidean"])
+def test_scalar_drift_returns_a_python_float(kind):
+    """The shot's right-hand side stays in Python floats: a scalar drift
+    makes no numpy call, whose ``np.float64`` would carry numpy's scalar
+    arithmetic into the rest of the stage."""
+    for M in _scalar_drift_family(kind):
+        assert {type(M.scalar_drift(float(r))) for r in _SCALAR_RADII} == {float}
+
+
+def test_scalar_power_drift_overflows_to_numpy_value():
+    """f' = c r^e past the float range is inf on both paths (``r**e`` raises
+    in Python, which the scalar drift catches), so the drift is -inf."""
+    g = make_grid(1e-3, 1e3, 257, "geometric")
+    with np.errstate(over="ignore"):
+        M = power_weight(3, g, coeff=1.0, power=1e3)
+        generic = M.drift(np.asarray(100.0))
+    assert M.scalar_drift(100.0) == generic == -math.inf
 
 
 @pytest.mark.parametrize("kind", ["warped", "power", "log-tail", "euclidean"])

@@ -1,12 +1,14 @@
-"""Deterministic work counters for the warped theorem.
+"""Deterministic work counters for the warped theorem and the radial shots.
 
 Wall time is not gated (it is noisy on shared hosts); the number of
-quadrature integrand points is exact and repeats from run to run, so it is.
+quadrature integrand points and of right-hand-side calls is exact and
+repeats from run to run, so it is.
 """
 
 import importlib
 import importlib.util
 import json
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ import bel.radial_core as radial_core
 from bel import _g17, construction, lane_emden, pfunction, scenarios
 from bel.construction import build_example, verify_theorem
 from bel.radial_core import pole_refined_partition
-from bel.scenarios import execute_run, expand_runs, parse_config
+from bel.scenarios import execute_run, expand_runs, parse_config, run_scenario
 from tests.conftest import fallback_count
 
 #: Integrand points of build_example(3, 0.5) + verify_theorem(M, 5, 1) on the
@@ -140,6 +142,34 @@ def test_csv_fallback_cells_gated(bundled_theorem_run):
     table = np.array([[float(v) for v in line.split(",")] for line in body.splitlines()])
     assert table.shape == (4096, 10)
     assert fallback_count(table) <= 0.05 * table.size, fallback_count(table)
+
+
+#: Right-hand-side calls of the shots of the bundled configs that shoot:
+#: custom (827), soliton-liouville's three ells (482, 497, 485) and
+#: theorem-2-2 (1067).  It was the same 3_358 while every stage called numpy
+#: ufuncs on its floats; the stage's arithmetic moved by a few ulps, its step
+#: count did not.
+RECORDED_SHOT_NFEV = 3_358
+
+
+def test_bundled_shot_rhs_calls_gated(monkeypatch, tmp_path):
+    """The shots of the bundled configs make no more right-hand-side calls
+    than recorded, up to 1%: an edit of the right-hand side that costs the
+    driver steps shows here, where wall time is not gated."""
+    nfev = []
+    ivp = lane_emden.solve_ivp
+
+    def recorded(*args, **kwargs):
+        solution = ivp(*args, **kwargs)
+        nfev.append(solution.nfev)
+        return solution
+
+    monkeypatch.setattr(lane_emden, "solve_ivp", recorded)
+    for name in ("custom", "soliton-liouville", "theorem-2-2"):
+        text = (files("bel") / "configs" / f"{name}.cfg").read_text()
+        run_scenario(parse_config(text), tmp_path / name)
+    assert len(nfev) == 5
+    assert sum(nfev) <= RECORDED_SHOT_NFEV * 1.01, nfev
 
 
 # ------------------------------------------------------ theorem-2-2 sweeps
