@@ -234,10 +234,6 @@ class TheoremReport:
     ric_r: np.ndarray
     ric_theta: np.ndarray
 
-    @property
-    def all_ok(self) -> bool:
-        return all(c.verdict for c in self.checks)
-
     def check(self, name: str) -> Check:
         for c in self.checks:
             if c.name == name:

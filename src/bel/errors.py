@@ -37,13 +37,6 @@ class InvalidVirtualDimensionError(BelError):
     code = "invalid-n"
 
 
-class WrongDimensionError(BelError):
-    """Operation restricted to a specific dimension (the exponential
-    nonlinearity lives in d=2)."""
-
-    code = "wrong-dimension"
-
-
 class WarpingNotConcaveError(BelError):
     """psi'' < 0 for r > 0 is required and fails somewhere."""
 
@@ -105,12 +98,6 @@ class QOutOfRangeError(BelError):
     """Integral-estimate exponent q outside [0, m/2 + 1]."""
 
     code = "q-out-of-range"
-
-
-class InvalidBranchError(BelError):
-    """Finite-n branch of W_f requested with m <= d."""
-
-    code = "invalid-branch"
 
 
 class SuperharmonicityError(BelError):

@@ -36,6 +36,7 @@ from .errors import (
 from .radial_core import (
     RadialFunction,
     RadialGrid,
+    covers,
     cumulative_gauss,
     gauss_antiderivative,
     indefinite_gauss,
@@ -184,7 +185,7 @@ class ModelManifold:
         """V(R) = integral_0^R e^{-f} psi^{d-1} dr (no sphere factor), read
         from the kept ``volume`` antiderivative (:meth:`integral`)."""
         RR = _as_radii(R, positive=False)
-        if np.any(RR > self.grid.r_max * (1 + 1e-12)):
+        if not np.all(covers(self.grid.r_max, RR)):
             raise OutOfGridError(f"radius beyond grid r_max={self.grid.r_max}")
         return _maybe_scalar(self.integral("volume")(RR), R)
 

@@ -1,8 +1,8 @@
-"""Radial shooting solver for -Lu = u^p and -Lu = e^u on model manifolds.
+"""Radial shooting solver for -Lu = u^p on model manifolds.
 
 L is the drift Laplacian, so radial profiles obey
 
-    u'' + ((d-1) psi'/psi - f') u' + N(u) = 0,      N(u) = u^p or e^u,
+    u'' + ((d-1) psi'/psi - f') u' + u^p = 0,
 
 with u(0) given and u'(0) = 0.  The coefficient (d-1) psi'/psi blows up at
 the pole, so integration starts from a small series handoff radius.  On top
@@ -42,10 +42,9 @@ from .errors import (
     NonpositiveCenterValueError,
     OutOfRangeError,
     SingularRadiusError,
-    WrongDimensionError,
 )
 from .geometry import ModelManifold, RadialJet
-from .radial_core import RadialFunction
+from .radial_core import RadialFunction, covers
 
 # Unused here since the manifold builds the slope-factor table
 # (ModelManifold.integral) and G takes its curvature from a RadialJet, but kept
@@ -67,7 +66,8 @@ def series_handoff_radius(grid) -> float:
 class SolutionProfile:
     """One shot of the radial problem.
 
-    ``p`` is the power-nonlinearity exponent, or ``None`` for the e^u problem.
+    ``p`` is the power-nonlinearity exponent, or ``None`` for a closed-form
+    profile of the e^u problem (:func:`bel.pfunction.log_bubble`).
     ``status`` is one of ``global-positive``, ``crossed-zero-at(r*)`` or
     ``truncated-at(R): <why the driver stopped>``; ``r_end`` is the last
     radius where ``u``/``u_prime`` may be evaluated, the driver's last
@@ -89,7 +89,7 @@ class SolutionProfile:
     @property
     def in_range(self) -> np.ndarray:
         """Mask of the grid nodes inside the shot's range."""
-        return _covers(self.r_end, self.manifold.grid.nodes)
+        return covers(self.r_end, self.manifold.grid.nodes)
 
     @property
     def global_positive(self) -> bool:
@@ -100,20 +100,15 @@ class SolutionProfile:
         return self.r_star is not None
 
 
-def _covers(r_end: float, r):
-    """Where the radii ``r`` lie in a shot's range ``[0, r_end]`` (for
-    ``r >= 0``), up to a relative slack of 1e-12 at ``r_end``."""
-    return r <= r_end * (1 + 1e-12)
-
-
 def _nonlinearity(p: Optional[float]) -> Callable[[np.ndarray], np.ndarray]:
-    """N(u): e^u, or the positive part of u to the power p.
+    """N(u): the positive part of u to the power p, or ``np.exp`` for
+    ``p = None`` (the residual of a closed-form e^u profile).
 
     A float ``u`` (one right-hand-side stage of the shot) stays a Python
-    float: ``u ** p`` or ``math.exp(u)``, within an ulp of the array path's
-    ``np.power`` and ``np.exp`` (a ufunc call on one float costs twenty times
-    the libm call).  Overflow gives inf on both paths, as numpy does, and is
-    caught by the shot's overflow guard; the array path silences its warning.
+    float: ``u ** p``, within an ulp of the array path's ``np.power`` (a
+    ufunc call on one float costs twenty times the libm call).  Overflow
+    gives inf on both paths, as numpy does, and is caught by the shot's
+    overflow guard; the array path silences its warning.
     """
 
     def power(u):
@@ -128,18 +123,10 @@ def _nonlinearity(p: Optional[float]) -> Callable[[np.ndarray], np.ndarray]:
         with np.errstate(over="ignore"):
             return np.where(uu > 0.0, uu, 0.0) ** p
 
-    def exponential(u):
-        if isinstance(u, float):
-            try:
-                return math.exp(u)
-            except OverflowError:
-                return math.inf
-        return np.exp(u)
-
-    return exponential if p is None else power
+    return np.exp if p is None else power
 
 
-def _shoot(M: ModelManifold, p: Optional[float], ell: float, tol: float) -> SolutionProfile:
+def _shoot(M: ModelManifold, p: float, ell: float, tol: float) -> SolutionProfile:
     grid = M.grid
     if not 0.0 < tol < np.inf:
         raise InvalidRangeError(f"tol must be a positive finite number, got {tol}")
@@ -166,21 +153,17 @@ def _shoot(M: ModelManifold, p: Optional[float], ell: float, tol: float) -> Solu
     def guard_event(r, y):
         return OVERFLOW_GUARD - max(abs(y[0]), abs(y[1]))
 
-    guard_event.terminal = True
+    # stop at the first zero of u; sign-changing continuations are not
+    # meaningful for the power nonlinearity
+    def crossing_event(r, y):
+        return y[0]
 
-    events = [guard_event]
-    if p is not None:
-        # stop at the first zero of u; sign-changing continuations are not
-        # meaningful for the power nonlinearity
-        def crossing_event(r, y):
-            return y[0]
-
-        crossing_event.terminal = True
-        crossing_event.direction = -1.0
-        events.append(crossing_event)
+    guard_event.terminal = crossing_event.terminal = True
+    crossing_event.direction = -1.0
 
     with np.errstate(over="ignore"):  # inf is caught just below
-        sol = solve_ivp(rhs, (r0, grid.r_max), y0, rtol=tol, atol=tol, events=events)
+        sol = solve_ivp(rhs, (r0, grid.r_max), y0, rtol=tol, atol=tol,
+                        events=[guard_event, crossing_event])
     if not np.all(np.isfinite(sol.y)):
         raise BlowupError("solution left the finite range during integration")
     if len(sol.t_events[0]):
@@ -190,7 +173,7 @@ def _shoot(M: ModelManifold, p: Optional[float], ell: float, tol: float) -> Solu
 
     r_end = float(sol.t[-1])  # after a terminal event, its root bit for bit
     r_star: Optional[float] = None
-    if p is not None and len(sol.t_events[1]):
+    if len(sol.t_events[1]):
         r_star = r_end
         status = f"crossed-zero-at({r_star:.12g})"
     elif sol.status == 0:
@@ -203,7 +186,7 @@ def _shoot(M: ModelManifold, p: Optional[float], ell: float, tol: float) -> Solu
     )
 
     nodes = grid.nodes
-    in_range = _covers(r_end, nodes)
+    in_range = covers(r_end, nodes)
     u_vals, up_vals = np.full((2, nodes.size), np.nan)
     u_vals[in_range], up_vals[in_range] = state(nodes[in_range])
 
@@ -228,7 +211,7 @@ def _profile_callbacks(dense, ell, c2, r0, r_end, drift, nonlin):
 
     def state(r):
         rr = np.asarray(r, dtype=float)
-        if np.any(rr < 0.0) or not np.all(_covers(r_end, rr)):
+        if np.any(rr < 0.0) or not np.all(covers(r_end, rr)):
             raise OutOfRangeError(f"profile is defined on [0, {r_end:.6g}]")
         flat = rr.reshape(-1)
         out = np.empty((2, flat.size))
@@ -277,34 +260,19 @@ def solve_radial(M: ModelManifold, p: float, ell: float, tol: float = 1e-10) -> 
     return _shoot(M, float(p), float(ell), tol)
 
 
-def solve_liouville(M: ModelManifold, ell: float, tol: float = 1e-10) -> SolutionProfile:
-    """Shoot the exponential-nonlinearity problem (surface case, d = 2) over
-    ``M``'s grid.
-
-    The center value may be any real number and the solution may change sign;
-    a profile that reaches the grid's end is reported ``global-positive`` (the
-    substitution v = e^{-u/2} > 0 is what positivity refers to here).
-    """
-    if M.d != 2:
-        raise WrongDimensionError(f"exponential nonlinearity needs d = 2, got d = {M.d}")
-    return _shoot(M, None, float(ell), tol)
-
-
 # ------------------------------------------------------------------ monitors
 
 
-def energy(p: Optional[float], u, du):
-    """E = u'^2/2 + U(u) from the values ``u`` and ``du`` of u and u' at some
-    radii, with U(u) = u^{p+1}/(p+1), or e^u for ``p = None``.
+def energy(p: float, u, du):
+    """E = u'^2/2 + u^{p+1}/(p+1) from the values ``u`` and ``du`` of u and
+    u' at some radii (the positive part of u); E past the float range is inf,
+    without a warning.
 
     E decreases wherever the weighted area density S is increasing, since
     E' = -(S'/S) u'^2.
     """
-    if p is None:
-        potential = np.exp(u)
-    else:
-        potential = np.where(u > 0.0, u, 0.0) ** (p + 1) / (p + 1)
-    return 0.5 * du**2 + potential
+    with np.errstate(over="ignore"):
+        return 0.5 * du**2 + np.where(u > 0.0, u, 0.0) ** (p + 1) / (p + 1)
 
 
 def pohozaev(M: ModelManifold, p: float, r, u, du, E):

@@ -10,8 +10,8 @@ and rigidity questions reduce to sign and growth properties of
     k[v] = |Hess v|^2 - P^2/m + Ric(v', v')            (radial Hessian
            eigenvalues: v'' once and (psi'/psi) v' with multiplicity d-1),
 
-its lower bound W_f, the divergence identity m v^{1-m} k = div_f(v^{2-m} P')
-and weighted integral estimates over balls.  Everything here is specialized
+the divergence identity m v^{1-m} k = div_f(v^{2-m} P') and weighted
+integral estimates over balls.  Everything here is specialized
 to radial profiles on model manifolds.
 """
 
@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import (
     CrossCheckError,
-    InvalidBranchError,
     InvalidDimensionError,
     InvalidRangeError,
     InvalidVirtualDimensionError,
@@ -49,10 +48,11 @@ from .geometry import (
     weighted_laplacian_radial,
     weighted_volume,
 )
-from .lane_emden import SolutionProfile, _covers
+from .lane_emden import SolutionProfile
 from .radial_core import (
     RadialFunction,
     RadialGrid,
+    covers,
     finite_difference,
     indefinite_gauss,
     make_grid,
@@ -234,15 +234,6 @@ def v_transform(profile: SolutionProfile, n: float = math.inf) -> PFunctionData:
 # ------------------------------------------------------ pointwise functionals
 
 
-def _radial_pieces(data: PFunctionData, r: np.ndarray):
-    M = data.manifold
-    dv = np.asarray(data.v(r, 1), dtype=float)
-    ddv = np.asarray(data.v(r, 2), dtype=float)
-    P = np.asarray(data.P(r), dtype=float)
-    tangential = (np.asarray(M.psi(r, 1)) / np.asarray(M.psi(r))) * dv
-    return dv, ddv, P, tangential
-
-
 def k_functional(data: PFunctionData, r):
     """k[v] = |Hess v|^2 - P^2/m + Ric(v',v') at r > 0.
 
@@ -259,7 +250,10 @@ def k_functional(data: PFunctionData, r):
         raise SingularRadiusError("the Hessian split needs r > 0")
     M = data.manifold
     d, m, n = M.d, data.m, data.n
-    dv, ddv, P, tang = _radial_pieces(data, rr)
+    dv = np.asarray(data.v(rr, 1), dtype=float)
+    ddv = np.asarray(data.v(rr, 2), dtype=float)
+    P = np.asarray(data.P(rr), dtype=float)
+    tang = (np.asarray(M.psi(rr, 1)) / np.asarray(M.psi(rr))) * dv
     ric_r, _ = ric_infinity_components(M, rr)
     hess_sq = ddv**2 + (d - 1) * tang**2
     k = hess_sq - P**2 / m + np.asarray(ric_r) * dv**2
@@ -288,103 +282,30 @@ def k_functional(data: PFunctionData, r):
     return k if np.ndim(r) else float(k[0])
 
 
-def w_functional(data: PFunctionData, r):
-    """Lower-bound functional W_f for k[v]; branch selected by n.
-
-    n = d needs a trivial weight, d < n < inf needs m > d (else the branch
-    is undefined, ``invalid-branch``), and n = inf mixes P with f'v' and may
-    go negative when f'v' does.
-    """
-    rr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(rr <= 0.0):
-        raise SingularRadiusError("the lower bound needs r > 0")
-    M = data.manifold
-    d, m, n = M.d, data.m, data.n
-    dv, ddv, P, tang = _radial_pieces(data, rr)
-    fv = np.asarray(M.f(rr, 1), dtype=float) * dv
-    ric_r, _ = ric_infinity_components(M, rr)
-
-    if math.isinf(n):
-        w = ((m - d) / m**2) * P**2 + (2.0 / m) * P * fv + np.asarray(ric_r) * dv**2
-    elif n == d:
-        if np.max(np.abs(fv)) > 1e-12 * (1.0 + np.max(np.abs(P))):
-            raise InvalidBranchError("the n = d branch requires a trivial weight")
-        lap = ddv + (d - 1) * tang  # plain Laplacian; equals P when f is constant
-        w = ((m - d) / m**2) * lap**2 + np.asarray(ric_r) * dv**2
-    else:
-        if m <= d:
-            raise InvalidBranchError(
-                f"the finite-n branch needs m > d (got m = {m}, d = {d})"
-            )
-        w = (
-            (1.0 / (m - d)) * (((m - d) / m) * P + fv) ** 2
-            + ((m - n) / ((n - d) * (m - d))) * fv**2
-            + np.asarray(ric_n_radial(M, n, rr)) * dv**2
-        )
-    return w if np.ndim(r) else float(w[0])
-
-
-def _measured_div_f(M: ModelManifold, flux: np.ndarray) -> np.ndarray:
-    """div_f of a radial flux sampled at the positive nodes: the flux (zero at
-    the pole) is differentiated by finite differences, then the drift term is
-    added."""
-    grid = M.grid
-    pos = grid.nodes > 0.0
-    full = np.zeros(grid.n)
-    full[pos] = flux
-    dflux = finite_difference(full, grid)
-    return dflux[pos] + np.asarray(M.drift(grid.nodes[pos])) * flux
-
-
-def _without_edges(grid: RadialGrid, values: np.ndarray) -> RadialFunction:
-    """Values at the positive nodes as a grid function, NaN at the pole and
-    at the two nodes at each end, where the finite-difference stencils are
-    one-sided."""
-    out = np.full(grid.n, np.nan)
-    out[grid.nodes > 0.0] = values
-    out[:2] = np.nan
-    out[-2:] = np.nan
-    return RadialFunction(grid, out)
-
-
 def divergence_identity_residual(data: PFunctionData) -> RadialFunction:
     """|m v^{1-m} k[v] - div_f(v^{2-m} P')| on the grid.
 
     The divergence side is measured: the flux v^{2-m} P' is sampled at the
     nodes and differentiated by finite differences, so the residual carries
-    the usual 100 h^2 tier on non-analytic data.  Edge nodes (and the pole)
-    are set to NaN.
+    the usual 100 h^2 tier on non-analytic data.  The pole and the two nodes
+    at each end, where the stencils are one-sided, are set to NaN.
     """
     M = data.manifold
-    r = M.grid.nodes[M.grid.nodes > 0.0]
+    grid = M.grid
+    pos = grid.nodes > 0.0
+    r = grid.nodes[pos]
     m = data.m
     v = np.asarray(data.v(r), dtype=float)
     dP = np.asarray(data.P(r, 1), dtype=float)
-    div = _measured_div_f(M, v ** (2.0 - m) * dP)
+    flux = v ** (2.0 - m) * dP
+    full = np.zeros(grid.n)  # the flux vanishes at the pole
+    full[pos] = flux
+    div = finite_difference(full, grid)[pos] + np.asarray(M.drift(r)) * flux
     lhs = m * v ** (1.0 - m) * np.asarray(k_functional(data, r))
-    return _without_edges(M.grid, np.abs(lhs - div))
-
-
-def fundamental_gap(data: PFunctionData, t: float = 1.0) -> RadialFunction:
-    """Slack of the pointwise inequality
-
-        (t - 1/2) P^{t-2} v^{2-m} (P')^2 + m P^{t-1} v^{1-m} W_f
-            <= div_f(P^{t-1} v^{2-m} P')
-
-    (nonnegative values mean the inequality holds).  The divergence is again
-    a finite-difference measurement; edge nodes are NaN.
-    """
-    M = data.manifold
-    r = M.grid.nodes[M.grid.nodes > 0.0]
-    m = data.m
-    v = np.asarray(data.v(r), dtype=float)
-    P = np.asarray(data.P(r), dtype=float)
-    dP = np.asarray(data.P(r, 1), dtype=float)
-    div = _measured_div_f(M, P ** (t - 1.0) * v ** (2.0 - m) * dP)
-    lhs = (t - 0.5) * P ** (t - 2.0) * v ** (2.0 - m) * dP**2 + m * P ** (
-        t - 1.0
-    ) * v ** (1.0 - m) * np.asarray(w_functional(data, r))
-    return _without_edges(M.grid, div - lhs)
+    out = np.full(grid.n, np.nan)
+    out[pos] = np.abs(lhs - div)
+    out[:2] = out[-2:] = np.nan
+    return RadialFunction(grid, out)
 
 
 # ------------------------------------------------------- integral estimates
@@ -456,7 +377,7 @@ def integral_estimate_ratio(data: PFunctionData, q: float, R: float) -> Tuple[fl
     part = "i" if 2.0 <= q < m / 2.0 + 1.0 else "ii"
 
     M, v = data.manifold, data.v
-    if 2.0 * R > M.grid.r_max * (1 + 1e-12):
+    if not covers(M.grid.r_max, 2.0 * R):
         raise OutOfGridError("the bound factor needs 2R inside the grid")
 
     def integrand(s):
@@ -484,7 +405,7 @@ def cheng_yau_ratio(profile: SolutionProfile, n: float, R: float) -> float:
     if n <= 2.0:
         raise InvalidVirtualDimensionError(f"the exponent 4/(n-2) needs n > 2, got {n}")
     nodes = profile.manifold.grid.nodes
-    if not _covers(profile.r_end, 2.0 * R):
+    if not covers(profile.r_end, 2.0 * R):
         raise OutOfRangeError("need the profile positive on all of B_2R")
     inner = nodes <= R
     u_in = profile.u.values[inner]
@@ -555,7 +476,7 @@ def radial_cutoff(R: float, M: ModelManifold) -> RadialFunction:
     """
     if R <= 0.0:
         raise InvalidRangeError("cutoff radius must be positive")
-    if 2.0 * R > M.grid.r_max * (1 + 1e-12):
+    if not covers(M.grid.r_max, 2.0 * R):
         raise OutOfGridError("cutoff support [0, 2R] must fit inside the grid")
 
     def t_of(r):

@@ -10,9 +10,10 @@ Numerical conventions used package-wide:
   inside, one-sided at the endpoints), also on non-uniform grids;
 * the default tolerance for "equals" assertions on finite-differenced
   quantities is ``10 * h**2`` with ``h`` the local step (``grid_tolerance``);
-* cumulative quadrature over node values is Simpson-based; machine-accuracy
-  cumulative integrals of smooth callbacks use composite 5-point
-  Gauss-Legendre (:func:`cumulative_gauss`).
+* a radius lies inside a range ``[0, r_end]`` when it is at most ``r_end``
+  up to a relative slack of 1e-12 (:func:`covers`);
+* cumulative integrals of smooth callbacks use composite 5-point
+  Gauss-Legendre, to machine accuracy (:func:`cumulative_gauss`).
 """
 
 from __future__ import annotations
@@ -171,25 +172,10 @@ def finite_difference(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return np.gradient(np.asarray(values, dtype=float), grid.nodes, edge_order=2)
 
 
-def integrate_cumulative(f: RadialFunction) -> RadialFunction:
-    """Cumulative integral with F(r_min) = 0: composite Simpson on the nodes,
-    with the bits of ``scipy.integrate.cumulative_simpson(y, x=nodes,
-    initial=0)``.  An even interval takes Simpson's rule on the node triple
-    it starts, an odd one and the last the rule on the triple it ends."""
-
-    def first_intervals(y, h):  # over [x_i, x_i+1] of the parabola through nodes i..i+2
-        q = h[:-1] / (h[:-1] + h[1:])
-        q2 = q * (h[:-1] / h[1:])
-        return h[:-1] / 6 * ((3 - q) * y[:-2] + (3 + q2 + q) * y[1:-1] + -q2 * y[2:])
-
-    y, h = f.values, f.grid.steps
-    ending = first_intervals(y[::-1], h[::-1])[::-1]  # piece i + 1 from the triple i..i+2
-    pieces = np.append(ending, ending[-1])
-    pieces[:-1:2] = first_intervals(y, h)[::2]
-    pieces[1::2] = ending[::2]
-    out = np.zeros(y.size)
-    np.cumsum(pieces, out=out[1:])
-    return RadialFunction(f.grid, out)
+def covers(r_end: float, r):
+    """Where the radii ``r`` lie in the range ``[0, r_end]`` (for ``r >= 0``),
+    up to a relative slack of 1e-12 at ``r_end``; NaN lies in no range."""
+    return r <= r_end * (1 + 1e-12)
 
 
 def pole_refined_partition(nodes: np.ndarray) -> np.ndarray:

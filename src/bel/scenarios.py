@@ -512,9 +512,13 @@ def _scenario_custom(spec: RunSpec, d, p, ell, weight, coeff, power, beta, grid)
     # a truncated shot never reached r_max, so E is not checked past r_end
     reason = prof.status if prof.status.startswith("truncated") else ""
     checks.append(Check("solve", SOLVE, prof.r_end, reason=reason))
-    E = columns["energy"]
-    rise = np.max(np.diff(E) / (1e-8 * (1.0 + np.abs(E[:-1])))) if E.size > 1 else None
-    if rise is None:  # the shot ended before a second positive node
+    E, rise = columns["energy"], None
+    infinite = ~np.isfinite(E)  # u'^2 or u^{p+1} past the float range
+    if np.any(infinite):
+        reason = reason or f"E is first not finite at r = {columns['r'][np.argmax(infinite)]:.12g}"
+    elif E.size > 1:
+        rise = np.max(np.diff(E) / (1e-8 * (1.0 + np.abs(E[:-1]))))
+    else:  # the shot ended before a second positive node
         reason = reason or f"the shot's range [0, {prof.r_end:.12g}] holds {E.size} positive nodes"
     checks.append(Check("energy-decreasing", "E' = -(L r) u'^2 <= 0", rise, 1.0, reason=reason))
     return checks, columns

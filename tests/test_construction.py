@@ -125,7 +125,7 @@ def test_condition_checks_reject_foreign_manifolds():
 def test_full_report_critical_case(theorem_reports):
     rep = theorem_reports[(3, 0.5, 5.0, 1.0)]
     assert rep.solver_error is None
-    assert rep.all_ok
+    assert all(c.verdict for c in rep.checks)
     rough = rep.check("rough-comparison")
     assert rough.tolerance == pytest.approx(8.0)
     assert rough.measured < rough.tolerance
@@ -136,7 +136,7 @@ def test_full_report_critical_case(theorem_reports):
 
 def test_full_report_supercritical_case(theorem_reports):
     rep = theorem_reports[(3, 0.5, 6.0, 1.0)]
-    assert rep.all_ok
+    assert all(c.verdict for c in rep.checks)
     assert rep.profile.status == "global-positive"
 
 
@@ -202,7 +202,7 @@ def test_subcritical_exponent_reports_without_raising(example3):
     # below the critical power the slope factor turns positive at the tail;
     # we only require an honest report, not any particular verdict
     rep = verify_theorem(example3, 4.0, 1.0, tol=1e-9)
-    assert isinstance(rep.all_ok, bool)
+    assert all(isinstance(c.verdict, bool) for c in rep.checks)
     assert not rep.check("slope-factor-nonpositive").verdict
 
 

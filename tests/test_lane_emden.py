@@ -21,7 +21,6 @@ from bel.errors import (
     NonpositiveCenterValueError,
     OutOfRangeError,
     SingularRadiusError,
-    WrongDimensionError,
 )
 from bel.geometry import (
     ModelManifold,
@@ -38,7 +37,6 @@ from bel.lane_emden import (
     pohozaev_trace,
     positivity_criterion,
     slope_factor_terms,
-    solve_liouville,
     solve_radial,
 )
 from bel.radial_core import finite_difference, grid_tolerance, make_grid, sample
@@ -96,25 +94,6 @@ def test_series_coefficient_matches_taylor_expansion(warped3):
     assert 10.0 < e1 / e2 < 22.0  # quartic remainder
 
 
-def test_surface_shot_matches_log_profile():
-    flat2 = euclidean(2, make_grid(0.0, 10.0, 201, "uniform"))
-    shot = solve_liouville(flat2, ell=0.0, tol=1e-10)
-    r = flat2.grid.nodes
-    exact = -2.0 * np.log(1.0 + r**2 / 8.0)
-    assert np.max(np.abs(shot.u.values - exact)) < 1e-9
-    # the exponential-nonlinearity profile goes negative without terminating
-    assert shot.status == "global-positive"
-    assert shot.u(10.0) < -4.0
-
-
-def test_surface_series_coefficient():
-    flat2 = euclidean(2, make_grid(0.0, 4.0, 129, "uniform"))
-    ell = 0.7
-    shot = solve_liouville(flat2, ell=ell, tol=1e-12)
-    h = 0.01
-    assert abs(shot.u(h) - (ell - np.exp(ell) * h**2 / 4.0)) < 5.0 * h**4
-
-
 def test_gaussian_weight_forces_zero_crossing():
     M = power_weight(3, make_grid(0.0, 6.0, 301, "uniform"), coeff=1.0, power=2.0)
     shot = solve_radial(M, p=3.0, ell=1.0, tol=1e-10)
@@ -132,20 +111,24 @@ def test_gaussian_weight_crossing_for_several_center_values(ell):
     assert shot.crossed
 
 
+def _overflowing_shot():
+    """The shot that trips the overflow guard: on the steep Gaussian weight
+    f = 5 r^2 the drift term 10 r u' makes |u'| grow like e^{5 r^2}, so from
+    u(0) = 1e250 the guard trips at r = 3.95101, inside the grid."""
+    return power_weight(2, make_grid(1e-3, 4.0, 129, "geometric"), 5.0, 2.0), 1.1, 1e250
+
+
 _ORACLE_SHOTS = {
     # a warped global-positive shot, a crossing on the soliton weight, a
-    # log-tail shot, a Liouville shot (p = None), one that trips the
-    # overflow guard (u' grows like e^{r^2} once u has plunged below zero)
-    # and the critical flat shot of the custom scenario
+    # log-tail shot, one that trips the overflow guard and the critical flat
+    # shot of the custom scenario
     "flat": lambda: (euclidean(3, make_grid(1e-3, 100.0, 1025, "geometric")), 5.0, 1.0),
     "theorem": lambda: (build_example(3, 0.5, grid=make_grid(1e-3, 100.0, 1025, "geometric")),
                         5.0, 1.0),
     "soliton": lambda: (power_weight(3, make_grid(0.0, 6.0, 301, "uniform"), 1.0, 2.0), 3.0, 1.0),
     "log-tail": lambda: (log_tail_weight(3, make_grid(1e-3, 100.0, 257, "geometric"), 2.0),
                          5.0, 1.0),
-    "liouville": lambda: (euclidean(2, make_grid(1e-3, 20.0, 257, "geometric")), None, 1.0),
-    "overflow-guard": lambda: (power_weight(2, make_grid(1e-3, 4.0, 129, "geometric"), 5.0, 2.0),
-                               None, 690.0),
+    "overflow-guard": _overflowing_shot,
 }
 
 
@@ -173,10 +156,7 @@ def _driver_and_oracle(monkeypatch, case):
 
     monkeypatch.setattr(lane_emden, "solve_ivp", capture)
     try:
-        if p is None:
-            solve_liouville(M, ell=ell, tol=tol)
-        else:
-            solve_radial(M, p=p, ell=ell, tol=tol)
+        solve_radial(M, p=p, ell=ell, tol=tol)
     except BlowupError:
         assert case == "overflow-guard"
     monkeypatch.undo()
@@ -368,21 +348,15 @@ def test_exponent_must_exceed_one(flat4, p):
         solve_radial(flat4, p=p, ell=1.0)
 
 
-def test_exponential_problem_rejects_higher_dimensions():
-    flat3 = euclidean(3, make_grid(0.0, 4.0, 65, "uniform"))
-    with pytest.raises(WrongDimensionError):
-        solve_liouville(flat3, ell=0.0)
-
-
 def test_overflow_guard_trips_on_huge_center_value(flat4):
     with pytest.raises(BlowupError):
         solve_radial(flat4, p=5.0, ell=1e62)
 
 
-def test_overflow_guard_trips_for_exponential_nonlinearity():
-    flat2 = euclidean(2, make_grid(0.0, 4.0, 65, "uniform"))
-    with pytest.raises(BlowupError):
-        solve_liouville(flat2, ell=800.0)
+def test_overflow_guard_trips_in_the_middle_of_a_shot():
+    M, p, ell = _overflowing_shot()
+    with pytest.raises(BlowupError, match=r"^overflow guard 1e\+300 tripped at r = 3\.95101$"):
+        solve_radial(M, p=p, ell=ell)
 
 
 def test_profile_rejects_radii_beyond_its_range(bubble_shot):
@@ -594,10 +568,10 @@ def test_scalar_nonlinearity_bit_identical(p):
         assert power(float(u)) == power(np.asarray(u)) == 0.0, (p, u)
 
 
-@pytest.mark.parametrize("p,huge", [(5.0, 1e200), (None, 1e3)], ids=["power", "exp"])
+@pytest.mark.parametrize("p,huge", [(5.0, 1e200)], ids=["power"])
 def test_scalar_nonlinearity_returns_a_python_float(p, huge):
-    """u^p and e^u on a float stay Python floats, and overflow gives numpy's
-    inf where Python's ``**`` and ``math.exp`` raise."""
+    """u^p on a float stays a Python float, and overflow gives numpy's inf
+    where Python's ``**`` raises."""
     nonlin = lane_emden._nonlinearity(p)
     us = [float(u) for u in np.geomspace(1e-12, 1e2, 101)] + [-1.0, 0.0]
     assert {type(nonlin(u)) for u in us} == {float}

@@ -15,7 +15,6 @@ from bel.construction import build_example
 from bel.errors import (
     BelError,
     CrossCheckError,
-    InvalidBranchError,
     InvalidDimensionError,
     InvalidRangeError,
     InvalidVirtualDimensionError,
@@ -26,14 +25,18 @@ from bel.errors import (
     SingularRadiusError,
     SuperharmonicityError,
 )
-from bel.geometry import power_weight, weighted_laplacian_radial
+from bel.geometry import (
+    power_weight,
+    ric_infinity_components,
+    weighted_laplacian_radial,
+    weighted_volume,
+)
 from bel.lane_emden import SolutionProfile, solve_radial
 from bel.pfunction import (
     PFunctionData,
     bubble,
     cheng_yau_ratio,
     divergence_identity_residual,
-    fundamental_gap,
     ibp_residual,
     integral_estimate_ratio,
     k_functional,
@@ -41,7 +44,6 @@ from bel.pfunction import (
     radial_cutoff,
     superharmonic_floor_check,
     v_transform,
-    w_functional,
 )
 from bel.radial_core import grid_tolerance, make_grid, sample
 
@@ -246,82 +248,27 @@ def test_k_nonnegative_when_m_dominates_n():
     assert np.min(k) > -1e-12
 
 
-# ------------------------------------------------------------ W functional
-
-
-def test_w_trivial_on_bubble_n_equals_d(data4):
-    w = np.asarray(w_functional(data4, np.linspace(0.1, 40.0, 200)))
-    assert np.max(np.abs(w)) < 1e-12
-
-
-def test_w_branch_guards(theorem_profile):
-    weighted_nd = v_transform(theorem_profile, n=3.0)
-    with pytest.raises(InvalidBranchError):
-        w_functional(weighted_nd, 1.0)  # n = d needs a trivial weight
-    finite_n = v_transform(theorem_profile, n=5.0)
-    with pytest.raises(InvalidBranchError):
-        w_functional(finite_n, 1.0)  # m = d = 3 is not above d
-    with pytest.raises(SingularRadiusError):
-        w_functional(finite_n, -1.0)
-
-
-def test_w_can_go_negative_on_drifted_data(theorem_data):
-    M = theorem_data.manifold
-    r = M.grid.nodes[5:-5]
-    drift_term = np.asarray(M.f(r, 1)) * np.asarray(theorem_data.v.derivs[0](r))
-    assert np.max(drift_term) < 0.0  # f' < 0 while v is increasing
-    w = np.asarray(w_functional(theorem_data, r))
-    assert np.min(w) < -1e-3
-    assert np.max(w) > 0.0  # sign really does vary along the profile
-
-
-def test_w_finite_branch_matches_limit_branch():
-    # the finite-n branch collapses to the n = infinity expression; check on
-    # synthetic data (the branch formulas never use the equation for v)
-    grid = make_grid(1e-3, 10.0, 257, "geometric")
-    M = power_weight(3, grid, 0.3, 2.0)
-
-    def v(s):
-        return np.cosh(0.5 * np.asarray(s, dtype=float))
-
-    def dv(s):
-        return 0.5 * np.sinh(0.5 * np.asarray(s, dtype=float))
-
-    def ddv(s):
-        return 0.25 * np.cosh(0.5 * np.asarray(s, dtype=float))
-
-    m, c_m = 5.0, 2.0 / 3.0
-
-    def P(s):
-        return ((m / 2.0) * dv(s) ** 2 + c_m) / v(s)
-
-    def dP(s):
-        return (dv(s) / v(s)) * (m * ddv(s) - P(s))
-
-    v_fn = sample(v, grid, derivs=(dv, ddv))
-    P_fn = sample(P, grid, derivs=(dP,))
-    r = grid.nodes[1:]
-    w_fin = np.asarray(w_functional(PFunctionData(M, m, 8.0, v_fn, P_fn, c_m), r))
-    w_inf = np.asarray(w_functional(PFunctionData(M, m, math.inf, v_fn, P_fn, c_m), r))
-    assert np.max(np.abs(w_fin - w_inf) / (1.0 + np.abs(w_inf))) < 1e-12
-
-
 def test_k_minus_w_is_traceless_hessian_square(theorem_data, data4inf):
+    """k = W_f + |Hess v - (P/m) g|^2 at n = inf, with the lower bound
+    W_f = ((m-d)/m^2) P^2 + (2/m) P f'v' + Ric(v', v') written out here: an
+    independent check of ``k_functional``'s n = inf branch, which carries no
+    decomposition cross-check of its own."""
     for data in (theorem_data, data4inf):
-        M = data.manifold
+        M, m = data.manifold, data.m
         r = M.grid.nodes[5:-5]
         r = r[r <= 40.0]
         k = np.asarray(k_functional(data, r))
-        w = np.asarray(w_functional(data, r))
         dv = np.asarray(data.v.derivs[0](r))
         ddv = np.asarray(data.v.derivs[1](r))
         P = np.asarray(data.P(r))
+        ric_r, _ = ric_infinity_components(M, r)
+        w = ((m - M.d) / m**2) * P**2 + (2.0 / m) * P * np.asarray(M.f(r, 1)) * dv + ric_r * dv**2
         tang = np.asarray(M.psi(r, 1)) / np.asarray(M.psi(r)) * dv
-        square = (ddv - P / data.m) ** 2 + (M.d - 1) * (tang - P / data.m) ** 2
+        square = (ddv - P / m) ** 2 + (M.d - 1) * (tang - P / m) ** 2
         assert np.max(np.abs(k - w - square) / (1.0 + np.abs(k) + square)) < 1e-10
 
 
-# ------------------------------------------------- divergence + inequality
+# ---------------------------------------------- divergence + integration by parts
 
 
 def test_divergence_identity_degenerate_on_bubble(data4inf):
@@ -335,14 +282,6 @@ def test_divergence_identity_on_weighted_solution(theorem_data):
     tol = 100.0 * grid_tolerance(theorem_data.manifold.grid, factor=1.0)
     inner = slice(2, -2)
     assert np.nanmax(res.values[inner] / tol[inner]) < 1.0
-
-
-def test_fundamental_gap_nonnegative(theorem_data, data4inf):
-    tol = 100.0 * grid_tolerance(theorem_data.manifold.grid, factor=1.0)
-    gap = fundamental_gap(theorem_data)
-    assert np.nanmin(gap.values[2:-2] / tol[2:-2]) > -1.0
-    flat_gap = fundamental_gap(data4inf)
-    assert np.nanmin(flat_gap.values[2:-2]) > -1e-12
 
 
 @pytest.mark.parametrize("q", [0.0, 2.0, 3.0])
@@ -520,3 +459,15 @@ def test_cutoff_guards(bubble4):
         radial_cutoff(0.0, bubble4.manifold)
     with pytest.raises(OutOfGridError):
         radial_cutoff(150.0, bubble4.manifold)
+
+
+def test_a_nan_radius_lies_outside_every_grid(bubble4, data4inf):
+    """The volume, the integral estimate and the cutoff share one "inside
+    the range" rule, under which NaN is inside no range: each ends in
+    ``out-of-grid``, not in a NaN value or an all-NaN cutoff."""
+    with pytest.raises(OutOfGridError):
+        weighted_volume(bubble4.manifold, math.nan)
+    with pytest.raises(OutOfGridError):
+        integral_estimate_ratio(data4inf, 2.0, math.nan)
+    with pytest.raises(OutOfGridError):
+        radial_cutoff(math.nan, bubble4.manifold)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import cumulative_simpson
 
 from bel import radial_core
 from bel.construction import build_example, default_grid
@@ -14,7 +13,6 @@ from bel.radial_core import (
     gauss_antiderivative,
     grid_tolerance,
     indefinite_gauss,
-    integrate_cumulative,
     make_grid,
     pole_refined_partition,
     sample,
@@ -122,59 +120,6 @@ def test_third_derivative_of_cubic():
     assert np.allclose(d3[3:-3], 6.0, atol=1e-6)
 
 
-# ----------------------------------------------------- integrate_cumulative
-
-
-def test_integral_of_one():
-    g = make_grid(0.0, 1.0, 33, "uniform")
-    F = integrate_cumulative(RadialFunction(g, np.ones(g.n)))
-    assert abs(F.values[-1] - 1.0) < 1e-14
-    assert F.values[0] == 0.0
-
-
-def test_integral_of_identity():
-    g = make_grid(0.0, 2.0, 33, "uniform")
-    F = integrate_cumulative(RadialFunction(g, g.nodes))
-    assert abs(F.values[-1] - 2.0) < 1e-13
-
-
-def test_integral_of_square_converges_second_order():
-    errs = []
-    for n in (17, 33):
-        g = make_grid(0.0, 1.0, n, "uniform")
-        F = integrate_cumulative(RadialFunction(g, g.nodes**2))
-        errs.append(abs(F.values[-1] - 1 / 3))
-    # composite Simpson is exact on quadratics; allow roundoff only
-    assert errs[0] < 1e-14 and errs[1] < 1e-14
-
-
-def test_integral_convergence_on_transcendental():
-    errs = []
-    for n in (33, 65):
-        g = make_grid(0.0, 1.0, n, "uniform")
-        F = integrate_cumulative(RadialFunction(g, np.exp(g.nodes)))
-        errs.append(abs(F.values[-1] - (np.e - 1)))
-    assert errs[0] / errs[1] > 4.0, "expected at least second-order decay"
-
-
-_SIMPSON_GRIDS = {
-    "unit-steps": lambda n: make_grid(0.0, n - 1.0, n, "uniform"),  # every step exactly 1
-    "uniform": lambda n: make_grid(0.25, 3.7, n, "uniform"),
-    "geometric": lambda n: make_grid(1e-3, 100.0, n, "geometric"),
-}
-
-
-@pytest.mark.parametrize("grid", sorted(_SIMPSON_GRIDS))
-@pytest.mark.parametrize("n", [16, 17, 33, 64, 257])
-def test_integral_has_scipys_bits(grid, n):
-    """The numpy Simpson gives ``scipy.integrate.cumulative_simpson``'s bits
-    on uniform grids, one with exactly equal steps, and on geometric ones."""
-    g = _SIMPSON_GRIDS[grid](n)
-    for y in (np.exp(g.nodes / g.r_max), np.sin(g.nodes), g.nodes**2):
-        got = integrate_cumulative(RadialFunction(g, y)).values
-        assert np.array_equal(got, cumulative_simpson(y, x=g.nodes, initial=0.0))
-
-
 @given(
     coeffs=st.lists(st.floats(-3, 3), min_size=2, max_size=5),
     n=st.integers(48, 200),
@@ -182,11 +127,10 @@ def test_integral_has_scipys_bits(grid, n):
 @settings(max_examples=40)
 def test_differentiate_undoes_integrate(coeffs, n):
     g = make_grid(0.0, 1.5, n, "uniform")
-    vals = sum(c * g.nodes**k for k, c in enumerate(coeffs))
-    f = RadialFunction(g, np.asarray(vals))
-    back = finite_difference(integrate_cumulative(f).values, g)
+    poly = np.polynomial.Polynomial(coeffs)
+    back = finite_difference(cumulative_gauss(poly, g.nodes), g)
     tol = grid_tolerance(g)[1:-1] * (1 + max(abs(c) for c in coeffs))
-    err = np.abs(back[1:-1] - f.values[1:-1])
+    err = np.abs(back[1:-1] - poly(g.nodes[1:-1]))
     assert np.all(err <= tol), f"roundtrip error {err.max():.2e} above tolerance"
 
 
@@ -194,7 +138,7 @@ def test_operations_are_deterministic():
     g = make_grid(0.0, 5.0, 64, "uniform")
     f = RadialFunction(g, np.sin(g.nodes) + 0.3 * g.nodes)
     a1, a2 = finite_difference(f.values, g), finite_difference(f.values, g)
-    b1, b2 = integrate_cumulative(f).values, integrate_cumulative(f).values
+    b1, b2 = cumulative_gauss(np.sin, g.nodes), cumulative_gauss(np.sin, g.nodes)
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
 

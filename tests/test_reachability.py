@@ -18,7 +18,8 @@ What counts as read, anywhere in the package, matched by name alone:
 A function with a decorator other than ``property``, ``staticmethod`` or
 ``classmethod`` counts as read, because the decorator registers it (a click
 command).  Module-level names listed in their module's ``__all__`` are
-exempt, and so is every entry of ``ALLOWED``, each with the reason it stays.
+exempt, and so is every entry of ``ALLOWED``, each with the reason it stays:
+the acceptance contract or the benchmark's tracer reads it.
 """
 
 import ast
@@ -28,23 +29,23 @@ from pathlib import Path
 
 import bel
 
-#: Definitions that no module of ``bel`` reads and that stay anyway.
+#: Definitions that no module of ``bel`` reads and that stay anyway, because
+#: a file outside the package reads them: each reason starts with its path
+#: (one of :data:`_READERS`).
 ALLOWED = {
     "scenarios.run_scenario": "tests/test_acceptance.py, the acceptance contract, which stays "
                               "unedited, runs configs with it",
     "construction.TheoremReport.check": "tests/test_acceptance.py reads a theorem check by name",
-    "construction.TheoremReport.all_ok": "tests/test_acceptance.py asserts every theorem check holds",
     "construction.TheoremReport.solver_error": "tests/test_acceptance.py asserts the shot raised nothing",
     "pfunction.SuperharmonicReport.all_hold": "tests/test_acceptance.py asserts the floor holds",
     "_dop853.Dop853Result.nfev": "perfbench/tracing.py counts the shot's RHS calls from it",
-    "radial_core.integrate_cumulative": "Simpson integration of node values, kept with the paper's "
-                                        "integration-by-parts machinery that no scenario calls yet",
     "pfunction.ibp_residual": "tests/test_acceptance.py checks the integration-by-parts identity "
                               "with it",
-    "pfunction.fundamental_gap": "ROADMAP item 10 decides whether a scenario checks the "
-                                 "fundamental inequality; it keeps w_functional alive",
-    "lane_emden.solve_liouville": "ROADMAP item 9 decides whether a scenario shoots the e^u problem",
 }
+
+#: The files outside the package whose reads keep an ``ALLOWED`` entry: the
+#: acceptance contract and the benchmark's tracer.
+_READERS = ("tests/test_acceptance.py", "perfbench/tracing.py")
 
 _PASSIVE_DECORATORS = {"property", "staticmethod", "classmethod"}
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -131,6 +132,17 @@ def test_every_definition_is_read_by_the_package():
 def test_every_allowed_name_is_defined_and_unread():
     """An entry the package now reads, or no longer defines, leaves ``ALLOWED``."""
     assert set(ALLOWED) - set(_unread(_package_sources())) == set()
+
+
+def test_every_allowed_name_is_read_by_the_file_its_reason_names():
+    """Each ``ALLOWED`` reason starts with the path of a reader in
+    :data:`_READERS`, and that file's text holds the entry's last name."""
+    root = Path(__file__).resolve().parents[1]
+    for qualified, reason in ALLOWED.items():
+        reader = next((path for path in _READERS if reason.startswith(path)), None)
+        assert reader is not None, (qualified, reason)
+        assert re.search(rf"\b{qualified.rsplit('.', 1)[1]}\b", (root / reader).read_text()), (
+            qualified, reader)
 
 
 def test_gate_flags_dead_definitions_and_honours_its_exemptions():
