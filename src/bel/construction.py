@@ -109,22 +109,19 @@ def build_example(
     # still reach their limits there; the flux turns non-finite, and the
     # volume table reports the area density that follows as invalid-range.
     def psi(r):
-        rr = np.asarray(r, dtype=float)
         with np.errstate(over="ignore"):
-            return a * rr + b * rr / np.sqrt(rr**2 + 1.0)
+            return a * r + b * r / np.sqrt(r**2 + 1.0)
 
     def dpsi(r):
-        rr = np.asarray(r, dtype=float)
         with np.errstate(over="ignore"):
-            return a + b * (rr**2 + 1.0) ** (-1.5)
+            return a + b * (r**2 + 1.0) ** (-1.5)
 
     def ddpsi(r):
-        rr = np.asarray(r, dtype=float)
         with np.errstate(over="ignore"):
-            return -3.0 * b * rr * (rr**2 + 1.0) ** (-2.5)
+            return -3.0 * b * r * (r**2 + 1.0) ** (-2.5)
 
     def flux(r):
-        rr = np.atleast_1d(np.asarray(r, dtype=float))
+        rr = np.atleast_1d(r)
         with np.errstate(over="ignore", invalid="ignore"):
             q = rr**2 + 1.0
             bracket = np.arctan(rr) + rr * (rr**2 - 1.0) / q**2
@@ -132,8 +129,7 @@ def build_example(
             if np.any(small):
                 s = rr[small]
                 bracket[small] = 8.0 * s**3 * np.polynomial.polynomial.polyval(s**2, _FLUX_SERIES)
-            out = -a * b * rr**3 / q**1.5 - 0.375 * b**2 * bracket
-        return out if np.ndim(r) else float(out[0])
+            return -a * b * rr**3 / q**1.5 - 0.375 * b**2 * bracket
 
     def scalar_drift(r):
         # (d-1) psi'/psi - f' at one radius, the operations of psi, dpsi,
@@ -251,7 +247,7 @@ def _flux_tail_exponent(M: ModelManifold) -> float:
     nodes = M.grid.nodes
     tail = nodes[nodes >= M.grid.r_max / 10.0]
     # the recipe weight is f' = (d-1) F / psi^2, so F is read back from f'
-    flux = np.abs(np.asarray(M.f(tail, 1)) * M.psi(tail) ** 2 / (M.d - 1))
+    flux = np.abs(M.f(tail, 1) * M.psi(tail) ** 2 / (M.d - 1))
     return float(np.polyfit(np.log(tail), np.log(flux), 1)[0])
 
 
@@ -285,8 +281,8 @@ def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
     # -- warping invariants (the diffeomorphism-to-R^d side) ---------------
     psi_r = M.psi(r)
     dpsi_r = M.psi(r, 1)
-    if not (abs(float(M.psi(0.0))) <= 1e-14 and abs(float(M.psi(0.0, 1)) - 1.0) <= 1e-12
-            and abs(float(M.psi(0.0, 2))) <= 1e-12):
+    if not (abs(M.psi(0.0)) <= 1e-14 and abs(M.psi(0.0, 1) - 1.0) <= 1e-12
+            and abs(M.psi(0.0, 2)) <= 1e-12):
         diffeo_reason = "psi, psi' or psi'' is off at the pole"
     elif not np.all((alpha * r < psi_r) & (psi_r < r)):
         diffeo_reason = "alpha r < psi < r fails"
@@ -300,11 +296,11 @@ def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
     # f'' + 2 psi'/psi f' = (d-1) psi''/psi measured by finite-differencing
     # the f' samples (not the f'' callback, which satisfies the relation by
     # construction)
-    ric_r, ric_th = (np.asarray(c) for c in ric_infinity_components(M, r))
+    ric_r, ric_th = ric_infinity_components(M, r)
     ddpsi_r = M.psi(r, 2)
-    df_r = np.asarray(M.f(r, 1))
+    df_r = M.f(r, 1)
     with np.errstate(over="ignore"):  # steps past ~1e154: checked below
-        fd_ddf = finite_difference(np.asarray(M.f(grid.nodes, 1), dtype=float), grid)[pos]
+        fd_ddf = finite_difference(M.f(grid.nodes, 1), grid)[pos]
         residual_tol = grid_tolerance(grid, 100.0)[pos]
     rhs = (d - 1) * ddpsi_r / psi_r - 2.0 * dpsi_r * df_r / psi_r
     residual = np.abs(fd_ddf - rhs) / (1.0 + np.abs(rhs))
@@ -320,11 +316,11 @@ def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
     C2 = float(np.exp(-np.min(M.f.values)))
 
     # -- comparison geometry ----------------------------------------------
-    chi = np.asarray(warping_slope_energy(M)(r)) - psi_r**2 / r
+    chi = warping_slope_energy(M)(r) - psi_r**2 / r
     psi_cap = (d - 2.0) * (1.0 - dpsi_r**2) + psi_r * dpsi_r * df_r
     comparison = comparison_report(M)
 
-    vols = np.asarray(weighted_volume(M, r))
+    vols = weighted_volume(M, r)
     euclid_cap = (C2 / d) * unit_sphere_area(d) * r**d
 
     f_sup = float(np.max(np.abs(M.f.values)))
@@ -389,7 +385,7 @@ def verify_theorem(
         solver_error = f"{type(exc).__name__}: {exc}"
 
     # -- Pohozaev slope factor --------------------------------------------
-    slope_factor_K = np.asarray(pohozaev_slope_factor(record.slope_terms, p), dtype=float)
+    slope_factor_K = pohozaev_slope_factor(record.slope_terms, p)
 
     asymptotic_C = ((p - 1.0) / (2.0 * d)) * record.weight_ratio * alpha ** (d - 1)
 

@@ -68,10 +68,9 @@ class MonotonicityError(BelError):
     code = "monotonicity-violated"
 
 
-class CrossCheckError(BelError, ArithmeticError):
+class CrossCheckError(BelError):
     """Two independent evaluations of one quantity disagree beyond their
-    stated tolerance (an internal consistency check failed).  Also an
-    ``ArithmeticError``, which these checks raised before they had a code."""
+    stated tolerance (an internal consistency check failed)."""
 
     code = "cross-check-mismatch"
 

@@ -59,10 +59,6 @@ def _as_radii(r, positive: bool = True):
     return arr
 
 
-def _maybe_scalar(x, template):
-    return float(x) if np.isscalar(template) or np.ndim(template) == 0 else x
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class ModelManifold:
     """Dimension plus warping and weight profiles on a shared grid.
@@ -136,13 +132,11 @@ class ModelManifold:
 
     def drift(self, r):
         """L r = (d-1) psi'/psi - f' at r > 0 (the drift of the distance)."""
-        return _maybe_scalar(RadialJet(self, r).drift, r)
+        return RadialJet(self, r).drift
 
     def area_density(self, r):
         """S(r) = e^{-f} psi^{d-1}, the weighted area density (no sphere factor)."""
-        rr = np.asarray(r, dtype=float)
-        val = np.exp(-self.f(rr)) * self.psi(rr) ** (self.d - 1)
-        return _maybe_scalar(val, r)
+        return np.exp(-self.f(r)) * self.psi(r) ** (self.d - 1)
 
     # -- kept antiderivatives ----------------------------------------------
 
@@ -187,7 +181,7 @@ class ModelManifold:
         RR = _as_radii(R, positive=False)
         if not np.all(covers(self.grid.r_max, RR)):
             raise OutOfGridError(f"radius beyond grid r_max={self.grid.r_max}")
-        return _maybe_scalar(self.integral("volume")(RR), R)
+        return self.integral("volume")(RR)
 
 
 # --------------------------------------------------------------- curvature
@@ -287,7 +281,7 @@ def ric_infinity_components(M: ModelManifold, r):
     ``ric_theta = -psi'' psi + (d-2)(1-(psi')^2) + psi psi' f'``.
     """
     jet = RadialJet(M, r)
-    return _maybe_scalar(jet.ric_r, r), _maybe_scalar(jet.ric_theta, r)
+    return jet.ric_r, jet.ric_theta
 
 
 def ric_n_radial(M: ModelManifold, n: float, r):
@@ -300,15 +294,14 @@ def ric_n_radial(M: ModelManifold, n: float, r):
         raise InvalidVirtualDimensionError(f"need n > d = {M.d}, got n = {n}")
     jet = RadialJet(M, r)
     if math.isinf(n):
-        return _maybe_scalar(jet.ric_r, r)
-    return _maybe_scalar(jet.ric_r - jet.df**2 / (n - M.d), r)
+        return jet.ric_r
+    return jet.ric_r - jet.df**2 / (n - M.d)
 
 
 def weighted_laplacian_radial(M: ModelManifold, w: RadialFunction, r):
     """Drift Laplacian of a radial function: w'' + ((d-1) psi'/psi - f') w'."""
     rr = _as_radii(r)
-    val = w(rr, 2) + M.drift(rr) * w(rr, 1)
-    return _maybe_scalar(val, r)
+    return w(rr, 2) + M.drift(rr) * w(rr, 1)
 
 
 def warping_slope_energy(M: ModelManifold):
@@ -342,7 +335,7 @@ class CurvatureReport:
 def curvature_report(M: ModelManifold) -> CurvatureReport:
     r = M.report_nodes()
     ric_r, ric_th = ric_infinity_components(M, r)
-    return CurvatureReport(r=r, ric_r=np.asarray(ric_r), ric_theta=np.asarray(ric_th))
+    return CurvatureReport(r=r, ric_r=ric_r, ric_theta=ric_th)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -365,14 +358,14 @@ def comparison_report(M: ModelManifold) -> ComparisonReport:
       non-parabolic when the fitted exponent is below -1 (integrable tail).
     """
     r = M.report_nodes()
-    Lr = np.asarray(M.drift(r))
+    Lr = M.drift(r)
     violation = Lr - (M.d - 1) / r
     sharp_max = float(violation.max())
     sharp_holds = sharp_max <= 1e-12 * max(1.0, float(np.abs(Lr).max()))
     rough = float((r * Lr).max())
 
     tail = r[r >= M.grid.r_max / 10.0]
-    dens = np.asarray(M.area_density(tail)) * unit_sphere_area(M.d)
+    dens = M.area_density(tail) * unit_sphere_area(M.d)
     slope = float(np.polyfit(np.log(tail), np.log(1.0 / dens), 1)[0])
     return ComparisonReport(
         sharp_laplacian_holds=sharp_holds,
@@ -444,11 +437,10 @@ def _weight_from_flux(
     pts = pole_refined_partition(grid.nodes)
 
     def f_prime(r):
-        rr = np.asarray(r, dtype=float)
+        # at a scalar radius psi(r) is a float: its square stays numpy's 1-d loop, not libm's pow
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            out = (d - 1) * np.atleast_1d(flux(rr)) / np.atleast_1d(psi(rr)) ** 2
-        out = np.where(np.atleast_1d(rr) == 0.0, 0.0, out)
-        return out if rr.ndim else float(out[0])
+            out = (d - 1) * flux(r) / np.atleast_1d(psi(r)) ** 2
+        return np.where(r == 0.0, 0.0, out)
 
     f_value = indefinite_gauss(f_prime, pts)
 
@@ -466,9 +458,8 @@ def _weight_from_flux(
 
 def euclidean(d: int, grid: RadialGrid) -> ModelManifold:
     """Flat R^d as a model manifold: psi = r, f = 0 (analytic callbacks)."""
-    zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-    one = lambda r: np.ones_like(np.asarray(r, dtype=float))
-    psi = sample(lambda r: np.asarray(r, dtype=float), grid, derivs=(one, zero))
+    zero, one = np.zeros_like, np.ones_like
+    psi = sample(lambda r: r, grid, derivs=(one, zero))
     f = sample(zero, grid, derivs=(zero, zero))
     return ModelManifold(d=d, psi=psi, f=f, alpha=1.0, scalar_drift=lambda r: (d - 1) / r)
 
@@ -484,11 +475,11 @@ def power_weight(d: int, grid: RadialGrid, coeff: float = 1.0, power: float = 2.
         raise InvalidRangeError(f"weight power must satisfy power > 1, got {power}")
     e = euclidean(d, grid)
     f = sample(
-        lambda r: coeff * np.asarray(r, dtype=float) ** power,
+        lambda r: coeff * r**power,
         grid,
         derivs=(
-            lambda r: coeff * power * np.asarray(r, dtype=float) ** (power - 1),
-            lambda r: coeff * power * (power - 1) * np.asarray(r, dtype=float) ** (power - 2),
+            lambda r: coeff * power * r ** (power - 1),
+            lambda r: coeff * power * (power - 1) * r ** (power - 2),
         ),
     )
     c1, e1 = coeff * power, power - 1
@@ -503,21 +494,15 @@ def power_weight(d: int, grid: RadialGrid, coeff: float = 1.0, power: float = 2.
     return ModelManifold(d=d, psi=e.psi, f=f, alpha=1.0, scalar_drift=scalar_drift)
 
 
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    t = np.clip(t, 0.0, 1.0)
-    return t**3 * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-def _smoothstep_d1(t: np.ndarray) -> np.ndarray:
-    inside = (t > 0.0) & (t < 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    return np.where(inside, 30.0 * t**2 * (1.0 - t) ** 2, 0.0)
-
-
-def _smoothstep_d2(t: np.ndarray) -> np.ndarray:
-    inside = (t > 0.0) & (t < 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    return np.where(inside, 60.0 * t * (1.0 - t) * (1.0 - 2.0 * t), 0.0)
+def _smoothstep(t: np.ndarray, order: int = 0) -> np.ndarray:
+    """The quintic smoothstep 10t^3 - 15t^4 + 6t^5 of t clipped to [0, 1]
+    (``order`` 0), or its derivative of ``order`` 1 or 2, zero off (0, 1)."""
+    tc = np.clip(t, 0.0, 1.0)
+    if order == 0:
+        return tc**3 * (10.0 + tc * (-15.0 + 6.0 * tc))
+    if order == 1:
+        return np.where((t > 0.0) & (t < 1.0), 30.0 * tc**2 * (1.0 - tc) ** 2, 0.0)
+    return np.where((t > 0.0) & (t < 1.0), 60.0 * tc * (1.0 - tc) * (1.0 - 2.0 * tc), 0.0)
 
 
 def log_tail_weight(d: int, grid: RadialGrid, beta: float = 2.0) -> ModelManifold:
@@ -546,23 +531,20 @@ def log_tail_weight(d: int, grid: RadialGrid, beta: float = 2.0) -> ModelManifol
     w = hi - lo
 
     def h(r):
-        rr = np.asarray(r, dtype=float)
-        eta = _smoothstep((rr - lo) / w)
-        safe = np.maximum(rr, lo)  # tail(r) only sampled where eta > 0
+        eta = _smoothstep((r - lo) / w)
+        safe = np.maximum(r, lo)  # tail(r) only sampled where eta > 0
         return (1.0 - eta) + eta * tail(safe)
 
     def h1(r):
-        rr = np.asarray(r, dtype=float)
-        t = (rr - lo) / w
-        eta, deta = _smoothstep(t), _smoothstep_d1(t) / w
-        safe = np.maximum(rr, lo)
+        t = (r - lo) / w
+        eta, deta = _smoothstep(t), _smoothstep(t, 1) / w
+        safe = np.maximum(r, lo)
         return deta * (tail(safe) - 1.0) + eta * tail_d1(safe)
 
     def h2(r):
-        rr = np.asarray(r, dtype=float)
-        t = (rr - lo) / w
-        eta, deta, ddeta = _smoothstep(t), _smoothstep_d1(t) / w, _smoothstep_d2(t) / w**2
-        safe = np.maximum(rr, lo)
+        t = (r - lo) / w
+        eta, deta, ddeta = _smoothstep(t), _smoothstep(t, 1) / w, _smoothstep(t, 2) / w**2
+        safe = np.maximum(r, lo)
         return ddeta * (tail(safe) - 1.0) + 2.0 * deta * tail_d1(safe) + eta * tail_d2(safe)
 
     f_fn = lambda r: -np.log(h(r))

@@ -207,41 +207,31 @@ def _shoot(M: ModelManifold, p: float, ell: float, tol: float) -> SolutionProfil
 def _profile_callbacks(dense, ell, c2, r0, r_end, drift, nonlin):
     """The shot's profile on ``[0, r_end]``: ``state(r)`` gives u and u' at
     the radii ``r`` from one evaluation, of the pole series below r0 and of
-    the dense output above; ``u_fn``, ``up_fn`` and ``upp_fn`` read from it."""
+    the dense output above; the callbacks of u and u' read from it, and that
+    of u'' (``upp_fn``) from it and the ODE."""
 
     def state(r):
-        rr = np.asarray(r, dtype=float)
-        if np.any(rr < 0.0) or not np.all(covers(r_end, rr)):
+        if np.any(r < 0.0) or not np.all(covers(r_end, r)):
             raise OutOfRangeError(f"profile is defined on [0, {r_end:.6g}]")
-        flat = rr.reshape(-1)
+        flat = r.reshape(-1)
         out = np.empty((2, flat.size))
         low = flat < r0
         out[0, low] = ell - c2 * flat[low] ** 2
         out[1, low] = -2.0 * c2 * flat[low]
         if not np.all(low):
             out[:, ~low] = dense(np.minimum(flat[~low], r_end))
-        return out.reshape(2, *rr.shape)
-
-    def component(k):
-        def fn(r):
-            out = state(r)[k]
-            return out if np.ndim(r) else float(out)
-
-        return fn
-
-    u_fn, up_fn = component(0), component(1)
+        return out.reshape(2, *r.shape)
 
     def upp_fn(r):
-        rr = np.asarray(r, dtype=float)
-        flat = np.atleast_1d(rr)
+        flat = np.atleast_1d(r)
         pos = flat > 0.0
         out = np.full_like(flat, -2.0 * c2)
         if np.any(pos):
             u, du = state(flat[pos])
             out[pos] = -drift(flat[pos]) * du - nonlin(u)
-        return out if rr.ndim else float(out[0])
+        return out
 
-    return state, u_fn, up_fn, upp_fn
+    return state, lambda r: state(r)[0], lambda r: state(r)[1], upp_fn
 
 
 def solve_radial(M: ModelManifold, p: float, ell: float, tol: float = 1e-10) -> SolutionProfile:
@@ -279,9 +269,7 @@ def pohozaev(M: ModelManifold, p: float, r, u, du, E):
     """P = V E + (1/(p+1)) S u u' at the radii ``r``, from the values ``u``
     and ``du`` of u and u' there and the energy ``E = energy(p, u, du)``;
     P vanishes at r = 0."""
-    V = np.asarray(M.cumulative_area(r), dtype=float)
-    S = np.asarray(M.area_density(r), dtype=float)
-    return V * E + S * u * du / (p + 1)
+    return M.cumulative_area(r) * E + M.area_density(r) * u * du / (p + 1)
 
 
 @dataclass(frozen=True)
@@ -307,7 +295,7 @@ def slope_factor_terms(M: ModelManifold, r) -> SlopeFactorTerms:
     rr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(rr <= 0.0):
         raise SingularRadiusError("slope factor needs r > 0")
-    Lr = np.atleast_1d(np.asarray(M.drift(rr), dtype=float))
+    Lr = M.drift(rr)
     if np.any(Lr <= 0.0):
         raise MonotonicityError(
             "weighted area density must be increasing at the requested radii"
@@ -315,8 +303,8 @@ def slope_factor_terms(M: ModelManifold, r) -> SlopeFactorTerms:
     # J before V: J's table shares its area-density pass with the volume
     # table; S last, so an S past the float range ends in the tables' error
     J = M.integral("slope factor")(rr) if M.weight_from_psi else None
-    V = np.asarray(M.cumulative_area(rr), dtype=float)
-    S = np.asarray(M.area_density(rr), dtype=float)
+    V = M.cumulative_area(rr)
+    S = M.area_density(rr)
     return SlopeFactorTerms(d=M.d, S=S, Lr=Lr, V=V, J=J)
 
 

@@ -39,8 +39,6 @@ from .errors import (
 from .geometry import (
     ModelManifold,
     _smoothstep,
-    _smoothstep_d1,
-    _smoothstep_d2,
     euclidean,
     ric_infinity_components,
     ric_n_radial,
@@ -99,17 +97,14 @@ def bubble(d: int, b: float, grid: Optional[RadialGrid] = None) -> SolutionProfi
         raise InvalidRangeError(f"bubble width b = {b} takes b^2 or u(0) past the float range")
 
     def u(r):
-        rr = np.asarray(r, dtype=float)
-        return (a + b * rr**2) ** (-k)
+        return (a + b * r**2) ** (-k)
 
     def du(r):
-        rr = np.asarray(r, dtype=float)
-        return -2.0 * k * b * rr * (a + b * rr**2) ** (-k - 1)
+        return -2.0 * k * b * r * (a + b * r**2) ** (-k - 1)
 
     def ddu(r):
-        rr = np.asarray(r, dtype=float)
-        w = a + b * rr**2
-        return -2.0 * k * b * w ** (-k - 1) + 4.0 * k * (k + 1) * b**2 * rr**2 * w ** (-k - 2)
+        w = a + b * r**2
+        return -2.0 * k * b * w ** (-k - 1) + 4.0 * k * (k + 1) * b**2 * r**2 * w ** (-k - 2)
 
     return _explicit_profile(d, grid, (d + 2.0) / (d - 2.0), a ** (-k), u, du, ddu)
 
@@ -130,17 +125,14 @@ def log_bubble(b: float, grid: Optional[RadialGrid] = None) -> SolutionProfile:
                                 f"past the float range on r <= {r_max:g}")
 
     def u(r):
-        rr = np.asarray(r, dtype=float)
-        return -2.0 * np.log(a + b * rr**2)
+        return -2.0 * np.log(a + b * r**2)
 
     def du(r):
-        rr = np.asarray(r, dtype=float)
-        return -4.0 * b * rr / (a + b * rr**2)
+        return -4.0 * b * r / (a + b * r**2)
 
     def ddu(r):
-        rr = np.asarray(r, dtype=float)
-        w = a + b * rr**2
-        return -4.0 * b * (a - b * rr**2) / w**2
+        w = a + b * r**2
+        return -4.0 * b * (a - b * r**2) / w**2
 
     return _explicit_profile(2, grid, None, -2.0 * math.log(a), u, du, ddu)
 
@@ -243,23 +235,24 @@ def k_functional(data: PFunctionData, r):
             + ((n-d)/(nd)) (P + n/(n-d) f' v')^2 + Ric_n (v')^2
 
     is evaluated too and must agree to 1e-8 relative (a strong consistency
-    check on the curvature plumbing).  Vanishes identically on bubbles.
+    check on the curvature plumbing).  Vanishes identically on bubbles.  Returns a 1-d array, of
+    one value at a scalar ``r``.
     """
     rr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(rr <= 0.0):
         raise SingularRadiusError("the Hessian split needs r > 0")
     M = data.manifold
     d, m, n = M.d, data.m, data.n
-    dv = np.asarray(data.v(rr, 1), dtype=float)
-    ddv = np.asarray(data.v(rr, 2), dtype=float)
-    P = np.asarray(data.P(rr), dtype=float)
-    tang = (np.asarray(M.psi(rr, 1)) / np.asarray(M.psi(rr))) * dv
+    dv = data.v(rr, 1)
+    ddv = data.v(rr, 2)
+    P = data.P(rr)
+    tang = (M.psi(rr, 1) / M.psi(rr)) * dv
     ric_r, _ = ric_infinity_components(M, rr)
     hess_sq = ddv**2 + (d - 1) * tang**2
-    k = hess_sq - P**2 / m + np.asarray(ric_r) * dv**2
+    k = hess_sq - P**2 / m + ric_r * dv**2
 
     if not math.isinf(n):
-        fv = np.asarray(M.f(rr, 1), dtype=float) * dv
+        fv = M.f(rr, 1) * dv
         t1 = ((d - 1.0) / d) * (ddv - tang) ** 2
         t2 = ((m - n) / (m * n)) * P**2
         if n == d:
@@ -268,10 +261,10 @@ def k_functional(data: PFunctionData, r):
                     "n = d requires a trivial weight (f' = 0)"
                 )
             t3 = np.zeros_like(P)
-            ric_n = np.asarray(ric_r)
+            ric_n = ric_r
         else:
             t3 = ((n - d) / (n * d)) * (P + (n / (n - d)) * fv) ** 2
-            ric_n = np.asarray(ric_n_radial(M, n, rr))
+            ric_n = ric_n_radial(M, n, rr)
         k_alt = t1 + t2 + t3 + ric_n * dv**2
         scale = 1.0 + np.abs(hess_sq) + P**2 / m
         worst = float(np.max(np.abs(k - k_alt) / scale))
@@ -279,7 +272,7 @@ def k_functional(data: PFunctionData, r):
             raise CrossCheckError(
                 f"Hessian-split decomposition mismatch: relative gap {worst:.3e}"
             )
-    return k if np.ndim(r) else float(k[0])
+    return k
 
 
 def divergence_identity_residual(data: PFunctionData) -> RadialFunction:
@@ -295,13 +288,13 @@ def divergence_identity_residual(data: PFunctionData) -> RadialFunction:
     pos = grid.nodes > 0.0
     r = grid.nodes[pos]
     m = data.m
-    v = np.asarray(data.v(r), dtype=float)
-    dP = np.asarray(data.P(r, 1), dtype=float)
+    v = data.v(r)
+    dP = data.P(r, 1)
     flux = v ** (2.0 - m) * dP
     full = np.zeros(grid.n)  # the flux vanishes at the pole
     full[pos] = flux
-    div = finite_difference(full, grid)[pos] + np.asarray(M.drift(r)) * flux
-    lhs = m * v ** (1.0 - m) * np.asarray(k_functional(data, r))
+    div = finite_difference(full, grid)[pos] + M.drift(r) * flux
+    lhs = m * v ** (1.0 - m) * k_functional(data, r)
     out = np.full(grid.n, np.nan)
     out[pos] = np.abs(lhs - div)
     out[:2] = out[-2:] = np.nan
@@ -339,13 +332,7 @@ def ibp_residual(data: PFunctionData, q: float, R: float) -> Tuple[float, float]
     sphere = unit_sphere_area(M.d)
 
     def common(s):
-        ss = np.asarray(s, dtype=float)
-        vv = np.asarray(v(ss), dtype=float)
-        dv = np.asarray(v(ss, 1), dtype=float)
-        S = np.asarray(M.area_density(ss), dtype=float)
-        ph = np.asarray(phi(ss), dtype=float)
-        dph = np.asarray(phi(ss, 1), dtype=float)
-        return vv, dv, S, ph, dph
+        return v(s), v(s, 1), M.area_density(s), phi(s), phi(s, 1)
 
     def lhs_integrand(s):
         vv, dv, S, ph, _ = common(s)
@@ -381,12 +368,9 @@ def integral_estimate_ratio(data: PFunctionData, q: float, R: float) -> Tuple[fl
         raise OutOfGridError("the bound factor needs 2R inside the grid")
 
     def integrand(s):
-        ss = np.asarray(s, dtype=float)
-        vv = np.asarray(v(ss), dtype=float)
-        S = np.asarray(M.area_density(ss), dtype=float)
+        vv, S = v(s), M.area_density(s)
         if part == "i":
-            dv = np.asarray(v(ss, 1), dtype=float)
-            return vv ** (-q) * (dv**2 + 1.0) * S
+            return vv ** (-q) * (v(s, 1) ** 2 + 1.0) * S
         return vv ** (-q) * S
 
     acc = _weighted_antiderivative(data, ("est", part, q), integrand)
@@ -448,14 +432,14 @@ def superharmonic_floor_check(
     u_all = profile.u.values[keep]
     if np.any(u_all <= 0.0):
         raise NonpositiveSolutionError("floor comparison needs a positive profile")
-    lap = np.asarray(weighted_laplacian_radial(M, profile.u, r_all), dtype=float)
+    lap = weighted_laplacian_radial(M, profile.u, r_all)
     if np.max(lap) > 1e-12 * (1.0 + np.max(np.abs(lap))):
         raise SuperharmonicityError(
             f"profile is not superharmonic: max Lu = {np.max(lap):.3e}"
         )
     if not (0.0 < R <= r_all[-1]):
         raise OutOfRangeError(f"R must lie inside the positive range (0, {r_all[-1]:.6g}]")
-    A = R ** (kappa - 2.0) * float(profile.u(R))
+    A = R ** (kappa - 2.0) * profile.u(R)
     tail = r_all > R  # at r = R the floor is u(R), by the choice of A
     values = u_all[tail]
     floor = A * r_all[tail] ** (-(kappa - 2.0))
@@ -480,15 +464,15 @@ def radial_cutoff(R: float, M: ModelManifold) -> RadialFunction:
         raise OutOfGridError("cutoff support [0, 2R] must fit inside the grid")
 
     def t_of(r):
-        return (np.asarray(r, dtype=float) - R) / R
+        return (r - R) / R
 
     def phi(r):
         return 1.0 - _smoothstep(t_of(r))
 
     def dphi(r):
-        return -_smoothstep_d1(t_of(r)) / R
+        return -_smoothstep(t_of(r), 1) / R
 
     def ddphi(r):
-        return -_smoothstep_d2(t_of(r)) / R**2
+        return -_smoothstep(t_of(r), 2) / R**2
 
     return sample(phi, M.grid, derivs=(dphi, ddphi))

@@ -145,8 +145,13 @@ class RadialFunction:
     def __call__(self, r, order: int = 0):
         """The profile (``order`` 0) or its derivative of ``order`` 1 or 2 at ``r``.
 
-        This is the one evaluation path: it calls the callback of ``order``,
-        and raises ``invalid-range`` naming the order when there is none.
+        This is the one evaluation path, and the one place where a radius may
+        be a scalar: it calls the callback of ``order`` on a float64 array, 0-d
+        for a scalar ``r``, and turns the size-one result at a scalar ``r`` into
+        a Python float.  A scalar stays 0-d: ``**`` on the numpy scalar that a
+        ufunc returns there is libm's ``pow``, which can differ in the last bit
+        from numpy's loop over a 1-d array.  It raises ``invalid-range``
+        naming the order when there is no callback.
         """
         if not 0 <= order <= 2:
             raise InvalidRangeError(f"derivative order {order} not in 0..2")
@@ -154,7 +159,7 @@ class RadialFunction:
         if fn is None:
             raise InvalidRangeError(f"the radial profile has no callback for derivative order {order}")
         out = fn(np.asarray(r, dtype=float))
-        return float(out) if np.ndim(r) == 0 else out
+        return float(np.ravel(out)[0]) if np.ndim(r) == 0 else out
 
 
 def sample(
@@ -163,7 +168,7 @@ def sample(
     derivs: Sequence[Optional[Callable]] = (None, None),
 ) -> RadialFunction:
     """Sample an analytic callback onto a grid, keeping it for evaluation."""
-    return RadialFunction(grid, np.asarray(fn(grid.nodes), dtype=float), value_fn=fn, derivs=derivs)
+    return RadialFunction(grid, fn(grid.nodes), value_fn=fn, derivs=derivs)
 
 
 def finite_difference(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
@@ -234,10 +239,9 @@ def _in_blocks(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndar
     consecutive blocks of ``_BLOCK_POINTS`` points and joined along the last
     axis (integrands stacked along leading axes stay stacked)."""
     if x.size <= _BLOCK_POINTS:
-        return np.asarray(fn(x), dtype=float)
-    blocks = [np.asarray(fn(x[i : i + _BLOCK_POINTS]), dtype=float)
-              for i in range(0, x.size, _BLOCK_POINTS)]
-    return np.concatenate(blocks, axis=-1)
+        return fn(x)
+    return np.concatenate([fn(x[i : i + _BLOCK_POINTS]) for i in range(0, x.size, _BLOCK_POINTS)],
+                          axis=-1)
 
 
 def indefinite_gauss(

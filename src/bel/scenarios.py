@@ -345,14 +345,14 @@ def _scenario_euclidean(spec: RunSpec, d, grid):
     curv = curvature_report(M)
     worst_ric = max(np.max(np.abs(curv.ric_r)), np.max(np.abs(curv.ric_theta)))
     r = curv.r
-    lr_defect = np.max(np.abs(np.asarray(laplacian_of_distance(M, r)) * r - (d - 1)))
+    lr_defect = np.max(np.abs(laplacian_of_distance(M, r) * r - (d - 1)))
     checks = [
         Check("ricci-vanishes", "Ric^r = -(d-1) psi''/psi + f''; psi = r, f = 0",
               worst_ric, 1e-10),
         Check("distance-laplacian", "L r = (d-1)/r on flat space", lr_defect, 1e-12),
     ]
     if d == 3:
-        vol = float(weighted_volume(M, 1.0))
+        vol = weighted_volume(M, 1.0)
         err = abs(vol - 4.0 * math.pi / 3.0)
         checks.append(Check("unit-ball-volume", "mu(B_1) = 4 pi / 3", err, 1e-6))
     columns = {"r": r, "ric_r": curv.ric_r, "ric_theta": curv.ric_theta}
@@ -365,12 +365,12 @@ def _bubble_common(prof, data, target_P: float, label: str):
     nodes = M.grid.nodes
     inside = (nodes > 0.0) & (nodes <= 50.0)
     window = nodes[inside]
-    u2 = np.asarray(prof.u(window, 2))
-    drift = np.asarray(M.drift(window))
+    u2 = prof.u(window, 2)
+    drift = M.drift(window)
     nonlin = _nonlinearity(prof.p)(prof.u.values[inside])
     residual = float(np.max(np.abs(u2 + drift * prof.u_prime.values[inside] + nonlin)))
     p_dev = float(np.max(np.abs(data.P.values[inside] - target_P)))
-    k_sup = float(np.max(np.abs(np.asarray(k_functional(data, window)))))
+    k_sup = float(np.max(np.abs(k_functional(data, window))))
     checks = [
         Check(f"{label}-pde-residual", "-u'' - L r u' = nonlinearity(u)", residual, 1e-8),
         Check(f"{label}-p-constant", "P = ((m/2) v'^2 + c_m) / v is constant", p_dev, 1e-8),
@@ -384,7 +384,7 @@ def _scenario_bubble(spec: RunSpec, d, b):
     data = v_transform(prof, n=float(d))
     checks, columns = _bubble_common(prof, data, 2.0 * b * d, "bubble")
     res = divergence_identity_residual(data)
-    div_sup = float(np.nanmax(res.values[2:-2]))
+    div_sup = float(np.nanmax(res.values))
     checks.append(Check("divergence-identity", "m v^{1-m} k = div_f(v^{2-m} P')", div_sup, 1e-10))
     floor = superharmonic_floor_check(prof, float(d), 2.0)
     checks.append(Check("superharmonic-floor", "u >= A r^{2-kappa} for r >= R, kappa = d",
@@ -429,8 +429,8 @@ def _scenario_soliton(spec: RunSpec, d, p, ell, grid):
         return checks, columns
     checks.append(Check("zero-crossing", "finite weighted volume forbids positive solutions",
                         prof.r_star, reason="" if prof.crossed else prof.status))
-    vol_hi = float(weighted_volume(M, M.grid.r_max))
-    vol_lo = float(weighted_volume(M, M.grid.r_max / 2.0))
+    vol_hi = weighted_volume(M, M.grid.r_max)
+    vol_lo = weighted_volume(M, M.grid.r_max / 2.0)
     checks.append(Check("weighted-volume-finite", "mu(M) = |S^{d-1}| int e^{-r^2} r^{d-1} < inf",
                         abs(vol_hi - vol_lo), 1e-8 * vol_hi))
     return checks, columns
@@ -446,7 +446,7 @@ def _log_tail_example(d: int, beta: float, grid_args: tuple):
     the next run: the tail-integrability check, ``mu(B_R)`` at
     ``_VOLUME_RADII`` and the curvature columns of the log-tail manifold."""
     M = log_tail_weight(d, make_grid(*grid_args), beta=beta)
-    volumes = np.asarray(weighted_volume(M, _VOLUME_RADII))
+    volumes = weighted_volume(M, _VOLUME_RADII)
     comp = comparison_report(M)
     tail = Check("tail-integrable", "int^inf dr / (e^{-f} psi^{d-1}) < inf", comp.tail_exponent,
                  -1.0, "<", "the tail fit is parabolic" if comp.parabolic else "")

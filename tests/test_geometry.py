@@ -29,6 +29,7 @@ from bel.geometry import (
     weighted_laplacian_radial,
     weighted_volume,
 )
+from bel.pfunction import bubble
 from bel.radial_core import (
     RadialFunction,
     finite_difference,
@@ -405,6 +406,21 @@ def test_scalar_drift_returns_a_python_float(kind):
     arithmetic into the rest of the stage."""
     for M in _scalar_drift_family(kind):
         assert {type(M.scalar_drift(float(r))) for r in _SCALAR_RADII} == {float}
+
+
+def test_a_scalar_radius_reaches_a_callback_as_a_0d_array(theorem_reports):
+    """``RadialFunction.__call__`` is the one scalar boundary: it hands a
+    callback a scalar radius as a 0-d array, whose ``**`` is libm's ``pow``
+    as on Python floats (numpy's loop over a 1-d array can round the last
+    bit otherwise), and gives back a Python float.  The quantities built on
+    it give floats at a scalar radius too."""
+    a, b = 1.0 / 7.0, 0.2
+    u = bubble(7, b).u(2.0)
+    assert type(u) is float and u == (a + b * 2.0**2) ** -2.5
+    M = theorem_reports[(3, 0.5, 5.0, 1.0)].manifold
+    values = (M.drift(1.0), *ric_infinity_components(M, 1.0), weighted_volume(M, 1.0),
+              M.area_density(1.0))
+    assert all(isinstance(x, float) for x in values), [type(x) for x in values]
 
 
 def test_scalar_power_drift_overflows_to_numpy_value():

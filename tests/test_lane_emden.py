@@ -314,6 +314,20 @@ def test_decomposition_mismatch_raises_coded_error(monkeypatch):
     assert slope.value.code == "cross-check-mismatch"
 
 
+def test_a_cross_check_in_the_scalar_drift_ends_the_shot_coded():
+    """The shot's right-hand side takes an ``ArithmeticError`` from the
+    scalar drift for float overflow and evaluates that stage on the array
+    path; a failed cross-check raised there is no overflow and propagates."""
+
+    def mismatch(r):
+        raise CrossCheckError("the scalar drift disagrees with the drift")
+
+    flat = euclidean(3, make_grid(1e-3, 10.0, 129, "geometric"))
+    with pytest.raises(CrossCheckError) as err:
+        solve_radial(dataclasses.replace(flat, scalar_drift=mismatch), p=5.0, ell=1.0)
+    assert err.value.code == "cross-check-mismatch"
+
+
 def test_slope_factor_table_past_the_float_range_is_a_coded_error():
     """A slope-factor integrand S G / Lr^2 that is not finite ends in
     ``invalid-range`` from the pass it shares with the volume table, without

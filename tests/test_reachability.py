@@ -191,3 +191,16 @@ def test_the_package_root_exports_the_readme_quick_start():
     quick_start = readme.split("## Quick start (library)", 1)[1].split("```python", 1)[1]
     used = set(re.findall(r"\bbel\.(\w+)", quick_start.split("```", 1)[0]))
     assert set(bel.__all__) == used | {"BelError"}
+
+
+def test_the_readme_quick_start_runs(capsys):
+    """The README's library quick start runs as printed: its bubble has a
+    constant P and a vanishing k, and every check of its theorem report
+    passes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quick_start = readme.split("## Quick start (library)", 1)[1].split("```python", 1)[1]
+    exec(compile(quick_start.split("```", 1)[0], "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert float(lines[0]) < 1e-12 and float(lines[1]) < 1e-12
+    assert lines[2].split()[0] == "True" and float(lines[2].split()[1]) > 0.0
+    assert len(lines) > 3 and all(line.split()[1] == "True" for line in lines[3:])

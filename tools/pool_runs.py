@@ -2,6 +2,7 @@
 """Run every benchmark pool point and every bundled config once.
 
     python3 tools/pool_runs.py digest OUT.json
+    python3 tools/pool_runs.py compare BASE.json CHANGE.json
     python3 tools/pool_runs.py map
 
 The runs are the pool points of each benchmark workload
@@ -15,13 +16,17 @@ digest files are equal produce byte-identical artifacts on every run; the
 digests of the report are those of ``tests/test_acceptance.py``'s
 determinism test.
 
+``compare`` reads two digest files and prints each run key whose
+``report.json`` or ``profiles.csv`` digest differs between them, or that
+appears in only one of them; it exits 1 if it prints any key, else 0.
+
 ``map`` parses and runs the same set under a ``sys.settrace`` line tracer
 and prints the functions of ``src/bel`` that no run enters and, inside the
 functions that runs do enter, the lines that none executes.  Code that runs
 only when ``bel`` is imported is not traced, and shows as never run.
 
-Neither mode is part of the test suite; each takes under a minute on two
-cores.
+``digest`` and ``map`` are not part of the test suite; each takes under a
+minute on two cores.
 """
 
 from __future__ import annotations
@@ -73,6 +78,16 @@ def digest(out_path: str) -> int:
     Path(out_path).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"{len(digests)} runs digested into {out_path}")
     return 0
+
+
+def compare(base_path: str, change_path: str) -> int:
+    base, change = (json.loads(Path(p).read_text()) for p in (base_path, change_path))
+    differ = sorted(key for key in base.keys() | change.keys() if base.get(key) != change.get(key))
+    for key in differ:
+        print(key if key in base and key in change
+              else f"{key} (only in {base_path if key in base else change_path})")
+    print(f"{len(differ)} of {len(base.keys() | change.keys())} runs differ", file=sys.stderr)
+    return 1 if differ else 0
 
 
 def _executable_lines(code) -> set:
@@ -154,8 +169,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     modes = parser.add_subparsers(dest="mode", required=True)
     modes.add_parser("digest", help="write one SHA-256 per run").add_argument("out")
+    compare_mode = modes.add_parser("compare", help="print the runs whose digests differ")
+    compare_mode.add_argument("base")
+    compare_mode.add_argument("change")
     modes.add_parser("map", help="print the src/bel code that no run executes")
     args = parser.parse_args(argv)
+    if args.mode == "compare":
+        return compare(args.base, args.change)
     return digest(args.out) if args.mode == "digest" else traffic_map()
 
 
