@@ -63,7 +63,7 @@ class Dop853Result:
     right-hand-side budget was spent, and ``message`` then says which (it is
     empty otherwise).  Segment ``i`` of the dense output
     spans ``t[i]..t[i+1]`` with the interpolant of the step from
-    ``t_old[i]`` of size ``h[i]``, which starts at ``y_old[i]`` and has the
+    ``t[i]`` of size ``h[i]``, which starts at ``y_old[i]`` and has the
     coefficients ``F[i]`` of shape ``(7, n)``."""
 
     t: np.ndarray
@@ -71,7 +71,6 @@ class Dop853Result:
     nfev: int
     status: int
     t_events: List[np.ndarray]
-    t_old: np.ndarray
     h: np.ndarray
     y_old: np.ndarray
     F: np.ndarray
@@ -234,7 +233,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events: Sequence[Cal
     t_events: List[list] = [[] for _ in events]
 
     ts, y_last = [t], y
-    t_olds, hs, y_olds, Fs = [], [], [], []
+    hs, y_olds, Fs = [], [], []
     status, message = None, ""
     while status is None:
         # -- one step: DOP853._step_impl (max_step = inf, direction = +1)
@@ -290,7 +289,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events: Sequence[Cal
             else:
                 message = "the step size was not finite"
             break
-        t_old, y_old, f_old = t, y, f
+        t_prev, y_old, f_old = t, y, f
         t, y, f = t_new, y_new, f_new
         if t - t_bound >= 0:
             status = 0
@@ -298,7 +297,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events: Sequence[Cal
         # -- its dense output: DOP853._dense_output_impl
         for KT, a, c, s in extra:
             d0, d1 = KT.dot(a).tolist()
-            K[s] = fun(t_old + c * h, (u + d0 * h, du + d1 * h))
+            K[s] = fun(t_prev + c * h, (u + d0 * h, du + d1 * h))
         nfev += len(extra)
         F = np.empty((_coef.INTERPOLATOR_POWER, 2))
         delta_y = [b - a for a, b in zip(y_old, y)]
@@ -306,7 +305,6 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events: Sequence[Cal
                  [h * fo - dy for fo, dy in zip(f_old, delta_y)],
                  [2 * dy - h * (fn + fo) for dy, fn, fo in zip(delta_y, f, f_old)]]
         F[3:] = h * _D.dot(K)
-        t_olds.append(t_old)
         hs.append(h)
         y_olds.append(y_old)
         Fs.append(F)
@@ -317,10 +315,10 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events: Sequence[Cal
             active = [i for i, dirn in enumerate(directions) if _crossed(g[i], g_new[i], dirn)]
             if active:
                 def state(r):
-                    return _interpolate((r - t_old) / h, F, y_old).tolist()
+                    return _interpolate((r - t_prev) / h, F, y_old).tolist()
 
                 roots = [brentq(lambda r, event=events[i]: event(r, state(r)),
-                                t_old, t, xtol=_ROOT_TOL, rtol=_ROOT_TOL) for i in active]
+                                t_prev, t, xtol=_ROOT_TOL, rtol=_ROOT_TOL) for i in active]
                 first = min(range(len(roots)), key=roots.__getitem__)
                 t_events[active[first]].append(roots[first])
                 status = 1
@@ -329,7 +327,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events: Sequence[Cal
             g = g_new
 
         if len(ts) > 1 and ts[-1] == t:  # a root on the previous step's end
-            for stack in (t_olds, hs, y_olds, Fs):
+            for stack in (hs, y_olds, Fs):
                 stack.pop()
         else:
             ts.append(t)
@@ -341,7 +339,6 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, events: Sequence[Cal
         nfev=nfev,
         status=status,
         t_events=[np.asarray(te) for te in t_events],
-        t_old=np.array(t_olds),
         h=np.array(hs),
         y_old=np.array(y_olds).reshape(-1, 2),
         F=np.array(Fs).reshape(-1, _coef.INTERPOLATOR_POWER, 2),
@@ -356,14 +353,14 @@ def dense_output(sol: Dop853Result) -> Callable:
     as ``OdeSolution`` does) and all radii go through the loop of
     ``Dop853DenseOutput`` together.  Returns ``y`` of shape ``(n,)`` for a
     scalar radius, ``(n, m)`` for m radii."""
-    ts, t_old, h, y_old, F = sol.t, sol.t_old, sol.h, sol.y_old, sol.F
+    ts, h, y_old, F = sol.t, sol.h, sol.y_old, sol.F
     last = len(h) - 1
 
     def evaluate(r):
         rr = np.asarray(r, dtype=float)
         flat = np.atleast_1d(rr)
         seg = np.clip(np.searchsorted(ts, flat, side="left") - 1, 0, last)
-        y = _interpolate(((flat - t_old[seg]) / h[seg])[:, None], F[seg], y_old[seg])
+        y = _interpolate(((flat - ts[seg]) / h[seg])[:, None], F[seg], y_old[seg])
         return y.T if rr.ndim else y[0]
 
     return evaluate

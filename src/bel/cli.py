@@ -1,5 +1,6 @@
 """Command-line entry point: run scenario configs, list what is available."""
 
+import itertools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -14,11 +15,6 @@ from .scenarios import SCENARIOS, TOL, execute_run, expand_runs, load_config
 @click.group()
 def main():
     """Radial verification laboratory for weighted model manifolds."""
-
-
-def _pool_worker(payload):
-    spec, out_root = payload
-    return execute_run(spec, out_root)
 
 
 @main.command("run")
@@ -39,7 +35,7 @@ def run(config_file, out_dir, tol, jobs):
         specs = expand_runs(config, tol)
         if jobs > 1 and len(specs) > 1:
             with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
-                reports = list(pool.map(_pool_worker, [(s, out_root) for s in specs]))
+                reports = list(pool.map(execute_run, specs, itertools.repeat(out_root)))
         else:
             reports = [execute_run(spec, out_root) for spec in specs]
     except BelError as exc:

@@ -217,8 +217,6 @@ class TheoremReport:
     """
 
     manifold: ModelManifold
-    p: float
-    ell: float
     profile: Optional[SolutionProfile]
     solver_error: Optional[str]
     checks: Tuple[Check, ...]
@@ -423,8 +421,6 @@ def verify_theorem(
     )
     return TheoremReport(
         manifold=M,
-        p=float(p),
-        ell=float(ell),
         profile=profile,
         solver_error=solver_error,
         checks=checks,

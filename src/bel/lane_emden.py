@@ -126,7 +126,20 @@ def _nonlinearity(p: Optional[float]) -> Callable[[np.ndarray], np.ndarray]:
     return np.exp if p is None else power
 
 
-def _shoot(M: ModelManifold, p: float, ell: float, tol: float) -> SolutionProfile:
+def solve_radial(M: ModelManifold, p: float, ell: float, tol: float = 1e-10) -> SolutionProfile:
+    """Shoot the power-nonlinearity problem from u(0) = ell > 0 over ``M``'s grid.
+
+    Integration runs on [r0, r_max], the grid's end, with an adaptive
+    high-order Runge-Kutta scheme (local error <= tol); [0, r0] is covered by
+    the series u = ell - ell^p r^2 / (2d) + O(r^4).  The shot stops at the
+    first zero of u (status ``crossed-zero-at``) or at r_max
+    (``global-positive``).
+    """
+    if ell <= 0.0:
+        raise NonpositiveCenterValueError(f"center value must be positive, got {ell}")
+    if p <= 1.0:
+        raise InvalidRangeError(f"exponent must satisfy p > 1, got {p}")
+    p, ell = float(p), float(ell)
     grid = M.grid
     if not 0.0 < tol < np.inf:
         raise InvalidRangeError(f"tol must be a positive finite number, got {tol}")
@@ -232,22 +245,6 @@ def _profile_callbacks(dense, ell, c2, r0, r_end, drift, nonlin):
         return out
 
     return state, lambda r: state(r)[0], lambda r: state(r)[1], upp_fn
-
-
-def solve_radial(M: ModelManifold, p: float, ell: float, tol: float = 1e-10) -> SolutionProfile:
-    """Shoot the power-nonlinearity problem from u(0) = ell > 0 over ``M``'s grid.
-
-    Integration runs on [r0, r_max], the grid's end, with an adaptive
-    high-order Runge-Kutta scheme (local error <= tol); [0, r0] is covered by
-    the series u = ell - ell^p r^2 / (2d) + O(r^4).  The shot stops at the
-    first zero of u (status ``crossed-zero-at``) or at r_max
-    (``global-positive``).
-    """
-    if ell <= 0.0:
-        raise NonpositiveCenterValueError(f"center value must be positive, got {ell}")
-    if p <= 1.0:
-        raise InvalidRangeError(f"exponent must satisfy p > 1, got {p}")
-    return _shoot(M, float(p), float(ell), tol)
 
 
 # ------------------------------------------------------------------ monitors

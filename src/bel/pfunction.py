@@ -92,9 +92,15 @@ def bubble(d: int, b: float, grid: Optional[RadialGrid] = None) -> SolutionProfi
     a = 1.0 / (d * (d - 2) * b)
     k = (d - 2) / 2.0
     # the closed form squares b (in u'') and raises a to -k (u(0)): a width
-    # that takes either past the float range would raise an OverflowError
-    if max(2.0 * math.log(b), k * math.log(d * (d - 2) * b)) >= math.log(np.finfo(float).max):
+    # that takes either past the float range would raise an OverflowError;
+    # v'' reads u^(gamma-2) = (a + b r^2)^(d-1), largest at r_max
+    log_max = math.log(np.finfo(float).max)
+    if max(2.0 * math.log(b), k * math.log(d * (d - 2) * b)) >= log_max:
         raise InvalidRangeError(f"bubble width b = {b} takes b^2 or u(0) past the float range")
+    r_max = _EXPLICIT_GRID[1] if grid is None else grid.r_max
+    if (d - 1) * math.log(a + b * (r_max * r_max)) >= log_max:
+        raise InvalidRangeError(f"bubble width b = {b} takes (a + b r^2)^(d-1), in v'', "
+                                f"past the float range on r <= {r_max:g}")
 
     def u(r):
         return (a + b * r**2) ** (-k)
@@ -409,7 +415,6 @@ class SuperharmonicReport:
 
     floor: np.ndarray
     values: np.ndarray
-    A: float
     all_hold: bool
 
 
@@ -444,7 +449,7 @@ def superharmonic_floor_check(
     values = u_all[tail]
     floor = A * r_all[tail] ** (-(kappa - 2.0))
     return SuperharmonicReport(
-        floor=floor, values=values, A=A, all_hold=bool(np.all(values >= floor * (1.0 - 1e-12)))
+        floor=floor, values=values, all_hold=bool(np.all(values >= floor * (1.0 - 1e-12)))
     )
 
 

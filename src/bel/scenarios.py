@@ -74,11 +74,10 @@ PROFILE_COLUMNS = (
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Parsed config: scenario name plus raw (possibly swept) parameters."""
+    """Parsed config: scenario name plus raw parameters, a swept one as a list."""
 
     scenario: str
     params: Dict[str, object]
-    sweep_keys: Tuple[str, ...]
     out_dir: Optional[str] = None
     tol: Optional[float] = None
 
@@ -162,8 +161,8 @@ class Scenario:
         """``params``, plus ``r_max``, ``nodes`` and ``spacing`` where there is a grid."""
         if self.grid is None:
             return self.params
-        _, r_max, nodes, spacing = self.grid
-        return {**self.params, "r_max": Param(float, Interval(0.0), r_max),
+        r_min, r_max, nodes, spacing = self.grid
+        return {**self.params, "r_max": Param(float, Interval(r_min), r_max),
                 "nodes": Param(int, Interval(MIN_NODES, ends="[)"), nodes),
                 "spacing": Param(str, {"uniform", "geometric"}, spacing)}
 
@@ -183,7 +182,6 @@ def _parse_scalar(token: str):
 def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     """Parse the flat key=value format, rejecting unknown keys with a line."""
     entries: Dict[str, object] = {}
-    sweeps: List[str] = []
     line_of: Dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -198,15 +196,12 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
             raise ConfigParseError(f"{source}:{lineno}: empty key or value")
         if key in entries:
             raise ConfigParseError(f"{source}:{lineno}: duplicate key {key!r}")
-        if "," in value:
-            entries[key] = [_parse_scalar(v) for v in value.split(",")]
-            sweeps.append(key)
-        else:
-            entries[key] = _parse_scalar(value)
+        points = [_parse_scalar(v) for v in value.split(",")]
+        entries[key] = points if len(points) > 1 else points[0]
         line_of[key] = lineno
 
     for key in ("scenario", "out_dir", "tol"):
-        if key in sweeps:
+        if isinstance(entries.get(key), list):
             raise ConfigParseError(f"{source}:{line_of[key]}: {key} takes one value, not a sweep")
     scenario = entries.pop("scenario", None)
     if scenario is None:
@@ -230,7 +225,6 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     return ScenarioConfig(
         scenario=scenario,
         params=entries,
-        sweep_keys=tuple(k for k in sweeps if k in entries),
         out_dir=out_dir,
         tol=None if tol is None else float(tol),
     )
@@ -256,7 +250,7 @@ def expand_runs(config: ScenarioConfig, tol: Optional[float] = None) -> List[Run
     """
     record = SCENARIOS[config.scenario]
     keys = record.keys
-    swept = list(config.sweep_keys)
+    swept = [key for key, value in config.params.items() if isinstance(value, list)]
     runs: List[RunSpec] = []
     slugs = set()
     run_tol = TOL.typed("tol", tol if tol is not None else

@@ -45,13 +45,12 @@ def test_parse_basic_config():
     assert cfg.scenario == "bubble"
     assert cfg.params == {"d": 4, "b": 0.125}
     assert cfg.tol == 1e-11
-    assert cfg.sweep_keys == ()
 
 
 def test_parse_sweeps_preserve_order():
     cfg = parse_config("scenario = euclidean-sanity\nd = 2,3,4,6\n")
     assert cfg.params["d"] == [2, 3, 4, 6]
-    assert cfg.sweep_keys == ("d",)
+    assert [s.slug for s in expand_runs(cfg)] == [f"euclidean-sanity-d{d}" for d in (2, 3, 4, 6)]
 
 
 def test_parse_infinity_token():
@@ -469,6 +468,20 @@ def test_cli_sweep_point_out_of_domain_writes_nothing(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_r_max_below_the_grid_start_writes_nothing(tmp_path):
+    """r_max's domain starts at the grid's first radius, 1e-3, so a sweep
+    point below it is a config-parse-error before any run starts; it once
+    passed the domain (0, inf), and the sweep wrote ``custom-r_max100``
+    before the grid rejected the second point with ``invalid-range``."""
+    cfg = _write(tmp_path, "scenario = custom\nd = 3\np = 5\nell = 1\nr_max = 100, 1e-4\n")
+    result = CliRunner().invoke(main, ["run", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert ("error [config-parse-error]: r_max must be a number in (0.001, inf), got 0.0001"
+            in result.output)
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_theorem_shot_shorter_than_cheng_yau_sweep(tmp_path):
     """The Cheng-Yau radii R keep B_2R inside the shot, so a theorem run
     whose grid ends at r = 100 reports the check on R <= 50."""
@@ -860,15 +873,34 @@ def test_cli_shot_crossing_before_the_first_node_ends_in_a_report(tmp_path):
                                    "[0, 0.000498446953438] holds 0 positive nodes")
 
 
-@pytest.mark.parametrize("d,b", [(3, "1e160"), (6, "1e154"), (100, "1e3")])
-def test_cli_bubble_width_beyond_the_float_range_is_a_coded_error(tmp_path, d, b):
+_V_TERM = "(a + b r^2)^(d-1), in v'', past the float range on r <= 200"
+
+
+@pytest.mark.parametrize("scenario,d,b,term", [
+    ("bubble", 3, "1e160", "b^2 or u(0)"),
+    ("bubble", 6, "1e154", "b^2 or u(0)"),
+    ("bubble", 100, "1e3", "b^2 or u(0)"),
+    ("bubble", 3, "1e-300", _V_TERM),
+    ("bubble", 3, "1e-155", _V_TERM),
+    ("bubble", 3, "1e150", _V_TERM),
+    ("bubble", 3, "1e154", _V_TERM),
+    ("bubble", 100, "0.125", _V_TERM),
+    ("estimates-sweep", 4, "1e-300", _V_TERM),
+], ids=["3-1e160", "6-1e154", "100-1e3", "3-1e-300", "3-1e-155", "3-1e150", "3-1e154",
+        "100-0.125", "estimates-4-1e-300"])
+def test_cli_bubble_width_beyond_the_float_range_is_a_coded_error(tmp_path, scenario, d, b,
+                                                                  term):
     """A width that takes b^2 (in u'') or u(0) = (d(d-2) b)^((d-2)/2) past
-    the float range is rejected up front with ``invalid-range`` (exit 2);
-    ``b**2`` once ended b = 1e160 in an OverflowError traceback."""
-    code, stderr = _run_cli(tmp_path, f"scenario = bubble\nd = {d}\nb = {b}\n")
+    the float range, or the factor u^(gamma-2) = (a + b r^2)^(d-1) of v''
+    at the grid's end, is rejected up front with ``invalid-range`` (exit 2).
+    ``b**2`` once ended b = 1e160 in an OverflowError traceback; the v''
+    cases once printed overflow warnings and ended in a report, b = 1e150
+    in ``cross-check-mismatch``."""
+    q = "q = 1\n" if scenario == "estimates-sweep" else ""
+    code, stderr = _run_cli(tmp_path, f"scenario = {scenario}\nd = {d}\nb = {b}\n{q}")
     assert code == 2, stderr
     assert "Traceback" not in stderr and "Warning" not in stderr
-    assert f"error [invalid-range]: bubble width b = {float(b)!r} takes b^2 or u(0)" in stderr
+    assert f"error [invalid-range]: bubble width b = {float(b)!r} takes {term}" in stderr
 
 
 @pytest.mark.parametrize("b", ["1e300", "1e-300"])
@@ -979,8 +1011,8 @@ def test_cli_jobs_pool_has_at_most_one_worker_per_run(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr("bel.cli.ProcessPoolExecutor", SerialPool)
     cfg = _write(tmp_path, "scenario = euclidean-sanity\nd = 2,3\n")
@@ -1014,3 +1046,4 @@ def test_cli_list_scenarios():
         assert name in result.output
     assert "  alpha: a number in (0, 1); required\n" in result.output
     assert "  nodes: an integer in [16, inf); default 4096\n" in result.output
+    assert "  r_max: a number in (0.001, inf); default 1000.0\n" in result.output

@@ -129,7 +129,7 @@ def test_full_report_critical_case(theorem_reports):
     rough = rep.check("rough-comparison")
     assert rough.tolerance == pytest.approx(8.0)
     assert rough.measured < rough.tolerance
-    assert 0.0 < rep.check("asymptotic-bound").measured < (rep.p - 1.0) / (2.0 * rep.manifold.d)
+    assert 0.0 < rep.check("asymptotic-bound").measured < (5.0 - 1.0) / (2.0 * 3)  # (p - 1) / (2d)
     f = rep.manifold.f.values
     assert np.exp(-np.max(f)) < np.exp(-np.min(f))  # C1 < C2
 
@@ -143,7 +143,7 @@ def test_full_report_supercritical_case(theorem_reports):
 def test_report_flags_are_grid_reproducible(theorem_reports):
     """Recomputing a report on the same manifold yields identical checks."""
     rep = theorem_reports[(4, 0.5, 3.0, 2.0)]
-    again = verify_theorem(rep.manifold, rep.p, rep.ell)
+    again = verify_theorem(rep.manifold, 3.0, 2.0)
     assert again.checks == rep.checks
 
 

@@ -176,19 +176,51 @@ def test_driver_matches_scipy_solve_ivp_bit_for_bit(monkeypatch, case):
     M, sol, oracle = _driver_and_oracle(monkeypatch, case)
     shot = _TIGHT_SHOTS.get(case, (case,))[0]
     expected_status = {"soliton": 1, "overflow-guard": 1}.get(shot, 0)
-    assert sol.status == oracle.status == expected_status
+    assert sol.status == expected_status
+    assert sum(te.size for te in sol.t_events) == (expected_status == 1)
+    nodes = M.grid.nodes
+    _assert_same_as_scipy(sol, oracle, nodes[(nodes >= sol.t[0]) & (nodes <= sol.t[-1])])
+
+
+def _assert_same_as_scipy(sol, oracle, radii):
+    """Status, steps, work, event roots, final state, segment starts and
+    dense output (at ``radii`` and at 500 seeded radii) equal scipy's."""
+    assert sol.status == oracle.status
     assert np.array_equal(sol.t, oracle.t)
     assert sol.nfev == oracle.nfev
     assert len(sol.t_events) == len(oracle.t_events)
     for mine, theirs in zip(sol.t_events, oracle.t_events):
         assert np.array_equal(mine, theirs)
-    assert sum(te.size for te in sol.t_events) == (expected_status == 1)
     assert np.array_equal(sol.y, oracle.y[:, -1])
+    # segment i of the dense output is the step from t[i]
+    assert [step.t_old for step in oracle.sol.interpolants] == sol.t[:-1].tolist()
     dense = dense_output(sol)
     t0, t1 = sol.t[0], sol.t[-1]
-    nodes = M.grid.nodes
-    for r in (nodes[(nodes >= t0) & (nodes <= t1)], np.random.default_rng(7).uniform(t0, t1, 500)):
+    for r in (radii, np.random.default_rng(7).uniform(t0, t1, 500)):
         assert np.array_equal(dense(r), oracle.sol(r))
+
+
+def test_driver_matches_scipy_when_a_root_lands_on_the_previous_step_end():
+    """An event that touches zero from below at a step's end and goes
+    negative over the next step (``-(t - T)^2`` with direction -1, T a step
+    end) has its root at T, the end of the last segment kept: the step past
+    T is dropped, as scipy drops it, and the segments still start at t[i]."""
+    def fun(t, y):
+        return y[1], -y[0]
+
+    T = float(_dop853.solve_ivp(fun, (0.0, 10.0), [1.0, 0.0], rtol=1e-8, atol=1e-8).t[3])
+
+    def touch(t, y):
+        return -((t - T) ** 2)
+
+    touch.terminal, touch.direction = True, -1.0
+    kwargs = dict(rtol=1e-8, atol=1e-8, events=[touch])
+    sol = _dop853.solve_ivp(fun, (0.0, 10.0), [1.0, 0.0], **kwargs)
+    oracle = scipy_solve_ivp(fun, (0.0, 10.0), [1.0, 0.0], method="DOP853", dense_output=True,
+                             **kwargs)
+    assert sol.status == 1 and sol.t.size == 4 and sol.t[-1] == sol.t_events[0][0] == T
+    assert sol.h.size == sol.t.size - 1
+    _assert_same_as_scipy(sol, oracle, np.linspace(0.0, T, 50))
 
 
 @pytest.mark.parametrize("case", ["theorem", "soliton"])

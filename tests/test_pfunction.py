@@ -380,7 +380,9 @@ def test_superharmonic_floor_on_bubbles():
         prof = bubble(d, 0.125)
         rep = superharmonic_floor_check(prof, float(d), 2.0)
         assert rep.all_hold
-        assert math.isclose(rep.A, 2.0 ** (d - 2.0) * float(prof.u(2.0)), rel_tol=1e-12)
+        nodes = prof.manifold.grid.nodes
+        floor = 2.0 ** (d - 2.0) * float(prof.u(2.0)) * nodes[nodes > 2.0] ** (2.0 - d)
+        np.testing.assert_allclose(rep.floor, floor, rtol=1e-12)
 
 
 def test_superharmonic_floor_detects_wrong_exponent():

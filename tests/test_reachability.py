@@ -13,7 +13,8 @@ What counts as read, anywhere in the package, matched by name alone:
   counts only for a name in the package's ``__all__``: re-exporting a name
   from the package root does not keep a dead definition alive;
 * a class member: an ``ast.Attribute`` load (``obj.name``), since a bare name
-  inside a function is a local, not the member.
+  inside a function is a local, not the member, and ``obj`` is not a module
+  the reading module imports: ``np.A`` or ``_coef.A`` reads no field ``A``.
 
 A function with a decorator other than ``property``, ``staticmethod`` or
 ``classmethod`` counts as read, because the decorator registers it (a click
@@ -87,32 +88,43 @@ def _definitions(module: str, tree: ast.Module):
             yield f"{module}.{node.name}.{name}", name, True, item.lineno
 
 
+def _modules(tree: ast.Module) -> set:
+    """The names ``tree`` binds to modules: ``import x``, ``import x as y``
+    and ``from . import x``."""
+    return {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom)
+            and node.module is None for alias in node.names}
+
+
 def _reads(trees: dict) -> tuple:
-    """The names loaded or imported, and the attribute names loaded, over
-    all ``trees`` (module name -> tree); ``__init__``'s imports count only
-    for the names in its ``__all__``."""
-    names, attributes = set(), set()
+    """The names loaded or imported, and the member names loaded, over all
+    ``trees`` (module name -> tree); a member is an attribute of anything but
+    an imported module, whose attributes count as names.  ``__init__``'s
+    imports count only for the names in its ``__all__``."""
+    names, members = set(), set()
     for module, tree in trees.items():
         exported = _exported(tree) if module == "__init__" else None
+        modules = _modules(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                attributes.add(node.attr)
+                on_module = isinstance(node.value, ast.Name) and node.value.id in modules
+                (names if on_module else members).add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names
                              if exported is None or alias.name in exported)
-    return names | attributes, attributes
+    return names | members, members
 
 
 def _unread(sources: dict) -> dict:
     """Qualified name -> line of each definition in ``sources`` (module name
     -> source text) that no source reads."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    any_read, attributes = _reads(trees)
+    any_read, members = _reads(trees)
     return {qualified: line for module, tree in trees.items()
             for qualified, name, is_member, line in _definitions(module, tree)
-            if name not in (attributes if is_member else any_read)}
+            if name not in (members if is_member else any_read)}
 
 
 def unreached(sources: dict) -> list:
@@ -149,6 +161,7 @@ def test_gate_flags_dead_definitions_and_honours_its_exemptions():
     source = (
         "import dataclasses\n"
         "import click\n"
+        "import math\n"
         "__all__ = ['exported']\n"
         "def dead():\n"
         "    unread = 1\n"
@@ -156,7 +169,7 @@ def test_gate_flags_dead_definitions_and_honours_its_exemptions():
         "def exported():\n"
         "    pass\n"
         "def used():\n"
-        "    return Record(1, 2).kept\n"
+        "    return Record(1, 2, 3).kept + math.pi\n"
         "@click.command()\n"
         "def command():\n"
         "    pass\n"
@@ -164,6 +177,7 @@ def test_gate_flags_dead_definitions_and_honours_its_exemptions():
         "class Record:\n"
         "    kept: int\n"
         "    unread: int\n"
+        "    pi: float\n"
         "    def __post_init__(self):\n"
         "        pass\n"
         "    @property\n"
@@ -173,7 +187,8 @@ def test_gate_flags_dead_definitions_and_honours_its_exemptions():
     )
     allowed = "def run_scenario():\n    pass\n"
     found = unreached({"m": source, "scenarios": allowed})
-    assert found == [("m.Record.unread", 17), ("m.Record.unread_property", 21), ("m.dead", 4)]
+    assert found == [("m.Record.pi", 19), ("m.Record.unread", 18),
+                     ("m.Record.unread_property", 23), ("m.dead", 5)]
 
 
 def test_a_root_re_export_keeps_only_the_names_of_the_root_all_alive():
