@@ -41,18 +41,22 @@ def run(config_file, out_dir, tol, jobs):
     except BelError as exc:
         click.echo(f"error [{exc.code}]: {exc}", err=True)
         sys.exit(2)
-    failed = 0
+    failed = errored = 0
     for spec, report in zip(specs, reports):
         n_checks = len(report["checks"])
         n_ok = sum(c["verdict"] for c in report["checks"])
-        status = "pass" if report["passed"] else "FAIL"
+        error = report.get("error")
+        status = "ERROR" if error else "pass" if report["passed"] else "FAIL"
         click.echo(f"{spec.slug}: {status} ({n_ok}/{n_checks} checks) -> {Path(out_root) / spec.slug}")
-        if not report["passed"]:
+        if error:
+            errored += 1
+            click.echo(f"error [{error['code']}]: {error['message']}", err=True)
+        elif not report["passed"]:
             failed += 1
             for c in report["checks"]:
                 if not c["verdict"]:
                     click.echo(f"  failed: {c['name']} (measured={c['measured']})")
-    sys.exit(1 if failed else 0)
+    sys.exit(2 if errored else 1 if failed else 0)
 
 
 @main.command("list-scenarios")

@@ -27,9 +27,9 @@ from .errors import BlowupError, InvalidAlphaError, InvalidDimensionError, Inval
 from .geometry import (
     ModelManifold,
     RadialGrid,
+    RadialJet,
     _weight_from_flux,
     comparison_report,
-    ric_infinity_components,
     unit_sphere_area,
     warping_slope_energy,
     weighted_volume,
@@ -39,16 +39,15 @@ from .lane_emden import (
     SolutionProfile,
     asymptotic_bound_check,
     pohozaev_slope_factor,
-    positivity_criterion,
     slope_factor_terms,
     solve_radial,
 )
 from .radial_core import finite_difference, grid_tolerance, make_grid, sample
 
-# Unused here since build_example assembles its weight from a closed-form
-# flux, but kept bound on this module: perfbench/tracing.py instruments
-# ``bel.construction.weight_from_warping`` and ``.indefinite_gauss``.
-from .geometry import weight_from_warping  # noqa: E402,F401
+# Unused here (build_example's flux is closed-form, _manifold_checks reads one
+# RadialJet), but kept bound: perfbench/tracing.py instruments these three
+# names on ``bel.construction``.
+from .geometry import ric_infinity_components, weight_from_warping  # noqa: E402,F401
 from .radial_core import indefinite_gauss  # noqa: E402,F401
 
 DEFAULT_ALPHA = 0.5
@@ -235,18 +234,18 @@ class TheoremReport:
         raise KeyError(name)
 
 
-def _flux_tail_exponent(M: ModelManifold) -> float:
-    """Fitted log-log slope of |int_0^r psi'' psi| on the top decade.
+def _flux_tail_exponent(jet: RadialJet) -> float:
+    """Fitted log-log slope of |int_0^r psi'' psi| on the top decade of the
+    jet's radii.
 
     The flux converges to a negative constant, so the fitted exponent should
     sit near zero -- comfortably below the o(r^{1/2}) requirement that keeps
     f bounded.
     """
-    nodes = M.grid.nodes
-    tail = nodes[nodes >= M.grid.r_max / 10.0]
+    tail = jet.r >= jet.r[-1] / 10.0
     # the recipe weight is f' = (d-1) F / psi^2, so F is read back from f'
-    flux = np.abs(M.f(tail, 1) * M.psi(tail) ** 2 / (M.d - 1))
-    return float(np.polyfit(np.log(tail), np.log(flux), 1)[0])
+    flux = np.abs(jet.df[tail] * jet.psi[tail] ** 2 / (jet.d - 1))
+    return float(np.polyfit(np.log(jet.r[tail]), np.log(flux), 1)[0])
 
 
 @dataclass(frozen=True)
@@ -275,10 +274,10 @@ def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
     grid = M.grid
     pos = grid.nodes > 0.0
     r = grid.nodes[pos]
+    jet = RadialJet(M, r)  # every profile value at the positive nodes
+    psi_r, dpsi_r, df_r = jet.psi, jet.dpsi, jet.df
 
     # -- warping invariants (the diffeomorphism-to-R^d side) ---------------
-    psi_r = M.psi(r)
-    dpsi_r = M.psi(r, 1)
     if not (abs(M.psi(0.0)) <= 1e-14 and abs(M.psi(0.0, 1) - 1.0) <= 1e-12
             and abs(M.psi(0.0, 2)) <= 1e-12):
         diffeo_reason = "psi, psi' or psi'' is off at the pole"
@@ -288,23 +287,22 @@ def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
         diffeo_reason = ""
 
     # -- curvature and the three pointwise conditions ----------------------
-    # (i) Ric^r > 0, (ii) Ric^theta > 0, (iii) the defect inequality
-    # Ric^r <= -2 psi' f'/psi + (f')^2/(d-1) up to grid tolerance
-    # (positivity_criterion), together with the residual of the weight ODE
+    # (i) Ric^r > 0, (ii) Ric^theta > 0, (iii) the curvature defect
+    # G = Ric^r + 2 psi' f'/psi - (f')^2/(d-1) <= 0 up to grid tolerance,
+    # together with the residual of the weight ODE
     # f'' + 2 psi'/psi f' = (d-1) psi''/psi measured by finite-differencing
     # the f' samples (not the f'' callback, which satisfies the relation by
     # construction)
-    ric_r, ric_th = ric_infinity_components(M, r)
-    ddpsi_r = M.psi(r, 2)
-    df_r = M.f(r, 1)
+    ric_r, ric_th = jet.ric_r, jet.ric_theta
     with np.errstate(over="ignore"):  # steps past ~1e154: checked below
         fd_ddf = finite_difference(M.f(grid.nodes, 1), grid)[pos]
         residual_tol = grid_tolerance(grid, 100.0)[pos]
-    rhs = (d - 1) * ddpsi_r / psi_r - 2.0 * dpsi_r * df_r / psi_r
+    rhs = (d - 1) * jet.ddpsi / psi_r - 2.0 * dpsi_r * df_r / psi_r
     residual = np.abs(fd_ddf - rhs) / (1.0 + np.abs(rhs))
     inner = slice(2, -2)  # finite-difference edge stencils excluded
     ode_ratio = np.max(residual[inner] / residual_tol[inner])
-    ode_reason = "" if positivity_criterion(M, residual_tol) else "the positivity criterion fails"
+    ode_reason = ("" if np.all(jet.curvature_defect <= residual_tol)
+                  else "the positivity criterion fails")
 
     # -- the p-independent terms of the Pohozaev slope factor --------------
     slope_terms = slope_factor_terms(M, r)
@@ -342,7 +340,7 @@ def _manifold_checks(M: ModelManifold) -> _ManifoldChecks:
         Check("weight-ode", "f'' + 2 (psi'/psi) f' = (d-1) psi''/psi",
               ode_ratio, 1.0, reason=ode_reason),
         Check("weight-bounded", "sup |f| < inf (flux integral converges)",
-              _flux_tail_exponent(M) if f_finite else None, 0.5, "<",
+              _flux_tail_exponent(jet) if f_finite else None, 0.5, "<",
               "" if f_finite else f"sup |f| = {f_sup}"),
     )
     return _ManifoldChecks(checks=checks, df=df_r, ric_r=ric_r, ric_theta=ric_th,

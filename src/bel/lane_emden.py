@@ -43,7 +43,7 @@ from .errors import (
     OutOfRangeError,
     SingularRadiusError,
 )
-from .geometry import ModelManifold, RadialJet
+from .geometry import ModelManifold
 from .radial_core import RadialFunction, covers
 
 # Unused here since the manifold builds the slope-factor table
@@ -343,16 +343,6 @@ def pohozaev_trace(profile: SolutionProfile) -> Dict[str, np.ndarray]:
     r, u, du = nodes[keep], profile.u.values[keep], profile.u_prime.values[keep]
     E = energy(profile.p, u, du)
     return {"energy": E, "pohozaev": pohozaev(M, profile.p, r, u, du, E)}
-
-
-def positivity_criterion(M: ModelManifold, tol: np.ndarray) -> bool:
-    """True iff -(d-1) psi''/psi + f'' + 2 psi' f'/psi - (f')^2/(d-1) <= tol
-    at every positive grid node, ``tol`` holding one tolerance per positive
-    node (the curvature-side obstruction to global positive solutions at
-    large exponents)."""
-    nodes = M.grid.nodes
-    q = RadialJet(M, nodes[nodes > 0.0]).curvature_defect
-    return bool(np.all(q <= tol))
 
 
 def asymptotic_bound_check(profile: SolutionProfile, C: float) -> bool:

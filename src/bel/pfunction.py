@@ -49,7 +49,6 @@ from .geometry import (
 from .lane_emden import SolutionProfile
 from .radial_core import (
     RadialFunction,
-    RadialGrid,
     covers,
     finite_difference,
     indefinite_gauss,
@@ -61,14 +60,11 @@ from .radial_core import (
 _EXPLICIT_GRID = (0.0, 200.0, 2001, "uniform")  # make_grid arguments of the default grid
 
 
-def _explicit_profile(
-    d: int, grid: Optional[RadialGrid], p: Optional[float], ell: float, u, du, ddu
-) -> SolutionProfile:
-    """A closed-form entire solution on flat R^d, with callbacks for u, u' and
-    u'' (nothing reads a higher derivative); the default grid is
-    :data:`_EXPLICIT_GRID`."""
-    if grid is None:
-        grid = make_grid(*_EXPLICIT_GRID)
+def _explicit_profile(d: int, p: Optional[float], ell: float, u, du, ddu) -> SolutionProfile:
+    """A closed-form entire solution on flat R^d, on the grid
+    :data:`_EXPLICIT_GRID`, with callbacks for u, u' and u'' (nothing reads a
+    higher derivative)."""
+    grid = make_grid(*_EXPLICIT_GRID)
     return SolutionProfile(
         manifold=euclidean(d, grid),
         p=p,
@@ -81,7 +77,7 @@ def _explicit_profile(
     )
 
 
-def bubble(d: int, b: float, grid: Optional[RadialGrid] = None) -> SolutionProfile:
+def bubble(d: int, b: float) -> SolutionProfile:
     """Explicit entire solution u = (a + b r^2)^{-(d-2)/2} at the critical
     power on flat space, normalized by d(d-2)ab = 1."""
     if int(d) != d or d < 3:
@@ -97,7 +93,7 @@ def bubble(d: int, b: float, grid: Optional[RadialGrid] = None) -> SolutionProfi
     log_max = math.log(np.finfo(float).max)
     if max(2.0 * math.log(b), k * math.log(d * (d - 2) * b)) >= log_max:
         raise InvalidRangeError(f"bubble width b = {b} takes b^2 or u(0) past the float range")
-    r_max = _EXPLICIT_GRID[1] if grid is None else grid.r_max
+    r_max = _EXPLICIT_GRID[1]
     if (d - 1) * math.log(a + b * (r_max * r_max)) >= log_max:
         raise InvalidRangeError(f"bubble width b = {b} takes (a + b r^2)^(d-1), in v'', "
                                 f"past the float range on r <= {r_max:g}")
@@ -112,10 +108,10 @@ def bubble(d: int, b: float, grid: Optional[RadialGrid] = None) -> SolutionProfi
         w = a + b * r**2
         return -2.0 * k * b * w ** (-k - 1) + 4.0 * k * (k + 1) * b**2 * r**2 * w ** (-k - 2)
 
-    return _explicit_profile(d, grid, (d + 2.0) / (d - 2.0), a ** (-k), u, du, ddu)
+    return _explicit_profile(d, (d + 2.0) / (d - 2.0), a ** (-k), u, du, ddu)
 
 
-def log_bubble(b: float, grid: Optional[RadialGrid] = None) -> SolutionProfile:
+def log_bubble(b: float) -> SolutionProfile:
     """Explicit solution u = -2 log(a + b r^2) of -Lu = e^u on the flat
     surface, normalized by 8ab = 1."""
     if b <= 0.0:
@@ -123,7 +119,7 @@ def log_bubble(b: float, grid: Optional[RadialGrid] = None) -> SolutionProfile:
     a = 1.0 / (8.0 * b)
     # the terms of u, u' and u'' (a, b r^2, w = a + b r^2, w^2, 4 b r, 4 b |a - b r^2|) are
     # largest at r = 0 or r_max, and finite at r = 0 once a is: r_max decides
-    r_max = _EXPLICIT_GRID[1] if grid is None else grid.r_max
+    r_max = _EXPLICIT_GRID[1]
     b_r2 = b * (r_max * r_max)
     w = a + b_r2
     if not all(map(math.isfinite, (a, b_r2, w, w * w, 4.0 * b * r_max, 4.0 * b * abs(a - b_r2)))):
@@ -140,7 +136,7 @@ def log_bubble(b: float, grid: Optional[RadialGrid] = None) -> SolutionProfile:
         w = a + b * r**2
         return -4.0 * b * (a - b * r**2) / w**2
 
-    return _explicit_profile(2, grid, None, -2.0 * math.log(a), u, du, ddu)
+    return _explicit_profile(2, None, -2.0 * math.log(a), u, du, ddu)
 
 
 # ------------------------------------------------------------- v-transform

@@ -41,10 +41,8 @@ _BLOCK_POINTS = 8192
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Strictly increasing radii from ``r_min`` to ``r_max``."""
+    """Strictly increasing radii from ``nodes[0] >= 0``, built by :func:`make_grid`."""
 
-    r_min: float
-    r_max: float
     nodes: np.ndarray
 
     def __post_init__(self) -> None:
@@ -53,12 +51,12 @@ class RadialGrid:
         object.__setattr__(self, "nodes", nodes)
         if nodes.size < MIN_NODES:
             raise InvalidRangeError(f"need at least {MIN_NODES} nodes, got {nodes.size}")
-        if not (0.0 <= self.r_min < self.r_max):
-            raise InvalidRangeError(f"bad radial range [{self.r_min}, {self.r_max}]")
-        if nodes[0] != self.r_min or nodes[-1] != self.r_max:
-            raise InvalidRangeError("nodes must start at r_min and end at r_max")
         if np.any(np.diff(nodes) <= 0):
             raise InvalidRangeError("nodes must be strictly increasing")
+
+    @property
+    def r_max(self) -> float:
+        return float(self.nodes[-1])
 
     @property
     def n(self) -> int:
@@ -111,7 +109,7 @@ def make_grid(r_min: float, r_max: float, n: int, kind: str = "uniform") -> Radi
     # guard against rounding at the endpoints
     nodes[0] = r_min
     nodes[-1] = r_max
-    return RadialGrid(r_min=r_min, r_max=r_max, nodes=nodes)
+    return RadialGrid(nodes)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

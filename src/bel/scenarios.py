@@ -23,7 +23,7 @@ import numpy as np
 
 from ._g17 import format_rows
 from .construction import DEFAULT_GRID, SOLVE, Check, build_example, verify_theorem
-from .errors import ArtifactIOError, BlowupError, ConfigParseError
+from .errors import ArtifactIOError, BelError, BlowupError, ConfigParseError
 from .geometry import (
     ModelManifold,
     comparison_report,
@@ -45,7 +45,7 @@ from .pfunction import (
     superharmonic_floor_check,
     v_transform,
 )
-from .radial_core import MIN_NODES, RadialFunction, make_grid
+from .radial_core import MIN_NODES, RadialFunction, covers, make_grid
 
 # Unused here (P comes from pohozaev_trace, curvature from curvature_report),
 # but kept bound on this module: perfbench/tracing.py instruments
@@ -288,7 +288,7 @@ def _cheng_yau_check(prof, n: float, radii: np.ndarray) -> Check:
     for ``r > 0``, so a zero ratio there measures an underflowed profile,
     not a bounded one."""
     reference = "sup |u'/u|^2 <= C (1/R^2 + sup u^{4/(n-2)})"
-    radii = radii[2.0 * radii <= prof.r_end]
+    radii = radii[covers(prof.r_end, 2.0 * radii)]
     if not radii.size:
         return Check("cheng-yau-bounded", reference, reason="B_2R leaves the shot at every R")
     sweep = np.array([cheng_yau_ratio(prof, n, R) for R in radii])
@@ -606,10 +606,15 @@ def _json_safe(value):
 
 
 def execute_run(spec: RunSpec, out_root) -> dict:
-    """Run one concrete scenario, write its artifacts, return the report."""
+    """Run one concrete scenario, write its artifacts, return the report; a
+    coded error of the run is recorded in it (``error``, no checks), not raised."""
     runner = _RUNNERS[spec.scenario]
     start = time.perf_counter()
-    checks, columns = runner(spec, **spec.values)
+    error = None
+    try:
+        checks, columns = runner(spec, **spec.values)
+    except BelError as exc:
+        checks, columns, error = (), {}, {"code": exc.code, "message": str(exc)}
     elapsed = time.perf_counter() - start
     report = {
         "schema": SCHEMA_VERSION,
@@ -617,7 +622,8 @@ def execute_run(spec: RunSpec, out_root) -> dict:
         "config": {k: _json_safe(v) for k, v in sorted(spec.params.items())},
         "tol": _json_safe(spec.tol),
         "checks": [{k: _json_safe(v) for k, v in c.as_dict().items()} for c in checks],
-        "passed": all(c.verdict for c in checks),
+        "passed": error is None and all(c.verdict for c in checks),
+        **({} if error is None else {"error": error}),
         "timings": {"elapsed_s": elapsed},
     }
     run_dir = Path(out_root) / spec.slug
@@ -626,8 +632,7 @@ def execute_run(spec: RunSpec, out_root) -> dict:
     except OSError as exc:
         raise ArtifactIOError(f"cannot create {run_dir}: {exc}") from exc
     write_report(report, run_dir / "report.json")
-    if columns:
-        emit_profiles(columns, run_dir / "profiles.csv")
+    emit_profiles(columns, run_dir / "profiles.csv")
     return report
 
 

@@ -482,6 +482,29 @@ def test_cli_r_max_below_the_grid_start_writes_nothing(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_run_error_is_reported_and_the_sweep_goes_on(tmp_path, jobs):
+    """A coded error in one run writes that run's report, which names the
+    error and does not pass, and the runs after it still run; the sweep
+    exits 2.  The same holds with worker processes."""
+    cfg = _write(tmp_path, "scenario = bubble\nd = 3\nb = 0.125, 1e160, 0.2\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", cfg, "--out", str(out), "--jobs", jobs])
+    assert result.exit_code == 2, result.output
+    assert sorted(os.listdir(out)) == ["bubble-b0.125", "bubble-b0.2", "bubble-b1e+160"]
+    report = json.loads((out / "bubble-b1e+160" / "report.json").read_text())
+    assert report["checks"] == [] and report["passed"] is False
+    assert report["error"]["code"] == "invalid-range"
+    assert list(report)[-2:] == ["error", "timings"]
+    assert not (out / "bubble-b1e+160" / "profiles.csv").exists()
+    assert "bubble-b1e+160: ERROR" in result.output
+    assert "error [invalid-range]: bubble width b = 1e+160" in result.output
+    for slug in ("bubble-b0.125", "bubble-b0.2"):
+        assert f"{slug}: pass" in result.output
+        assert "error" not in json.loads((out / slug / "report.json").read_text())
+    assert "Traceback" not in result.output
+
+
 def test_cli_theorem_shot_shorter_than_cheng_yau_sweep(tmp_path):
     """The Cheng-Yau radii R keep B_2R inside the shot, so a theorem run
     whose grid ends at r = 100 reports the check on R <= 50."""

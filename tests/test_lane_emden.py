@@ -35,7 +35,6 @@ from bel.lane_emden import (
     pohozaev,
     pohozaev_slope_factor,
     pohozaev_trace,
-    positivity_criterion,
     slope_factor_terms,
     solve_radial,
 )
@@ -528,19 +527,26 @@ def test_trace_verdicts_on_recipe_weight(warped3):
 # ------------------------------------------------- positivity and the bound
 
 
+def _defect_within(M, tol):
+    """G <= tol at every positive grid node, on one RadialJet: the positivity
+    criterion of the theorem's ``weight-ode`` check."""
+    nodes = M.grid.nodes
+    return bool(np.all(geometry.RadialJet(M, nodes[nodes > 0.0]).curvature_defect <= tol))
+
+
 def test_positivity_criterion_flat_and_signed_weights():
     g = make_grid(0.0, 1.0, 65, "uniform")
     tol = grid_tolerance(g)[g.nodes > 0]
-    assert positivity_criterion(euclidean(3, g), tol)
-    assert positivity_criterion(power_weight(3, g, coeff=-1.0, power=2.0), tol)
+    assert _defect_within(euclidean(3, g), tol)
+    assert _defect_within(power_weight(3, g, coeff=-1.0, power=2.0), tol)
     # f = +r^2 gives 6 - 2r^2 > 0 below sqrt(3): criterion fails
-    assert not positivity_criterion(power_weight(3, g, coeff=1.0, power=2.0), tol)
+    assert not _defect_within(power_weight(3, g, coeff=1.0, power=2.0), tol)
 
 
 def test_positivity_criterion_recipe_weight(warped3):
     # the weight ODE makes the combination collapse to -(f')^2/(d-1) <= 0
     g = warped3.grid
-    assert positivity_criterion(warped3, grid_tolerance(g)[g.nodes > 0])
+    assert _defect_within(warped3, grid_tolerance(g)[g.nodes > 0])
 
 
 def test_asymptotic_bound_on_flat_bubble(bubble_shot):

@@ -26,6 +26,7 @@ from bel.errors import (
     SuperharmonicityError,
 )
 from bel.geometry import (
+    euclidean,
     power_weight,
     ric_infinity_components,
     weighted_laplacian_radial,
@@ -197,7 +198,7 @@ def test_p_positive_and_consistent(theorem_data, data4):
     d=st.sampled_from([3, 4, 5, 6]),
 )
 def test_p_constancy_any_width(b, d):
-    data = v_transform(bubble(d, b, grid=make_grid(0.0, 20.0, 401, "uniform")))
+    data = v_transform(bubble(d, b))
     vals = data.P.values
     target = 2.0 * b * d
     assert np.max(np.abs(vals - target)) < 1e-8 * (1.0 + target)
@@ -410,7 +411,7 @@ def test_superharmonic_floor_guards(bubble4):
     with pytest.raises(InvalidRangeError):
         superharmonic_floor_check(bubble4, 2.0, 1.0)
     grid = make_grid(1e-3, 10.0, 129, "uniform")
-    M = bubble(4, 0.125, grid=make_grid(0.0, 10.0, 129, "uniform")).manifold
+    M = euclidean(4, make_grid(0.0, 10.0, 129, "uniform"))
     grow = sample(lambda r: 1.0 + np.asarray(r, dtype=float) ** 2, M.grid,
                   derivs=(lambda r: 2.0 * np.asarray(r, dtype=float),
                           lambda r: np.full_like(np.asarray(r, dtype=float), 2.0)))
